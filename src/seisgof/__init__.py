@@ -14,7 +14,7 @@ from .gof_tf import (TfConfig, TfGof, TFPlane, TfMisfits, cwt, log_freqs,
 from .imeasures import (IntensityVector, arias_duration, arias_intensity,
                         compute_intensity_vector, cross_correlation,
                         default_periods, energy_duration, energy_integral,
-                        peaks, response_spectrum)
+                        peaks, response_spectra, response_spectrum)
 from .signal import (Record3C, Spectrum, TimeSeries, Unit, UnitError, align,
                      align_records, bandpass, detrend, differentiate,
                      fourier_amplitude, integrate, taper)
@@ -41,7 +41,8 @@ __all__ = [
     "energy_integral", "fourier_amplitude", "group_report", "integrate",
     "layer_at", "liu_stf", "log_freqs", "moment_tensor", "p_value",
     "peaks", "pearson", "quality", "radiation_pattern", "read_record",
-    "record_tf_gof", "response_spectrum", "run_sweep", "score_pair",
-    "score_scalar", "significant", "synth_fullspace", "taper", "tf_gof",
-    "tf_misfits", "to_gof", "vp_basin", "vs_basin", "write_record",
+    "record_tf_gof", "response_spectra", "response_spectrum", "run_sweep",
+    "score_pair", "score_scalar", "significant", "synth_fullspace", "taper",
+    "tf_gof", "tf_misfits", "to_gof", "vp_basin", "vs_basin",
+    "write_record",
 ]

@@ -146,10 +146,12 @@ def config_echo(cfg: PipelineConfig) -> dict:
     Runtime-only settings (the worker count and the output location) are
     left out, so that the trees of one sweep written with different worker
     counts or to different directories are byte-identical (criterion 8).
+    Input paths are echoed as written in the config file, relative to its
+    directory, so the echo does not depend on where the inputs sit.
     """
     return {
-        "scenario": str(cfg.scenario_path) if cfg.scenario_path else None,
-        "reference": str(cfg.reference_path) if cfg.reference_path else None,
+        "scenario": _as_written(cfg.scenario_path, cfg.base_dir),
+        "reference": _as_written(cfg.reference_path, cfg.base_dir),
         "grid_deltas": list(cfg.grid_deltas),
         "alpha": cfg.alpha,
         "bands": [list(b) for b in cfg.anderson.bands.edges],
@@ -164,3 +166,13 @@ def config_echo(cfg: PipelineConfig) -> dict:
                "nfreq": cfg.tf.n_freqs, "omega0": cfg.tf.wavelet_omega0,
                "amplitude": cfg.tf.amplitude, "decay": cfg.tf.decay},
     }
+
+
+def _as_written(path: Path | None, base: Path) -> str | None:
+    # Undo _resolve: a relative config entry was joined onto base.
+    if path is None:
+        return None
+    try:
+        return str(path.relative_to(base))
+    except ValueError:
+        return str(path)

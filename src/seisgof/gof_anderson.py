@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imeasures import (IntensityVector, compute_intensity_vector,
-                        cross_correlation, default_periods)
+                        cross_correlation, default_periods, response_spectra)
 from .signal import Record3C, TimeSeries, bandpass, require_same_grid
 
 IMS = ("pga", "pgv", "pgd", "ia", "da", "de", "iv", "sa", "fs", "cstar")
@@ -144,32 +144,47 @@ def score_pair(rec: Record3C, sim: Record3C, bands: BandSpec | None = None,
     """Score a recorded/simulated pair per component.
 
     Both records must be aligned (same grid and unit); use
-    :func:`seisgof.signal.align_records` first when they are not.
+    :func:`seisgof.signal.align_records` first when they are not. Every
+    component x band of both records is filtered first, so that a single
+    :func:`~seisgof.imeasures.response_spectra` call covers all of them.
     """
     config = config if config is not None else AndersonConfig()
     bands = bands if bands is not None else config.bands
-    out = {}
+    nyquist = 0.5 / rec.dt
+    filtered = {}
     for name, rec_ts in rec.components():
         sim_ts = getattr(sim, name)
         require_same_grid(rec_ts, sim_ts)
-        out[name] = _score_component(rec_ts, sim_ts, bands, config)
-    return out
+        filtered[name] = {
+            bi: tuple(bandpass(ts, f_lo, f_hi, config.filter_order,
+                               config.zero_phase) for ts in (rec_ts, sim_ts))
+            for bi, (f_lo, f_hi) in enumerate(bands.edges) if f_hi < nyquist}
+    traces = [ts for per_band in filtered.values()
+              for pair in per_band.values() for ts in pair]
+    rows = iter(response_spectra(traces, config.damping, config.periods,
+                                 config.pseudo_spectral) if traces else ())
+    # The rows come in the order of ``traces``: rec then sim, band by band.
+    return {name: _score_component(
+                {bi: (rec_b, sim_b, next(rows), next(rows))
+                 for bi, (rec_b, sim_b) in per_band.items()},
+                bands, nyquist, config)
+            for name, per_band in filtered.items()}
 
 
-def _score_component(rec_ts: TimeSeries, sim_ts: TimeSeries, bands: BandSpec,
+def _score_component(filtered: dict, bands: BandSpec, nyquist: float,
                      cfg: AndersonConfig) -> AndersonScores:
-    nyquist = 0.5 / rec_ts.dt
+    # ``filtered`` maps a band index to its (rec, sim) traces and their Sa
+    # rows; the bands it lacks lie beyond the Nyquist frequency.
     scores = np.full((len(IMS), len(bands)), np.nan)
     skipped: list[tuple[str, int, str]] = []
     for bi, (f_lo, f_hi) in enumerate(bands.edges):
-        if not f_hi < nyquist:
+        if bi not in filtered:
             skipped.append(("*", bi, f"band ({f_lo}, {f_hi}) Hz outside "
                                      f"(0, {nyquist:g}) Hz"))
             continue
-        rec_b = bandpass(rec_ts, f_lo, f_hi, cfg.filter_order, cfg.zero_phase)
-        sim_b = bandpass(sim_ts, f_lo, f_hi, cfg.filter_order, cfg.zero_phase)
-        iv_r = _measures(rec_b, cfg)
-        iv_s = _measures(sim_b, cfg)
+        rec_b, sim_b, sa_r, sa_s = filtered[bi]
+        iv_r = _measures(rec_b, sa_r, cfg)
+        iv_s = _measures(sim_b, sa_s, cfg)
 
         for im in SCALAR_IMS:
             scores[IMS.index(im), bi] = score_scalar(getattr(iv_r, im),
@@ -198,13 +213,14 @@ def _score_component(rec_ts: TimeSeries, sim_ts: TimeSeries, bands: BandSpec,
     return AndersonScores(IMS, bands, scores, tuple(skipped))
 
 
-def _measures(ts: TimeSeries, cfg: AndersonConfig) -> IntensityVector:
+def _measures(ts: TimeSeries, sa: np.ndarray,
+              cfg: AndersonConfig) -> IntensityVector:
     return compute_intensity_vector(
         ts, damping=cfg.damping, periods=cfg.periods,
         duration_lo=cfg.duration_lo, duration_hi=cfg.duration_hi,
         detrend_integrations=cfg.detrend_integrations,
         fs_smoothing_octaves=cfg.fs_smoothing_octaves,
-        pseudo_spectral=cfg.pseudo_spectral)
+        pseudo_spectral=cfg.pseudo_spectral, sa=sa)
 
 
 def _vector_score(freqs, values_r, values_s, f_lo, f_hi):

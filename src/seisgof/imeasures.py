@@ -95,36 +95,58 @@ def response_spectrum(acc: TimeSeries, damping: float = 0.05,
     ``pseudo=False`` for the absolute-acceleration spectrum. Periods at or
     below 2*dt are skipped (NaN) with a warning.
     """
-    _require_unit(acc, Unit.ACCELERATION)
+    return response_spectra([acc], damping, periods, pseudo)[0]
+
+
+def response_spectra(traces, damping: float = 0.05,
+                     periods: np.ndarray | None = None,
+                     pseudo: bool = True) -> np.ndarray:
+    """:func:`response_spectrum` of many traces in one pass over the samples.
+
+    All traces must be acceleration traces on one shared grid. Returns an
+    array of shape (len(traces), len(periods)) whose rows equal the
+    single-trace spectra bit for bit.
+    """
+    traces = list(traces)
+    if not traces:
+        raise ValueError("at least one trace is required")
+    first = traces[0]
+    for ts in traces:
+        _require_unit(ts, Unit.ACCELERATION)
+        require_same_grid(first, ts)
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping ratio must be in (0, 1), got {damping}")
     if periods is None:
         periods = default_periods()
     periods = np.asarray(periods, dtype=float)
-    valid = periods > 2.0 * acc.dt
+    valid = periods > 2.0 * first.dt
     if not valid.all():
         warnings.warn(f"{int((~valid).sum())} periods at or below 2*dt "
-                      f"({2 * acc.dt:g} s) skipped", stacklevel=2)
-    sa = np.full(periods.shape, np.nan)
+                      f"({2 * first.dt:g} s) skipped", stacklevel=2)
+    sa = np.full((len(traces), periods.size), np.nan)
     if valid.any():
-        sa[valid] = _newmark_sdof_max(acc.samples, acc.dt, periods[valid],
-                                      damping, pseudo)
+        ag = np.stack([ts.samples for ts in traces])
+        sa[:, valid] = _newmark_sdof_max(ag, first.dt, periods[valid],
+                                         damping, pseudo)
     return sa
 
 
 def _newmark_sdof_max(ag, dt, periods, zeta, pseudo):
     # Average-acceleration Newmark (gamma=1/2, beta=1/4), unit mass,
-    # vectorized over oscillator periods; ground forcing p = -ag.
+    # vectorized over traces (rows of ag) x oscillator periods; ground
+    # forcing p = -ag. Every state element sees the operations of the
+    # one-trace loop in the same order, so batching changes no bit.
     wn = 2.0 * np.pi / periods
     k = wn ** 2
     c = 2.0 * zeta * wn
     keff = k + 2.0 * c / dt + 4.0 / dt ** 2
-    u = np.zeros_like(wn)
-    v = np.zeros_like(wn)
-    a = np.full_like(wn, -ag[0])
-    umax = np.zeros_like(wn)
-    amax = np.zeros_like(wn)
-    for i in range(1, ag.size):
+    ag = ag.T[:, :, None]  # ag[i] is the (traces, 1) column of sample i
+    u = np.zeros((ag.shape[1], wn.size))
+    v = np.zeros_like(u)
+    a = np.repeat(-ag[0], wn.size, axis=1)
+    umax = np.zeros_like(u)
+    amax = np.zeros_like(u)
+    for i in range(1, ag.shape[0]):
         dp = -(ag[i] - ag[i - 1])
         dpe = dp + (4.0 / dt + 2.0 * c) * v + 2.0 * a
         du = dpe / keff
@@ -194,11 +216,14 @@ def compute_intensity_vector(acc: TimeSeries, *, damping: float = 0.05,
                              duration_hi: float = 0.75,
                              detrend_integrations: bool = True,
                              fs_smoothing_octaves: float = 0.0,
-                             pseudo_spectral: bool = True) -> IntensityVector:
+                             pseudo_spectral: bool = True,
+                             sa: np.ndarray | None = None) -> IntensityVector:
     """Bundle all single-trace measures for one acceleration trace.
 
     Zero-energy traces get zero durations rather than an error so that a
-    silent band scores cleanly against another silent band.
+    silent band scores cleanly against another silent band. ``sa`` takes
+    this trace's row of :func:`response_spectra` when the caller has
+    already computed it for ``periods``; it is computed here otherwise.
     """
     _require_unit(acc, Unit.ACCELERATION)
     if periods is None:
@@ -211,7 +236,8 @@ def compute_intensity_vector(acc: TimeSeries, *, damping: float = 0.05,
     iv = energy_integral(vel)
     da = arias_duration(acc, duration_lo, duration_hi) if ia > 0 else 0.0
     de = energy_duration(vel, duration_lo, duration_hi) if iv > 0 else 0.0
-    sa = response_spectrum(acc, damping, periods, pseudo_spectral)
+    if sa is None:
+        sa = response_spectrum(acc, damping, periods, pseudo_spectral)
     fs = fourier_amplitude(acc, fs_smoothing_octaves)
     return IntensityVector(pga=pga, pgv=pgv, pgd=pgd, ia=ia, da=da, de=de,
                            iv=iv, periods=np.asarray(periods, float), sa=sa,

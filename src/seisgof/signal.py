@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
@@ -176,13 +177,24 @@ def bandpass(ts: TimeSeries, f_lo: float, f_hi: float, order: int = 4,
     if not 0.0 < f_lo < f_hi < nyquist:
         raise ValueError(
             f"band [{f_lo}, {f_hi}] Hz outside (0, {nyquist:g}) Hz for dt={ts.dt}")
-    sos = sps.butter(order, [f_lo, f_hi], btype="bandpass", fs=1.0 / ts.dt,
-                     output="sos")
+    # scipy's filter kernels need a writeable buffer, so each call filters
+    # with its own copy of the shared, read-only design.
+    sos = _butter_sos(f_lo, f_hi, ts.dt, order).copy()
     if zero_phase:
         out = sps.sosfiltfilt(sos, ts.samples)
     else:
         out = sps.sosfilt(sos, ts.samples)
     return ts.with_samples(out)
+
+
+@lru_cache(maxsize=64)
+def _butter_sos(f_lo: float, f_hi: float, dt: float, order: int) -> np.ndarray:
+    # A design costs about twice a zero-phase filter pass on a short trace,
+    # and a sweep filters many traces with a handful of distinct bands.
+    sos = sps.butter(order, [f_lo, f_hi], btype="bandpass", fs=1.0 / dt,
+                     output="sos")
+    sos.flags.writeable = False
+    return sos
 
 
 def differentiate(ts: TimeSeries) -> TimeSeries:

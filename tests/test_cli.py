@@ -210,3 +210,18 @@ class TestEnvironmentOverrides:
         monkeypatch.setenv("SEISGOF_WORKERS", "2")
         monkeypatch.setenv("SEISGOF_OUTPUT_DIR", "out_b")
         assert config_echo(load_config(config_path)) == first
+
+    def test_echo_ignores_where_the_inputs_sit(self, workspace, tmp_path_factory):
+        # The same inputs in two directories must give the same manifest
+        # config, so input paths are echoed as written in the config file.
+        src_dir, config_path = workspace
+        echoes = []
+        for name in ("copy_a", "copy_b"):
+            dst = tmp_path_factory.mktemp(name)
+            for path in src_dir.iterdir():
+                if path.is_file():
+                    (dst / path.name).write_bytes(path.read_bytes())
+            echoes.append(config_echo(load_config(dst / config_path.name)))
+        assert echoes[0] == echoes[1]
+        assert echoes[0]["scenario"] == "scenario.json"
+        assert echoes[0]["reference"] == "recorded.csv"

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from seisgof import (AndersonConfig, BandSpec, QualityLevel, Record3C,
-                     aggregate, default_bands, quality, score_pair,
+                     aggregate, bandpass, compute_intensity_vector,
+                     cross_correlation, default_bands, quality, score_pair,
                      score_scalar)
+from seisgof import imeasures
+from seisgof.gof_anderson import IMS, SCALAR_IMS
 
 from conftest import burst_series, record_from_arrays
 
@@ -177,3 +180,63 @@ class TestScorePair:
                                    burst_record.ud.samples[:-1], dt=0.01)
         with pytest.raises(ValueError):
             score_pair(burst_record, other, config=_quick_config())
+
+
+def _per_band_scores(rec_ts, sim_ts, cfg):
+    # Reference: score each band on its own through the public one-trace
+    # functions, each trace's Sa computed by itself.
+    scores = np.full((len(IMS), len(cfg.bands)), np.nan)
+    skipped = []
+    for bi, (f_lo, f_hi) in enumerate(cfg.bands.edges):
+        rec_b, sim_b = (bandpass(ts, f_lo, f_hi, cfg.filter_order,
+                                 cfg.zero_phase) for ts in (rec_ts, sim_ts))
+        iv_r, iv_s = (compute_intensity_vector(ts, damping=cfg.damping,
+                                               periods=cfg.periods)
+                      for ts in (rec_b, sim_b))
+        for im in SCALAR_IMS:
+            scores[IMS.index(im), bi] = score_scalar(getattr(iv_r, im),
+                                                     getattr(iv_s, im))
+        for im, freqs, r, s in (
+                ("sa", 1.0 / iv_r.periods, iv_r.sa, iv_s.sa),
+                ("fs", iv_r.fs.freqs, iv_r.fs.amplitudes, iv_s.fs.amplitudes)):
+            mask = ((freqs >= f_lo) & (freqs <= f_hi)
+                    & np.isfinite(r) & np.isfinite(s))
+            scores[IMS.index(im), bi] = np.mean(
+                [score_scalar(x, y) for x, y in zip(r[mask], s[mask])])
+        try:
+            rho = cross_correlation(rec_b, sim_b, cfg.max_lag)
+        except ValueError:
+            skipped.append(("cstar", bi, "zero variance in band"))
+        else:
+            scores[IMS.index("cstar"), bi] = 10.0 * max(0.0, rho)
+    return scores, tuple(skipped)
+
+
+@pytest.mark.filterwarnings("ignore:.*periods at or below 2\\*dt")
+def test_score_pair_runs_one_batched_kernel_per_pair(monkeypatch):
+    rng = np.random.default_rng(43)
+    dt = 0.02
+    base = burst_series(freq=1.0, dt=dt, duration=12.0, width=2.0)
+    noise = 0.2 * rng.standard_normal(base.n)
+    rec = record_from_arrays(base.samples + noise, base.samples[::-1],
+                             0.5 * base.samples, dt=dt)
+    # A silent UD component exercises the zero-variance skip rule.
+    sim = record_from_arrays(1.5 * base.samples, base.samples[::-1] + noise,
+                             np.zeros(base.n), dt=dt)
+    kernel = imeasures._newmark_sdof_max
+    rows = []
+
+    def counting(ag, *args):
+        rows.append(ag.shape[0])
+        return kernel(ag, *args)
+
+    monkeypatch.setattr(imeasures, "_newmark_sdof_max", counting)
+    cfg = AndersonConfig()
+    scores = score_pair(rec, sim, config=cfg)
+    assert rows == [42]  # 2 records x 3 components x 7 bands
+
+    for name, rec_ts in rec.components():
+        expected, skipped = _per_band_scores(rec_ts, getattr(sim, name), cfg)
+        assert np.array_equal(scores[name].scores, expected, equal_nan=True)
+        assert scores[name].skipped == skipped
+    assert len(scores["ud"].skipped) == len(default_bands())

@@ -4,7 +4,7 @@ import pytest
 from seisgof import (TimeSeries, Unit, UnitError, arias_duration,
                      arias_intensity, compute_intensity_vector,
                      cross_correlation, energy_duration, energy_integral,
-                     peaks, response_spectrum)
+                     peaks, response_spectra, response_spectrum)
 from seisgof.imeasures import G, default_periods
 
 from conftest import burst_series, sine_series
@@ -123,6 +123,78 @@ class TestResponseSpectrum:
         ts = burst_series(freq=2.0)
         sa_abs = response_spectrum(ts, periods=np.array([0.5]), pseudo=False)
         assert sa_abs[0] > 0.0
+
+
+def _newmark_one_trace(ag, dt, periods, zeta, pseudo):
+    # Reference oracle: the Newmark loop for one trace, vectorized over
+    # periods only.
+    wn = 2.0 * np.pi / periods
+    k = wn ** 2
+    c = 2.0 * zeta * wn
+    keff = k + 2.0 * c / dt + 4.0 / dt ** 2
+    u = np.zeros_like(wn)
+    v = np.zeros_like(wn)
+    a = np.full_like(wn, -ag[0])
+    umax = np.zeros_like(wn)
+    amax = np.zeros_like(wn)
+    for i in range(1, ag.size):
+        dp = -(ag[i] - ag[i - 1])
+        dpe = dp + (4.0 / dt + 2.0 * c) * v + 2.0 * a
+        du = dpe / keff
+        dv = 2.0 / dt * du - 2.0 * v
+        da = 4.0 / dt ** 2 * du - 4.0 / dt * v - 2.0 * a
+        u += du
+        v += dv
+        a += da
+        np.maximum(umax, np.abs(u), out=umax)
+        if not pseudo:
+            np.maximum(amax, np.abs(a + ag[i]), out=amax)
+    return k * umax if pseudo else amax
+
+
+class TestResponseSpectra:
+    @pytest.mark.parametrize("pseudo", [True, False])
+    def test_rows_equal_the_one_trace_loop_bit_for_bit(self, pseudo):
+        rng = np.random.default_rng(41)
+        dt = 0.02
+        rows = rng.standard_normal((5, 401))
+        rows[2] = 0.0
+        traces = [TimeSeries(dt, 0.0, x, Unit.ACCELERATION) for x in rows]
+        periods = default_periods()
+        valid = periods > 2.0 * dt
+        with pytest.warns(UserWarning):
+            sa = response_spectra(traces, 0.05, periods, pseudo)
+        assert sa.shape == (5, periods.size)
+        assert np.all(np.isnan(sa[:, ~valid]))
+        for row, ag in zip(sa, rows):
+            expected = _newmark_one_trace(ag, dt, periods[valid], 0.05, pseudo)
+            assert np.array_equal(row[valid], expected)
+        assert np.all(sa[2, valid] == 0.0)
+
+    def test_single_trace_spectrum_is_one_row(self):
+        ts = burst_series(freq=2.0)
+        periods = np.array([0.1, 0.5, 2.0])
+        other = ts.with_samples(0.5 * ts.samples[::-1])
+        batch = response_spectra([other, ts], periods=periods)
+        assert np.array_equal(response_spectrum(ts, periods=periods), batch[1])
+
+    @pytest.mark.parametrize("other", [
+        TimeSeries(0.02, 0.0, np.ones(101), Unit.ACCELERATION),
+        TimeSeries(0.01, 0.5, np.ones(201), Unit.ACCELERATION),
+        TimeSeries(0.01, 0.0, np.ones(200), Unit.ACCELERATION),
+    ])
+    def test_traces_on_different_grids_rejected(self, other):
+        ts = TimeSeries(0.01, 0.0, np.ones(201), Unit.ACCELERATION)
+        with pytest.raises(ValueError):
+            response_spectra([ts, other], periods=np.array([1.0]))
+
+    def test_requires_acceleration_traces(self):
+        with pytest.raises(UnitError):
+            response_spectra([sine_series(unit=Unit.VELOCITY)])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            response_spectra([])
 
 
 class TestCrossCorrelation:
