@@ -13,11 +13,10 @@ from pathlib import Path
 
 from . import report, traceio
 from .config import ConfigError, PipelineConfig, config_echo, load_config
-from .ensemble import (build_grid, correlation_tables, group_report,
-                       run_sweep)
-from .gof_anderson import score_pair
-from .gof_tf import record_tf_gof, tf_misfits, to_gof, write_plane_csv
-from .signal import COMPONENTS, align_records
+from .ensemble import (ReferenceScorer, build_grid, correlation_tables,
+                       group_report, run_sweep)
+from .gof_tf import write_plane_csv
+from .signal import COMPONENTS
 from .source import scenario_from_dict, synth_fullspace
 
 
@@ -58,13 +57,11 @@ def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
     """Both GOF frameworks on one recorded/synthetic pair."""
     rec = traceio.read_record(record_path)
     sim = traceio.read_record(synthetic_path)
-    rec, sim = align_records(rec, sim)
     wanted = COMPONENTS if component == "all" else (component,)
 
-    anderson = score_pair(rec, sim, config=cfg.anderson)
+    anderson, tf = ReferenceScorer(rec, cfg.anderson, cfg.tf).score(sim)
     anderson = {comp: anderson[comp] for comp in wanted}
-    tf = {comp: gof for comp, gof in record_tf_gof(rec, sim, cfg.tf).items()
-          if comp in wanted}
+    tf = {comp: tf[comp] for comp in wanted}
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -165,24 +162,10 @@ def cmd_sweep(cfg: PipelineConfig, out_dir: Path,
 
 def _sweep_external(grid, reference, cfg: PipelineConfig,
                     external_dir: Path) -> list:
-    from .ensemble import RunResult
-    from .source import FocalMechanism
-
-    results = []
-    for angles in grid.angles():
-        try:
-            path = _ingest_external_run(external_dir, angles)
-            synthetic = traceio.read_record(path)
-            rec, sim = align_records(reference, synthetic)
-            results.append(RunResult(
-                angles=angles, fm=FocalMechanism(*angles),
-                synthetic=synthetic,
-                anderson=score_pair(rec, sim, config=cfg.anderson),
-                tf=record_tf_gof(rec, sim, cfg.tf)))
-        except Exception as exc:
-            results.append(RunResult(angles=angles,
-                                     error=f"{type(exc).__name__}: {exc}"))
-    return results
+    scorer = ReferenceScorer(reference, cfg.anderson, cfg.tf)
+    return [scorer.run(angles, lambda: traceio.read_record(
+                _ingest_external_run(external_dir, angles)))
+            for angles in grid.angles()]
 
 
 def cmd_report(run_dir: Path, out_dir: Path, alpha: float = 0.05) -> int:

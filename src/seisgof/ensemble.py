@@ -17,8 +17,8 @@ import numpy as np
 from scipy import stats as _stats
 
 from .gof_anderson import (IMS, AndersonConfig, AndersonScores, aggregate,
-                           score_pair)
-from .gof_tf import TfConfig, TfGof, record_tf_gof
+                           anderson_features, compare_anderson)
+from .gof_tf import TfConfig, TfGof, compare_tf, tf_features
 from .signal import COMPONENTS, Record3C, align_records
 from .source import (FocalMechanism, PointSourceScenario, SourceTimeFunction,
                      synth_fullspace)
@@ -80,25 +80,71 @@ class RunResult:
     """One sweep run: the swept angles plus both score sets per component."""
 
     angles: tuple[float, float, float]
-    fm: FocalMechanism | None = None
     synthetic: Record3C | None = None
     tf: dict[str, TfGof] | None = None
     anderson: dict[str, AndersonScores] | None = None
     error: str | None = None
 
 
-def _execute_run(args) -> RunResult:
-    (angles, scenario, reference, stf, a_cfg, t_cfg) = args
-    try:
-        fm = FocalMechanism(*angles)
-        synthetic = synth_fullspace(scenario, fm, stf)
-        rec_al, sim_al = align_records(reference, synthetic)
-        anderson = score_pair(rec_al, sim_al, config=a_cfg)
-        tf = record_tf_gof(rec_al, sim_al, t_cfg)
-        return RunResult(angles=angles, fm=fm, synthetic=synthetic,
-                         anderson=anderson, tf=tf)
-    except Exception as exc:  # per-run failures are recorded, not fatal
-        return RunResult(angles=angles, error=f"{type(exc).__name__}: {exc}")
+class ReferenceScorer:
+    """Scores synthetics against one reference record with both frameworks.
+
+    The reference's features depend only on the grid the pair is aligned
+    to, so they are kept for the last aligned grid and rebuilt when a
+    synthetic brings another. A reference that cannot be prepared fails
+    every run that needs it with the same error.
+    """
+
+    def __init__(self, reference: Record3C, anderson_config: AndersonConfig,
+                 tf_config: TfConfig):
+        self.reference = reference
+        self.anderson_config = anderson_config
+        self.tf_config = tf_config
+        self._grid = self._anderson = self._tf = None
+
+    def score(self, synthetic: Record3C) -> tuple[dict[str, AndersonScores],
+                                                  dict[str, TfGof]]:
+        """Align the pair and score it: (Anderson scores, TF GOF)."""
+        rec, sim = align_records(self.reference, synthetic)
+        grid = tuple((ts.t0, ts.dt, ts.n) for _, ts in rec.components())
+        if grid != self._grid:
+            self._grid, self._anderson, self._tf = grid, None, None
+        a_cfg, t_cfg = self.anderson_config, self.tf_config
+        if self._anderson is None:
+            self._anderson = anderson_features(rec, a_cfg.bands, a_cfg)
+        anderson = compare_anderson(
+            self._anderson, anderson_features(sim, a_cfg.bands, a_cfg), a_cfg)
+        if self._tf is None:
+            self._tf = tf_features(rec, t_cfg)
+        return anderson, compare_tf(self._tf, sim, t_cfg)
+
+    def run(self, angles, make_synthetic) -> RunResult:
+        """Score the record ``make_synthetic()`` returns as one sweep run;
+        a failure is recorded in the result, never raised."""
+        try:
+            synthetic = make_synthetic()
+            anderson, tf = self.score(synthetic)
+        except Exception as exc:  # per-run failures are recorded, not fatal
+            return RunResult(angles=angles,
+                             error=f"{type(exc).__name__}: {exc}")
+        return RunResult(angles=angles, synthetic=synthetic, anderson=anderson,
+                         tf=tf)
+
+
+# (scenario, stf, scorer) of the sweep a pool worker serves; set once per
+# worker by the pool initializer, so that tasks carry only angles.
+_SWEEP = None
+
+
+def _start_worker(*sweep) -> None:
+    global _SWEEP
+    _SWEEP = sweep
+
+
+def _execute_run(angles, sweep=None) -> RunResult:
+    scenario, stf, scorer = sweep if sweep is not None else _SWEEP
+    return scorer.run(angles, lambda: synth_fullspace(
+        scenario, FocalMechanism(*angles), stf))
 
 
 def run_sweep(scenario: PointSourceScenario, grid: SweepGrid,
@@ -110,16 +156,16 @@ def run_sweep(scenario: PointSourceScenario, grid: SweepGrid,
     """Execute every grid mechanism against the reference record.
 
     Results come back in grid order regardless of worker count, so repeated
-    sweeps are bit-identical.
+    sweeps are bit-identical. Each process prepares the reference once.
     """
     a_cfg = anderson_config if anderson_config is not None else AndersonConfig()
     t_cfg = tf_config if tf_config is not None else TfConfig()
-    tasks = [(angles, scenario, reference, stf, a_cfg, t_cfg)
-             for angles in grid.angles()]
+    sweep = (scenario, stf, ReferenceScorer(reference, a_cfg, t_cfg))
     if workers <= 1:
-        return [_execute_run(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute_run, tasks))
+        return [_execute_run(angles, sweep) for angles in grid.angles()]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=sweep) as pool:
+        return list(pool.map(_execute_run, grid.angles()))
 
 
 def pearson(x, y) -> float:

@@ -144,47 +144,72 @@ def score_pair(rec: Record3C, sim: Record3C, bands: BandSpec | None = None,
     """Score a recorded/simulated pair per component.
 
     Both records must be aligned (same grid and unit); use
-    :func:`seisgof.signal.align_records` first when they are not. Every
-    component x band of both records is filtered first, so that a single
-    :func:`~seisgof.imeasures.response_spectra` call covers all of them.
+    :func:`seisgof.signal.align_records` first when they are not. This is
+    :func:`anderson_features` of each record followed by
+    :func:`compare_anderson`.
     """
     config = config if config is not None else AndersonConfig()
     bands = bands if bands is not None else config.bands
-    nyquist = 0.5 / rec.dt
-    filtered = {}
-    for name, rec_ts in rec.components():
-        sim_ts = getattr(sim, name)
-        require_same_grid(rec_ts, sim_ts)
-        filtered[name] = {
-            bi: tuple(bandpass(ts, f_lo, f_hi, config.filter_order,
-                               config.zero_phase) for ts in (rec_ts, sim_ts))
-            for bi, (f_lo, f_hi) in enumerate(bands.edges) if f_hi < nyquist}
-    traces = [ts for per_band in filtered.values()
-              for pair in per_band.values() for ts in pair]
+    # A Record3C keeps one grid and unit for all its components.
+    require_same_grid(rec.ew, sim.ew)
+    return compare_anderson(anderson_features(rec, bands, config),
+                            anderson_features(sim, bands, config), config)
+
+
+@dataclass(frozen=True)
+class AndersonFeatures:
+    """The per-record half of a score: each component's band-filtered
+    traces and their intensity measures, keyed by band index.
+
+    Bands at or beyond the Nyquist frequency are absent.
+    """
+
+    bands: BandSpec
+    nyquist: float
+    components: dict[str, dict[int, tuple[TimeSeries, IntensityVector]]]
+
+
+def anderson_features(record: Record3C, bands: BandSpec,
+                      config: AndersonConfig) -> AndersonFeatures:
+    """Filter every component x band of one record and measure it.
+
+    One :func:`~seisgof.imeasures.response_spectra` call covers all the
+    filtered traces; its rows equal single-trace spectra bit for bit.
+    """
+    nyquist = 0.5 / record.dt
+    filtered = {name: {bi: bandpass(ts, f_lo, f_hi, config.filter_order,
+                                    config.zero_phase)
+                       for bi, (f_lo, f_hi) in enumerate(bands.edges)
+                       if f_hi < nyquist}
+                for name, ts in record.components()}
+    traces = [ts for per_band in filtered.values() for ts in per_band.values()]
     rows = iter(response_spectra(traces, config.damping, config.periods,
                                  config.pseudo_spectral) if traces else ())
-    # The rows come in the order of ``traces``: rec then sim, band by band.
-    return {name: _score_component(
-                {bi: (rec_b, sim_b, next(rows), next(rows))
-                 for bi, (rec_b, sim_b) in per_band.items()},
-                bands, nyquist, config)
-            for name, per_band in filtered.items()}
+    return AndersonFeatures(bands, nyquist, {
+        name: {bi: (ts, _measures(ts, next(rows), config))
+               for bi, ts in per_band.items()}
+        for name, per_band in filtered.items()})
 
 
-def _score_component(filtered: dict, bands: BandSpec, nyquist: float,
-                     cfg: AndersonConfig) -> AndersonScores:
-    # ``filtered`` maps a band index to its (rec, sim) traces and their Sa
-    # rows; the bands it lacks lie beyond the Nyquist frequency.
+def compare_anderson(rec: AndersonFeatures, sim: AndersonFeatures,
+                     config: AndersonConfig) -> dict[str, AndersonScores]:
+    """Per-component scores from the features of two aligned records."""
+    return {name: _score_component(per_band, sim.components[name], rec.bands,
+                                   rec.nyquist, config.max_lag)
+            for name, per_band in rec.components.items()}
+
+
+def _score_component(rec: dict, sim: dict, bands: BandSpec, nyquist: float,
+                     max_lag: float) -> AndersonScores:
     scores = np.full((len(IMS), len(bands)), np.nan)
     skipped: list[tuple[str, int, str]] = []
     for bi, (f_lo, f_hi) in enumerate(bands.edges):
-        if bi not in filtered:
+        if bi not in rec:
             skipped.append(("*", bi, f"band ({f_lo}, {f_hi}) Hz outside "
                                      f"(0, {nyquist:g}) Hz"))
             continue
-        rec_b, sim_b, sa_r, sa_s = filtered[bi]
-        iv_r = _measures(rec_b, sa_r, cfg)
-        iv_s = _measures(sim_b, sa_s, cfg)
+        rec_b, iv_r = rec[bi]
+        sim_b, iv_s = sim[bi]
 
         for im in SCALAR_IMS:
             scores[IMS.index(im), bi] = score_scalar(getattr(iv_r, im),
@@ -205,7 +230,7 @@ def _score_component(filtered: dict, bands: BandSpec, nyquist: float,
             scores[IMS.index("fs"), bi] = fs_score
 
         try:
-            rho = cross_correlation(rec_b, sim_b, cfg.max_lag)
+            rho = cross_correlation(rec_b, sim_b, max_lag)
         except ValueError:
             skipped.append(("cstar", bi, "zero variance in band"))
         else:

@@ -121,43 +121,73 @@ def tf_misfits(ref: TimeSeries, sim: TimeSeries,
                wavelet_omega0: float = 6.0,
                taper_fraction: float = 0.05) -> TfMisfits:
     """All eight misfits of ``sim`` against the reference trace."""
-    require_same_grid(ref, sim)
+    require_same_grid(ref, sim)  # reported before a silent reference
+    return tf_reference(ref, freqs, wavelet_omega0=wavelet_omega0,
+                        taper_fraction=taper_fraction).misfits(sim)
+
+
+@dataclass(frozen=True)
+class TfReference:
+    """What the misfits need from one reference trace: its wavelet plane,
+    the envelope of that plane and the envelope's normalizers."""
+
+    trace: TimeSeries
+    freqs: np.ndarray
+    wavelet_omega0: float
+    taper_fraction: float
+    coefficients: np.ndarray
+    envelope: np.ndarray
+    env_max: float
+    t_norm: float
+    f_norm: float
+    energy: float
+
+    def misfits(self, sim: TimeSeries) -> TfMisfits:
+        """All eight misfits of ``sim``, which must share the trace's grid."""
+        require_same_grid(self.trace, sim)
+        w_ref, env_ref = self.coefficients, self.envelope
+        w_sim = cwt(sim, self.freqs, self.wavelet_omega0,
+                    self.taper_fraction).coefficients
+        env_diff = np.abs(w_sim) - env_ref
+        # Arg(W_sim * conj(W_ref)) in [-pi, pi], weighted by the reference
+        # envelope. The cross product is assembled from separate array ops
+        # so a real rescaling of the signal cancels exactly (no fused
+        # contraction).
+        re = w_sim.real * w_ref.real + w_sim.imag * w_ref.imag
+        im = w_sim.imag * w_ref.real - w_sim.real * w_ref.imag
+        dphi = np.arctan2(im, re)
+        phase_w = env_ref * dphi / np.pi
+
+        tfem = env_diff / self.env_max
+        tfpm = phase_w / self.env_max
+        tem = env_diff.sum(axis=1) / self.t_norm
+        tpm = phase_w.sum(axis=1) / self.t_norm
+        fem = env_diff.sum(axis=0) / self.f_norm
+        fpm = phase_w.sum(axis=0) / self.f_norm
+        em = float(np.sqrt((env_diff ** 2).sum() / self.energy))
+        pm = float(np.sqrt((phase_w ** 2).sum() / self.energy))
+        return TfMisfits(times=self.trace.times, freqs=self.freqs,
+                         tfem=tfem, tfpm=tfpm, tem=tem, tpm=tpm, fem=fem,
+                         fpm=fpm, em=em, pm=pm)
+
+
+def tf_reference(ref: TimeSeries, freqs: np.ndarray | None = None, *,
+                 wavelet_omega0: float = 6.0,
+                 taper_fraction: float = 0.05) -> TfReference:
+    """Prepare one reference trace for :meth:`TfReference.misfits`."""
     if not np.any(ref.samples):
         raise ValueError("reference trace is identically zero; "
                          "misfit normalization is undefined")
     if freqs is None:
         freqs = log_freqs()
+    freqs = np.asarray(freqs, float)
     w_ref = cwt(ref, freqs, wavelet_omega0, taper_fraction).coefficients
-    w_sim = cwt(sim, freqs, wavelet_omega0, taper_fraction).coefficients
-
     env_ref = np.abs(w_ref)
-    env_diff = np.abs(w_sim) - env_ref
-    # Arg(W_sim * conj(W_ref)) in [-pi, pi], weighted by the reference
-    # envelope. The cross product is assembled from separate array ops so a
-    # real rescaling of the signal cancels exactly (no fused contraction).
-    re = w_sim.real * w_ref.real + w_sim.imag * w_ref.imag
-    im = w_sim.imag * w_ref.real - w_sim.real * w_ref.imag
-    dphi = np.arctan2(im, re)
-    phase_w = env_ref * dphi / np.pi
-
-    env_max = env_ref.max()
-    tfem = env_diff / env_max
-    tfpm = phase_w / env_max
-
-    t_norm = env_ref.sum(axis=1).max()
-    tem = env_diff.sum(axis=1) / t_norm
-    tpm = phase_w.sum(axis=1) / t_norm
-
-    f_norm = env_ref.sum(axis=0).max()
-    fem = env_diff.sum(axis=0) / f_norm
-    fpm = phase_w.sum(axis=0) / f_norm
-
-    energy = (env_ref ** 2).sum()
-    em = float(np.sqrt((env_diff ** 2).sum() / energy))
-    pm = float(np.sqrt((phase_w ** 2).sum() / energy))
-    return TfMisfits(times=ref.times, freqs=np.asarray(freqs, float),
-                     tfem=tfem, tfpm=tfpm, tem=tem, tpm=tpm, fem=fem, fpm=fpm,
-                     em=em, pm=pm)
+    return TfReference(
+        trace=ref, freqs=freqs, wavelet_omega0=wavelet_omega0,
+        taper_fraction=taper_fraction, coefficients=w_ref, envelope=env_ref,
+        env_max=env_ref.max(), t_norm=env_ref.sum(axis=1).max(),
+        f_norm=env_ref.sum(axis=0).max(), energy=(env_ref ** 2).sum())
 
 
 @dataclass(frozen=True)
@@ -211,22 +241,50 @@ def tf_gof(ref: TimeSeries, sim: TimeSeries,
 
 def record_tf_gof(rec: Record3C, sim: Record3C,
                   config: TfConfig | None = None) -> dict[str, TfGof]:
-    """Per-component TF goodness-of-fit of an aligned record pair."""
-    out = {}
-    for name, rec_ts in rec.components():
-        out[name] = tf_gof(rec_ts, getattr(sim, name), config)
-    return out
+    """Per-component TF goodness-of-fit of an aligned record pair.
+
+    This is :func:`tf_features` of the reference followed by
+    :func:`compare_tf`.
+    """
+    cfg = config if config is not None else TfConfig()
+    # A Record3C keeps one grid and unit for all its components.
+    require_same_grid(rec.ew, sim.ew)
+    return compare_tf(tf_features(rec, cfg), sim, cfg)
+
+
+def tf_features(rec: Record3C, config: TfConfig) -> dict[str, TfReference]:
+    """:func:`tf_reference` of every component of a reference record."""
+    freqs = config.freqs()
+    return {name: tf_reference(ts, freqs,
+                               wavelet_omega0=config.wavelet_omega0,
+                               taper_fraction=config.taper_fraction)
+            for name, ts in rec.components()}
+
+
+def compare_tf(features: dict[str, TfReference], sim: Record3C,
+               config: TfConfig) -> dict[str, TfGof]:
+    """Per-component TF goodness-of-fit of ``sim`` against prepared
+    reference components."""
+    return {name: to_gof(ref.misfits(getattr(sim, name)), config.amplitude,
+                         config.decay)
+            for name, ref in features.items()}
 
 
 def write_plane_csv(path, times, freqs, values) -> Path:
-    """Dense (t, f, value) CSV export of a time-frequency matrix."""
+    """Dense (t, f, value) CSV export of a time-frequency matrix.
+
+    Every number is written as the ``repr`` of a Python float, the shortest
+    string that reads back to the same value. Rows are streamed to the
+    file one time sample at a time.
+    """
     values = np.asarray(values)
     if values.shape != (len(times), len(freqs)):
         raise ValueError("matrix shape must be (n_times, n_freqs)")
     path = Path(path)
-    lines = ["t,f,value"]
-    for i, t in enumerate(times):
-        for j, f in enumerate(freqs):
-            lines.append(f"{float(t)!r},{float(f)!r},{float(values[i, j])!r}")
-    path.write_text("\n".join(lines) + "\n")
+    f_cols = [f",{float(f)!r}," for f in freqs]
+    with path.open("w") as fh:
+        fh.write("t,f,value\n")
+        for t, row in zip(times, np.asarray(values, float).tolist()):
+            t_s = repr(float(t))
+            fh.write("".join(f"{t_s}{f}{v!r}\n" for f, v in zip(f_cols, row)))
     return path

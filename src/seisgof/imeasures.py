@@ -33,9 +33,16 @@ def peaks(acc: TimeSeries, detrend_integrations: bool = True):
     a linear detrend is applied after each one unless disabled.
     """
     _require_unit(acc, Unit.ACCELERATION)
+    return _peaks(acc, _velocity(acc, detrend_integrations),
+                  detrend_integrations)
+
+
+def _velocity(acc: TimeSeries, detrend_integrations: bool) -> TimeSeries:
     vel = integrate(acc)
-    if detrend_integrations:
-        vel = detrend(vel, "linear")
+    return detrend(vel, "linear") if detrend_integrations else vel
+
+
+def _peaks(acc: TimeSeries, vel: TimeSeries, detrend_integrations: bool):
     disp = integrate(vel)
     if detrend_integrations:
         disp = detrend(disp, "linear")
@@ -228,11 +235,9 @@ def compute_intensity_vector(acc: TimeSeries, *, damping: float = 0.05,
     _require_unit(acc, Unit.ACCELERATION)
     if periods is None:
         periods = default_periods()
-    pga, pgv, pgd = peaks(acc, detrend_integrations)
+    vel = _velocity(acc, detrend_integrations)
+    pga, pgv, pgd = _peaks(acc, vel, detrend_integrations)
     ia = arias_intensity(acc)
-    vel = integrate(acc)
-    if detrend_integrations:
-        vel = detrend(vel, "linear")
     iv = energy_integral(vel)
     da = arias_duration(acc, duration_lo, duration_hi) if ia > 0 else 0.0
     de = energy_duration(vel, duration_lo, duration_hi) if iv > 0 else 0.0

@@ -1,12 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from seisgof import (AndersonConfig, BandSpec, FocalMechanism, TfConfig,
-                     build_grid, correlation_tables, default_scenario,
-                     group_report, p_value, pearson, run_sweep, significant,
-                     synth_fullspace)
+from seisgof import (AndersonConfig, BandSpec, FocalMechanism, Record3C,
+                     TfConfig, align_records, build_grid, correlation_tables,
+                     default_scenario, ensemble, gof_anderson, gof_tf,
+                     group_report, p_value, pearson, record_tf_gof, run_sweep,
+                     score_pair, significant, synth_fullspace)
 from seisgof.ensemble import (METRICS, PARAMETERS, CorrelationTable,
-                              RunResult, metric_values)
+                              ReferenceScorer, RunResult, metric_values)
 from seisgof.gof_anderson import IMS, AndersonScores, default_bands
 from seisgof.gof_tf import TfGof
 
@@ -102,8 +105,7 @@ def _planted_results(metric_fn):
                              tfpg=np.full((2, 2), value))
             anderson[comp] = AndersonScores(
                 IMS, bands, np.full((len(IMS), len(bands)), value))
-        results.append(RunResult(angles=angles, fm=FocalMechanism(*angles),
-                                 tf=tf, anderson=anderson))
+        results.append(RunResult(angles=angles, tf=tf, anderson=anderson))
     return results
 
 
@@ -222,3 +224,85 @@ class TestRunSweep:
         vals = metric_values(res, "ew")
         assert set(vals) == set(METRICS)
         assert all(np.isfinite(v) for v in vals.values())
+
+
+class TestReferenceScorer:
+    def test_equals_per_pair_scoring(self, small_sweep_inputs):
+        scenario, reference, a_cfg, t_cfg = small_sweep_inputs
+        synthetics = [synth_fullspace(scenario, FocalMechanism(*angles))
+                      for angles in ((40.0, 50.0, 80.0), (45.0, 55.0, 90.0),
+                                     (50.0, 60.0, 100.0))]
+        # Another grid between runs on the reference's grid replaces the
+        # prepared reference and then brings the first one back.
+        other = default_scenario(duration=10.0, dt=0.02)
+        synthetics.insert(2, synth_fullspace(other,
+                                             FocalMechanism(45.0, 60.0, 80.0)))
+        scorer = ReferenceScorer(reference, a_cfg, t_cfg)
+        for synthetic in synthetics:
+            anderson, tf = scorer.score(synthetic)
+            rec, sim = align_records(reference, synthetic)
+            want_a = score_pair(rec, sim, config=a_cfg)
+            want_tf = record_tf_gof(rec, sim, t_cfg)
+            assert list(anderson) == list(tf) == ["ew", "ns", "ud"]
+            for comp in ("ew", "ns", "ud"):
+                assert np.array_equal(anderson[comp].scores,
+                                      want_a[comp].scores, equal_nan=True)
+                assert anderson[comp].skipped == want_a[comp].skipped
+                got, want = tf[comp], want_tf[comp]
+                assert (got.eg, got.pg) == (want.eg, want.pg)
+                for name in ("times", "freqs", "teg", "tpg", "feg", "fpg",
+                             "tfeg", "tfpg"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+    @pytest.mark.filterwarnings("ignore:.*periods at or below 2\\*dt")
+    def test_serial_sweep_prepares_the_reference_once(self, monkeypatch):
+        scenario = default_scenario(duration=12.0, dt=0.02)
+        reference = synth_fullspace(scenario, FocalMechanism(47.0, 57.0, 95.0))
+        calls = Counter()
+
+        def count(module, name):
+            func = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(gof_anderson, "bandpass")
+        count(gof_tf, "cwt")
+        results = run_sweep(scenario, build_grid(FocalMechanism(45.0, 55.0,
+                                                                90.0)),
+                            reference)
+        assert len(results) == 27
+        assert all(res.error is None for res in results)
+        # 3 components x 7 bands of the reference once, then of each run.
+        assert calls == {"bandpass": 21 + 27 * 21, "cwt": 3 + 27 * 3}
+
+    def test_silent_reference_component_fails_every_run(
+            self, small_sweep_inputs, monkeypatch):
+        scenario, reference, a_cfg, t_cfg = small_sweep_inputs
+        silent = Record3C(ew=reference.ew, ns=reference.ns,
+                          ud=reference.ud.with_samples(
+                              np.zeros(reference.ud.n)))
+        grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 0.0, 0.0))
+        tasks = []
+
+        class RecordingPool(ensemble.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                columns = [list(it) for it in iterables]
+                tasks.extend(zip(*columns))
+                return super().map(fn, *columns, **kwargs)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+        for workers in (1, 2):
+            results = run_sweep(scenario, grid, silent, anderson_config=a_cfg,
+                                tf_config=t_cfg, workers=workers)
+            assert [res.angles for res in results] == grid.angles()
+            assert {res.error for res in results} == {
+                "ValueError: reference trace is identically zero; "
+                "misfit normalization is undefined"}
+        # Pool tasks carry the angles only; the reference goes to each
+        # worker once.
+        assert tasks == [(angles,) for angles in grid.angles()]

@@ -213,7 +213,7 @@ def _per_band_scores(rec_ts, sim_ts, cfg):
 
 
 @pytest.mark.filterwarnings("ignore:.*periods at or below 2\\*dt")
-def test_score_pair_runs_one_batched_kernel_per_pair(monkeypatch):
+def test_score_pair_runs_one_batched_kernel_per_record(monkeypatch):
     rng = np.random.default_rng(43)
     dt = 0.02
     base = burst_series(freq=1.0, dt=dt, duration=12.0, width=2.0)
@@ -233,7 +233,7 @@ def test_score_pair_runs_one_batched_kernel_per_pair(monkeypatch):
     monkeypatch.setattr(imeasures, "_newmark_sdof_max", counting)
     cfg = AndersonConfig()
     scores = score_pair(rec, sim, config=cfg)
-    assert rows == [42]  # 2 records x 3 components x 7 bands
+    assert rows == [21, 21]  # per record: 3 components x 7 bands
 
     for name, rec_ts in rec.components():
         expected, skipped = _per_band_scores(rec_ts, getattr(sim, name), cfg)

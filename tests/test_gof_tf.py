@@ -189,3 +189,41 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,f,value"
         assert len(lines) == 1 + gof.times.size * gof.freqs.size
+
+
+def _fstring_plane_csv(path, times, freqs, values):
+    # The one-f-string-per-cell writer the streamed one must match.
+    values = np.asarray(values)
+    lines = ["t,f,value"]
+    for i, t in enumerate(times):
+        for j, f in enumerate(freqs):
+            lines.append(f"{float(t)!r},{float(f)!r},{float(values[i, j])!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("times, freqs, values", [
+    (np.array([-0.0, 1e-5, 1e16]), np.array([0.1, 1e-5]),
+     np.array([[-0.0, np.nan], [1e-5, 1e16], [np.inf, -1e-300]])),
+    (np.arange(3.0), np.array([0.5, 2.0]), np.arange(6).reshape(3, 2)),
+    ([0, 0.25, 1], [1, 2], [[1, -2], [3.5, 0.1], [0.0, -0.0]]),
+    (np.array([0.0, 0.1]), np.array([]), np.zeros((2, 0))),
+])
+def test_plane_csv_bytes_match_fstring_writer(tmp_path, times, freqs, values):
+    write_plane_csv(tmp_path / "streamed.csv", times, freqs, values)
+    _fstring_plane_csv(tmp_path / "reference.csv", times, freqs, values)
+    assert ((tmp_path / "streamed.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+def test_plane_csv_bytes_match_fstring_writer_on_a_gof_plane(tmp_path,
+                                                              ref_trace):
+    sim = ref_trace.with_samples(-0.7 * ref_trace.samples[::-1])
+    gof = tf_gof(ref_trace, sim, TfConfig(f_min=0.5, f_max=5.0, n_freqs=7))
+    for name in ("tfeg", "tfpg"):
+        plane = getattr(gof, name)
+        write_plane_csv(tmp_path / "streamed.csv", gof.times, gof.freqs,
+                        plane)
+        _fstring_plane_csv(tmp_path / "reference.csv", gof.times, gof.freqs,
+                           plane)
+        assert ((tmp_path / "streamed.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())

@@ -3,8 +3,9 @@ import pytest
 
 from seisgof import (TimeSeries, Unit, UnitError, arias_duration,
                      arias_intensity, compute_intensity_vector,
-                     cross_correlation, energy_duration, energy_integral,
-                     peaks, response_spectra, response_spectrum)
+                     cross_correlation, detrend, energy_duration,
+                     energy_integral, integrate, peaks, response_spectra,
+                     response_spectrum)
 from seisgof.imeasures import G, default_periods
 
 from conftest import burst_series, sine_series
@@ -248,3 +249,17 @@ class TestInvariances:
             assert np.isclose(getattr(iv1, name), getattr(iv2, name),
                               rtol=1e-12)
         assert np.array_equal(iv1.sa, iv2.sa)
+
+
+@pytest.mark.parametrize("detrend_integrations", [True, False])
+def test_intensity_vector_integrates_velocity_once_with_peaks_bits(
+        detrend_integrations):
+    ts = burst_series(freq=1.5, dt=0.01)
+    ts = ts.with_samples(ts.samples + 0.01)  # a drift for the detrend
+    iv = compute_intensity_vector(ts, detrend_integrations=detrend_integrations)
+    assert (iv.pga, iv.pgv, iv.pgd) == peaks(ts, detrend_integrations)
+    vel = integrate(ts)
+    if detrend_integrations:
+        vel = detrend(vel, "linear")
+    assert iv.iv == energy_integral(vel)
+    assert iv.de == energy_duration(vel)
