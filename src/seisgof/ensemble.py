@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy import stats as _stats
 
 from .gof_anderson import (IMS, AndersonConfig, AndersonScores, aggregate,
                            anderson_features, compare_anderson)
@@ -194,8 +193,12 @@ def p_value(r: float, n: int) -> float:
         raise ValueError(f"r={r} outside [-1, 1]")
     if abs(r) == 1.0:
         return 0.0
+    # Imported on first use, so that the CLI starts without scipy: this
+    # is the only part of scipy the program needs.
+    from scipy.special import stdtr
+
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * _stats.t.sf(abs(t), n - 2))
+    return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
 def metric_values(result: RunResult, component: str) -> dict[str, float]:

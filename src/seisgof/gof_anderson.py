@@ -16,7 +16,8 @@ import numpy as np
 
 from .imeasures import (IntensityVector, compute_intensity_vector,
                         cross_correlation, default_periods, response_spectra)
-from .signal import Record3C, TimeSeries, bandpass, require_same_grid
+from .signal import (COMPONENTS, Record3C, TimeSeries, bandpass_bank,
+                     require_same_grid)
 
 IMS = ("pga", "pgv", "pgd", "ia", "da", "de", "iv", "sa", "fs", "cstar")
 SCALAR_IMS = ("pga", "pgv", "pgd", "ia", "da", "de", "iv")
@@ -161,7 +162,9 @@ class AndersonFeatures:
     """The per-record half of a score: each component's band-filtered
     traces and their intensity measures, keyed by band index.
 
-    Bands at or beyond the Nyquist frequency are absent.
+    Bands at or beyond the Nyquist frequency are absent. Each trace's Sa
+    holds values only at the periods inside its band, the only ones a
+    score reads, and NaN elsewhere.
     """
 
     bands: BandSpec
@@ -173,21 +176,27 @@ def anderson_features(record: Record3C, bands: BandSpec,
                       config: AndersonConfig) -> AndersonFeatures:
     """Filter every component x band of one record and measure it.
 
-    One :func:`~seisgof.imeasures.response_spectra` call covers all the
-    filtered traces; its rows equal single-trace spectra bit for bit.
+    One :func:`~seisgof.signal.bandpass_bank` call filters the record and
+    one :func:`~seisgof.imeasures.response_spectra` call covers the
+    in-band periods of all the filtered traces; its values equal
+    single-trace spectra bit for bit.
     """
     nyquist = 0.5 / record.dt
-    filtered = {name: {bi: bandpass(ts, f_lo, f_hi, config.filter_order,
-                                    config.zero_phase)
-                       for bi, (f_lo, f_hi) in enumerate(bands.edges)
-                       if f_hi < nyquist}
-                for name, ts in record.components()}
-    traces = [ts for per_band in filtered.values() for ts in per_band.values()]
+    in_range = {bi: edge for bi, edge in enumerate(bands.edges)
+                if edge[1] < nyquist}
+    filtered = dict(zip(COMPONENTS, bandpass_bank(
+        [ts for _, ts in record.components()], in_range.values(),
+        config.filter_order, config.zero_phase)))
+    freqs = 1.0 / np.asarray(config.periods, dtype=float)
+    in_band = [(freqs >= f_lo) & (freqs <= f_hi)
+               for f_lo, f_hi in in_range.values()] * len(COMPONENTS)
+    traces = [ts for per_band in filtered.values() for ts in per_band]
     rows = iter(response_spectra(traces, config.damping, config.periods,
-                                 config.pseudo_spectral) if traces else ())
+                                 config.pseudo_spectral, in_band)
+                if traces else ())
     return AndersonFeatures(bands, nyquist, {
         name: {bi: (ts, _measures(ts, next(rows), config))
-               for bi, ts in per_band.items()}
+               for bi, ts in zip(in_range, per_band)}
         for name, per_band in filtered.items()})
 
 

@@ -15,6 +15,7 @@ misfit onto the 0-10 scale (10 = perfect agreement).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -83,21 +84,39 @@ def cwt(ts: TimeSeries, freqs: np.ndarray, wavelet_omega0: float = 6.0,
         x = x * tukey_window(ts.n, taper_fraction)
     n = x.size
     dt = ts.dt
-    t = np.arange(n) * dt
-    t_mid = t[-1] / 2.0
-    nfft = 2 ** int(np.ceil(np.log2(n))) * 2
-    xf = np.fft.fft(x, n=nfft)
+    spectra = _morlet_spectra(n, dt, freqs.tobytes(), wavelet_omega0)
+    xf = np.fft.fft(x, n=spectra.shape[1])
+    t_mid = (n - 1) * dt / 2.0
     i0 = int(t_mid / dt)
 
     coeff = np.empty((n, freqs.size), dtype=complex)
+    for j, kernel_f in enumerate(spectra):
+        # One inverse FFT per frequency: a batched one changes the last
+        # digits of the coefficients.
+        coeff[:, j] = np.fft.ifft(kernel_f * xf)[i0:i0 + n] * dt
+    return TFPlane(ts.times, freqs, coeff)
+
+
+@lru_cache(maxsize=1)
+def _morlet_spectra(n: int, dt: float, freqs: bytes,
+                    wavelet_omega0: float) -> np.ndarray:
+    # FFTs of the scaled, conjugated Morlet kernels, one row per frequency,
+    # centered on an n-sample grid. Every trace of a record, and of a
+    # sweep's records, shares the grid, so they are kept for the last one.
+    t = np.arange(n) * dt
+    t_mid = t[-1] / 2.0
+    nfft = 2 ** int(np.ceil(np.log2(n))) * 2
+    freqs = np.frombuffer(freqs)
+    spectra = np.empty((freqs.size, nfft), dtype=complex)
     for j, f in enumerate(freqs):
         scale = wavelet_omega0 / (2.0 * np.pi * f)
         arg = -(t - t_mid) / scale
         psi = (np.pi ** -0.25) * np.exp(1j * wavelet_omega0 * arg
                                         - arg ** 2 / 2.0)
         kernel = np.conj(psi) / np.sqrt(scale)
-        coeff[:, j] = np.fft.ifft(np.fft.fft(kernel, n=nfft) * xf)[i0:i0 + n] * dt
-    return TFPlane(ts.times, freqs, coeff)
+        spectra[j] = np.fft.fft(kernel, n=nfft)
+    spectra.flags.writeable = False
+    return spectra
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .signal import (Spectrum, TimeSeries, Unit, UnitError, detrend,
-                     fourier_amplitude, integrate, require_same_grid)
+from .signal import (Spectrum, TimeSeries, Unit, UnitError,
+                     cumulative_trapezoid, detrend, fourier_amplitude,
+                     integrate, require_same_grid)
 
 G = 9.81  # m/s^2
 
@@ -61,7 +61,7 @@ def _energy_window(ts: TimeSeries, lo: float, hi: float) -> float:
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"thresholds must satisfy 0 <= lo < hi <= 1, got "
                          f"({lo}, {hi})")
-    cum = cumulative_trapezoid(ts.samples ** 2, dx=ts.dt, initial=0.0)
+    cum = cumulative_trapezoid(ts.samples ** 2, ts.dt)
     total = cum[-1]
     if total <= 0.0:
         raise ValueError("zero-energy trace has no duration")
@@ -107,12 +107,13 @@ def response_spectrum(acc: TimeSeries, damping: float = 0.05,
 
 def response_spectra(traces, damping: float = 0.05,
                      periods: np.ndarray | None = None,
-                     pseudo: bool = True) -> np.ndarray:
+                     pseudo: bool = True, where=None) -> np.ndarray:
     """:func:`response_spectrum` of many traces in one pass over the samples.
 
     All traces must be acceleration traces on one shared grid. Returns an
     array of shape (len(traces), len(periods)) whose rows equal the
-    single-trace spectra bit for bit.
+    single-trace spectra bit for bit. ``where``, a boolean array of that
+    shape, limits the work to its true entries; the others are NaN.
     """
     traces = list(traces)
     if not traces:
@@ -131,31 +132,35 @@ def response_spectra(traces, damping: float = 0.05,
         warnings.warn(f"{int((~valid).sum())} periods at or below 2*dt "
                       f"({2 * first.dt:g} s) skipped", stacklevel=2)
     sa = np.full((len(traces), periods.size), np.nan)
-    if valid.any():
+    wanted = valid if where is None else valid & where
+    rows, cols = np.nonzero(np.broadcast_to(wanted, sa.shape))
+    if rows.size:
         ag = np.stack([ts.samples for ts in traces])
-        sa[:, valid] = _newmark_sdof_max(ag, first.dt, periods[valid],
-                                         damping, pseudo)
+        sa[rows, cols] = _newmark_sdof_max(ag[rows], first.dt, periods[cols],
+                                           damping, pseudo)
     return sa
 
 
 def _newmark_sdof_max(ag, dt, periods, zeta, pseudo):
     # Average-acceleration Newmark (gamma=1/2, beta=1/4), unit mass,
-    # vectorized over traces (rows of ag) x oscillator periods; ground
-    # forcing p = -ag. Every state element sees the operations of the
-    # one-trace loop in the same order, so batching changes no bit.
+    # vectorized over (trace, period) pairs: row i of ag is the ground
+    # motion of the oscillator with period periods[i]; ground forcing
+    # p = -ag. Every state element sees the operations of the one-trace
+    # loop in the same order, so batching changes no bit.
     wn = 2.0 * np.pi / periods
     k = wn ** 2
     c = 2.0 * zeta * wn
     keff = k + 2.0 * c / dt + 4.0 / dt ** 2
-    ag = ag.T[:, :, None]  # ag[i] is the (traces, 1) column of sample i
-    u = np.zeros((ag.shape[1], wn.size))
+    cv = 4.0 / dt + 2.0 * c
+    ag = np.ascontiguousarray(ag.T)  # ag[i] is sample i of every pair
+    dp = -(ag[1:] - ag[:-1])  # dp[i - 1] is the load step into sample i
+    u = np.zeros(wn.size)
     v = np.zeros_like(u)
-    a = np.repeat(-ag[0], wn.size, axis=1)
+    a = -ag[0]
     umax = np.zeros_like(u)
     amax = np.zeros_like(u)
     for i in range(1, ag.shape[0]):
-        dp = -(ag[i] - ag[i - 1])
-        dpe = dp + (4.0 / dt + 2.0 * c) * v + 2.0 * a
+        dpe = dp[i - 1] + cv * v + 2.0 * a
         du = dpe / keff
         dv = 2.0 / dt * du - 2.0 * v
         da = 4.0 / dt ** 2 * du - 4.0 / dt * v - 2.0 * a

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
-from scipy.integrate import cumulative_trapezoid
 
 
 class Unit(enum.Enum):
@@ -157,8 +155,24 @@ def detrend(ts: TimeSeries, mode: str = "linear") -> TimeSeries:
 
 
 def tukey_window(n: int, fraction: float) -> np.ndarray:
-    """Symmetric cosine taper; ``fraction`` is the tapered share at each end."""
-    return sps.windows.tukey(n, alpha=2.0 * fraction, sym=True)
+    """Symmetric cosine taper; ``fraction`` is the tapered share at each end.
+
+    Equal bit for bit to ``scipy.signal.windows.tukey(n, 2 * fraction)``.
+    """
+    alpha = 2.0 * fraction
+    if n <= 1 or alpha <= 0:
+        return np.ones(n)
+    if alpha >= 1.0:  # Hann
+        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n))
+    k = np.arange(0, n, dtype=float)
+    width = int(np.floor(alpha * (n - 1) / 2.0))
+    head = k[0:width + 1]
+    tail = k[n - width - 1:]
+    return np.concatenate((
+        0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * head / alpha / (n - 1)))),
+        np.ones(n - 2 * width - 2),
+        0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1
+                                   + 2.0 * tail / alpha / (n - 1))))))
 
 
 def taper(ts: TimeSeries, fraction: float = 0.05) -> TimeSeries:
@@ -173,28 +187,191 @@ def taper(ts: TimeSeries, fraction: float = 0.05) -> TimeSeries:
 def bandpass(ts: TimeSeries, f_lo: float, f_hi: float, order: int = 4,
              zero_phase: bool = True) -> TimeSeries:
     """Butterworth band-pass. Zero-phase runs forward-backward (doubled order)."""
-    nyquist = 0.5 / ts.dt
-    if not 0.0 < f_lo < f_hi < nyquist:
-        raise ValueError(
-            f"band [{f_lo}, {f_hi}] Hz outside (0, {nyquist:g}) Hz for dt={ts.dt}")
-    # scipy's filter kernels need a writeable buffer, so each call filters
-    # with its own copy of the shared, read-only design.
-    sos = _butter_sos(f_lo, f_hi, ts.dt, order).copy()
+    return bandpass_bank([ts], [(f_lo, f_hi)], order, zero_phase)[0][0]
+
+
+def bandpass_bank(traces, edges, order: int = 4,
+                  zero_phase: bool = True) -> list[list[TimeSeries]]:
+    """:func:`bandpass` of every trace in every band in one batched pass.
+
+    All traces must share one grid. Returns ``out[i][j]``, trace ``i``
+    filtered in band ``edges[j]``, equal bit for bit to
+    ``scipy.signal.sosfiltfilt`` (or ``sosfilt`` when ``zero_phase`` is
+    false) with ``scipy.signal.butter``'s second-order sections.
+    """
+    traces, edges = list(traces), list(edges)
+    if not traces:
+        raise ValueError("at least one trace is required")
+    first = traces[0]
+    for ts in traces:
+        require_same_grid(first, ts)
+    nyquist = 0.5 / first.dt
+    for f_lo, f_hi in edges:
+        if not 0.0 < f_lo < f_hi < nyquist:
+            raise ValueError(f"band [{f_lo}, {f_hi}] Hz outside (0, "
+                             f"{nyquist:g}) Hz for dt={first.dt}")
+    if not edges:
+        return [[] for _ in traces]
+    designs = np.stack([_butter_sos(f_lo, f_hi, first.dt, order)
+                        for f_lo, f_hi in edges])
+    # Row i * len(edges) + j holds trace i in band j.
+    sos = np.tile(designs, (len(traces), 1, 1))
+    x = np.repeat(np.stack([ts.samples for ts in traces]), len(edges), axis=0)
     if zero_phase:
-        out = sps.sosfiltfilt(sos, ts.samples)
+        zi = np.tile(np.stack([_sosfilt_zi(d) for d in designs]),
+                     (len(traces), 1, 1))
+        y = _sosfiltfilt(sos, x, zi)
     else:
-        out = sps.sosfilt(sos, ts.samples)
-    return ts.with_samples(out)
+        y = _sosfilt(sos, x, np.zeros(sos.shape[:2] + (2,)))
+    rows = iter(y)
+    return [[ts.with_samples(next(rows)) for _ in edges] for ts in traces]
 
 
 @lru_cache(maxsize=64)
 def _butter_sos(f_lo: float, f_hi: float, dt: float, order: int) -> np.ndarray:
-    # A design costs about twice a zero-phase filter pass on a short trace,
-    # and a sweep filters many traces with a handful of distinct bands.
-    sos = sps.butter(order, [f_lo, f_hi], btype="bandpass", fs=1.0 / dt,
-                     output="sos")
+    """``scipy.signal.butter(order, [f_lo, f_hi], btype="bandpass",
+    fs=1/dt, output="sos")``, bit for bit.
+
+    scipy's path is kept step by step in its operation order: the analog
+    prototype, pre-warping, the low-pass to band-pass and bilinear
+    transforms, and "nearest" pairing into sections. Only the branches a
+    band-pass design reaches are ported: every zero lies at +1 or -1, and
+    the poles are conjugate pairs plus, for odd orders with wide bands,
+    two real poles. A sweep filters every record in the same handful of
+    bands, so designs are cached.
+    """
+    if int(order) != order or order < 1:
+        raise ValueError(f"filter order must be a positive integer, "
+                         f"got {order}")
+    order = int(order)
+    fs = 1.0 / dt
+    wn = np.asarray([f_lo, f_hi], dtype=float) / (fs / 2)
+    if np.any(wn <= 0) or np.any(wn >= 1):
+        raise ValueError("Digital filter critical frequencies must be "
+                         f"0 < Wn < fs/2 (fs={fs} -> fs/2={fs / 2})")
+    # Analog low-pass prototype, pre-warped band edges.
+    m = np.arange(-order + 1, order, 2, dtype=float)
+    p = -np.exp(1j * np.pi * m / (2 * order))
+    warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # Low-pass to band-pass: each pole splits in two, order zeros at 0.
+    p = p * bw / 2
+    p = np.concatenate((p + np.sqrt(p ** 2 - wo ** 2),
+                        p - np.sqrt(p ** 2 - wo ** 2)))
+    z = np.zeros(order, dtype=complex)
+    k = 1.0 * bw ** order
+    # Bilinear transform at fs = 2: zeros at 0 map to +1, those at
+    # infinity to -1.
+    p_z = (4.0 + p) / (4.0 - p)
+    k = k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
+    zeros = np.concatenate((-np.ones(order), np.ones(order)))
+    # One pole of each conjugate pair (the averaged upper one), then the
+    # real poles, each sorted by real part.
+    p_z = p_z[np.lexsort((abs(p_z.imag), p_z.real))]
+    real = abs(p_z.imag) <= 100 * np.finfo(float).eps * abs(p_z)
+    upper = p_z[~real & (p_z.imag > 0)]
+    lower = p_z[~real & (p_z.imag < 0)]
+    poles = np.concatenate(((upper + lower.conj()) / 2, p_z[real].real))
+    sos = np.zeros((order, 6))
+    # Sections from last to first take the pole nearest the unit circle
+    # and the two zeros nearest that pole.
+    for si in range(order - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(poles)))
+        p1 = poles[i]
+        poles = np.delete(poles, i)
+        if np.isreal(p1):
+            reals = np.flatnonzero(np.isreal(poles))
+            i = reals[np.argmin(np.abs(1 - np.abs(poles[reals])))]
+            p2 = poles[i]
+            poles = np.delete(poles, i)
+        else:
+            p2 = p1.conj()
+        pair = []
+        for _ in range(2):
+            i = np.argsort(np.abs(zeros - p1))[0]
+            pair.append(zeros[i])
+            zeros = np.delete(zeros, i)
+        sos[si, :3] = _poly(np.asarray(pair))
+        sos[si, 3:] = np.real(_poly(np.asarray([p1, p2])))
+    sos[0][:3] *= k
     sos.flags.writeable = False
     return sos
+
+
+def _poly(roots: np.ndarray) -> np.ndarray:
+    # Monic polynomial with the given roots, by scipy's convolution loop.
+    a = np.ones((1,), dtype=roots.dtype)
+    for r in roots:
+        a = np.convolve(a, np.stack((np.ones_like(r), -r)), mode="full")
+    return a
+
+
+def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
+    # scipy.signal.sosfilt_zi: each section's steady state for a unit
+    # step, scaled by the DC gain of the sections before it.
+    zi = np.empty((sos.shape[0], 2))
+    scale = 1.0
+    for s, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        i_minus_a = np.array([[1.0 + a[1], -1.0], [a[2], 1.0]])
+        zi[s] = scale * np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return zi
+
+
+def _sosfiltfilt(sos: np.ndarray, x: np.ndarray,
+                 zi: np.ndarray) -> np.ndarray:
+    # scipy.signal.sosfiltfilt per row: odd extension of 3 * ntaps
+    # samples, a forward pass started at the steady state of the first
+    # sample, and a backward pass started at that of the last output.
+    edge = 3 * (2 * sos.shape[1] + 1)
+    if x.shape[1] <= edge:
+        raise ValueError("The length of the input vector x must be greater "
+                         f"than padlen, which is {edge}.")
+    ext = np.concatenate((2 * x[:, :1] - x[:, edge:0:-1], x,
+                          2 * x[:, -1:] - x[:, -2:-(edge + 2):-1]), axis=1)
+    y = _sosfilt(sos, ext, zi * ext[:, :1, None])
+    y = _sosfilt(sos, y[:, ::-1], zi * y[:, -1:, None])
+    return y[:, ::-1][:, edge:-edge]
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Cascaded second-order sections run along every row of ``x``.
+
+    ``sos`` is (rows, sections, 6) with a0 = 1 and ``zi`` (rows, sections,
+    2) the initial state. Every row takes scipy's ``sosfilt`` transposed
+    direct form II step with the same association:
+    ``y = b0*x + z0; z0 = b1*x - a1*y + z1; z1 = b2*x - a2*y``.
+    """
+    rows, n = x.shape
+    ns = sos.shape[1]
+    # w[k, s] holds the input of section s at sample k - s: at step k
+    # every section reads row k and writes its output to row k + 1, so
+    # one step advances all sections of all rows. Column ns is the
+    # filter's output.
+    w = np.zeros((n + ns, ns + 1, rows))
+    w[:n, 0] = x.T
+    xin, yout = w[:, :ns], w[1:, 1:]
+    b = np.ascontiguousarray(sos[..., :3].transpose(2, 1, 0))
+    a = np.ascontiguousarray(sos[..., 4:].transpose(2, 1, 0))
+    zi = zi.transpose(2, 1, 0)
+    bx, ay = np.empty_like(b), np.empty_like(a)
+    bx0, bx12 = bx[0], bx[1:]
+    # The state alternates between two buffers, (buffer, z0, z1) each.
+    z, z_next = ((buf, buf[0], buf[1]) for buf in (zi.copy(), zi.copy()))
+    for k in range(n + ns - 1):
+        y = yout[k]
+        np.multiply(b, xin[k], out=bx)
+        np.add(bx0, z[1], out=y)
+        np.multiply(a, y, out=ay)
+        np.subtract(bx12, ay, out=z_next[0])
+        np.add(z_next[1], z[2], out=z_next[1])
+        z, z_next = z_next, z
+        if k < ns - 1:
+            # Sections above k have not reached their first sample, so
+            # they keep their initial state.
+            z[0][:, k + 1:] = zi[:, k + 1:]
+    return np.ascontiguousarray(w[ns:, ns].T)
 
 
 def differentiate(ts: TimeSeries) -> TimeSeries:
@@ -208,8 +385,14 @@ def integrate(ts: TimeSeries) -> TimeSeries:
     """Cumulative trapezoidal integral starting at 0; promotes the unit."""
     if ts.unit not in _PROMOTE:
         raise UnitError("cannot integrate a displacement trace (no unit above)")
-    out = cumulative_trapezoid(ts.samples, dx=ts.dt, initial=0.0)
-    return ts.with_samples(out, unit=_PROMOTE[ts.unit])
+    return ts.with_samples(cumulative_trapezoid(ts.samples, ts.dt),
+                           unit=_PROMOTE[ts.unit])
+
+
+def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoidal integral of ``y`` from 0, one value per sample;
+    ``scipy.integrate.cumulative_trapezoid(y, dx=dx, initial=0)``."""
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
 
 
 def fourier_amplitude(ts: TimeSeries, smoothing_octaves: float = 0.0) -> Spectrum:

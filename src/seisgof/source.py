@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .earthmodel import default_crustal_model
-from .signal import Record3C, TimeSeries, Unit
+from .signal import Record3C, TimeSeries, Unit, cumulative_trapezoid
 
 
 @dataclass(frozen=True)
@@ -342,7 +341,7 @@ def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
         srate = srate / np.trapezoid(srate, dx=scenario.dt)
         s_dt = scenario.dt
     s_times = np.arange(srate.size) * s_dt
-    s_cum = cumulative_trapezoid(srate, dx=s_dt, initial=0.0)
+    s_cum = cumulative_trapezoid(srate, s_dt)
     s_dot = np.gradient(srate, s_dt)
     s_ddot = np.gradient(s_dot, s_dt)
 

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seisgof
 from seisgof import FocalMechanism, default_scenario, synth_fullspace
 from seisgof.cli import main
 from seisgof.config import config_echo, load_config
@@ -225,3 +228,16 @@ class TestEnvironmentOverrides:
         assert echoes[0] == echoes[1]
         assert echoes[0]["scenario"] == "scenario.json"
         assert echoes[0]["reference"] == "recorded.csv"
+
+
+def test_cli_starts_without_scipy():
+    # scipy's signal stack takes most of the CLI's start-up; only a
+    # report's p-values load scipy.special, when they are computed.
+    src = str(Path(seisgof.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, seisgof.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

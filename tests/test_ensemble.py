@@ -68,6 +68,14 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
 
+    def test_p_value_matches_scipy_t_distribution(self):
+        from scipy import stats
+
+        for n in (3, 4, 10, 27, 200):
+            for r in (-0.999, -0.5, -1e-3, 0.0, 0.2, 0.7, 0.9999):
+                t = r * np.sqrt((n - 2) / (1.0 - r * r))
+                assert p_value(r, n) == 2.0 * stats.t.sf(abs(t), n - 2)
+
     def test_p_value_against_permutation_oracle(self):
         # light version of the acceptance oracle: 2e4 shuffles, 0.03 window
         rng = np.random.default_rng(43)
@@ -270,15 +278,24 @@ class TestReferenceScorer:
 
             monkeypatch.setattr(module, name, counted)
 
-        count(gof_anderson, "bandpass")
+        bank_rows = []
+        bank = gof_anderson.bandpass_bank
+
+        def counting_bank(traces, edges, *args):
+            bank_rows.append(len(traces) * len(edges))
+            return bank(traces, edges, *args)
+
+        monkeypatch.setattr(gof_anderson, "bandpass_bank", counting_bank)
         count(gof_tf, "cwt")
         results = run_sweep(scenario, build_grid(FocalMechanism(45.0, 55.0,
                                                                 90.0)),
                             reference)
         assert len(results) == 27
         assert all(res.error is None for res in results)
-        # 3 components x 7 bands of the reference once, then of each run.
-        assert calls == {"bandpass": 21 + 27 * 21, "cwt": 3 + 27 * 3}
+        # One bank of 3 components x 7 bands for the reference, then one
+        # per run.
+        assert bank_rows == [21] * (1 + 27)
+        assert calls == {"cwt": 3 + 27 * 3}
 
     def test_silent_reference_component_fails_every_run(
             self, small_sweep_inputs, monkeypatch):

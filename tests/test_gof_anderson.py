@@ -233,7 +233,8 @@ def test_score_pair_runs_one_batched_kernel_per_record(monkeypatch):
     monkeypatch.setattr(imeasures, "_newmark_sdof_max", counting)
     cfg = AndersonConfig()
     scores = score_pair(rec, sim, config=cfg)
-    assert rows == [21, 21]  # per record: 3 components x 7 bands
+    # Per record: 3 components x the 38 periods inside their bands.
+    assert rows == [114, 114]
 
     for name, rec_ts in rec.components():
         expected, skipped = _per_band_scores(rec_ts, getattr(sim, name), cfg)

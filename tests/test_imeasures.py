@@ -172,6 +172,22 @@ class TestResponseSpectra:
             assert np.array_equal(row[valid], expected)
         assert np.all(sa[2, valid] == 0.0)
 
+    @pytest.mark.parametrize("pseudo", [True, False])
+    def test_where_computes_only_the_wanted_pairs(self, pseudo):
+        rng = np.random.default_rng(42)
+        traces = [TimeSeries(0.02, 0.0, x, Unit.ACCELERATION)
+                  for x in rng.standard_normal((3, 301))]
+        periods = np.array([0.02, 0.1, 0.5, 2.0, 8.0])
+        where = rng.random((3, periods.size)) < 0.5
+        where[:, 0] = True  # at 2*dt: skipped even where wanted
+        with pytest.warns(UserWarning):
+            full = response_spectra(traces, 0.05, periods, pseudo)
+        with pytest.warns(UserWarning):
+            part = response_spectra(traces, 0.05, periods, pseudo, where)
+        wanted = where & (periods > 0.04)
+        assert np.array_equal(part[wanted], full[wanted])
+        assert np.all(np.isnan(part[~wanted]))
+
     def test_single_trace_spectrum_is_one_row(self):
         ts = burst_series(freq=2.0)
         periods = np.array([0.1, 0.5, 2.0])

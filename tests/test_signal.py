@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from scipy import integrate as sp_integrate
+from scipy import signal as sps
+
 from seisgof import (TimeSeries, Unit, UnitError, align, bandpass, detrend,
                      differentiate, fourier_amplitude, integrate, taper)
-from seisgof.signal import Record3C, Spectrum
+from seisgof.signal import (Record3C, Spectrum, _butter_sos, bandpass_bank,
+                            tukey_window)
 
 from conftest import burst_series, random_series, sine_series
 
@@ -110,6 +114,97 @@ class TestBandpass:
         ts = burst_series(freq=1.0, dt=0.005)
         out = bandpass(ts, 0.5, 2.0, order=4, zero_phase=True)
         assert abs(np.argmax(ts.samples) - np.argmax(out.samples)) <= 1
+
+
+class TestScipyReference:
+    """The numpy filter design, filter, taper and integral against scipy,
+    which the program no longer imports, bit for bit."""
+
+    BANDS = ((0.05, 0.1), (0.1, 0.25), (0.25, 0.5), (0.5, 1.0), (1.0, 2.0),
+             (2.0, 5.0), (5.0, 10.0), (1.0, 1.01), (0.02, 12.0))
+
+    def test_butterworth_designs(self):
+        real_poles = 0
+        for dt in (0.001, 0.005, 0.01, 0.02, 0.025, 0.04):
+            for order in range(1, 9):
+                for lo, hi in self.BANDS:
+                    if hi >= 0.5 / dt:
+                        continue
+                    kwargs = dict(btype="bandpass", fs=1.0 / dt)
+                    want = sps.butter(order, [lo, hi], output="sos", **kwargs)
+                    assert np.array_equal(_butter_sos(lo, hi, dt, order),
+                                          want), (dt, order, lo, hi)
+                    _, poles, _ = sps.butter(order, [lo, hi], output="zpk",
+                                             **kwargs)
+                    real_poles += bool(np.isreal(poles).any())
+        # The wide band's odd orders reach the two-real-poles branch.
+        assert real_poles >= 4
+
+    def test_order_below_one_rejected(self):
+        ts = sine_series(dt=0.01, duration=5.0)
+        for order in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="filter order"):
+                bandpass(ts, 1.0, 2.0, order=order)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("zero_phase", [True, False])
+    def test_bank_rows(self, order, zero_phase):
+        rng = np.random.default_rng(order)
+        edges = ((0.05, 0.1), (0.5, 1.0), (5.0, 10.0), (2.0, 24.0))
+        for n in (3 * (2 * order + 1) + 1, 60, 601):
+            rows = (np.zeros(n), np.full(n, 3.0),
+                    1e-6 * rng.standard_normal(n),
+                    1e5 * rng.standard_normal(n))
+            traces = [TimeSeries(0.02, 0.0, x, Unit.ACCELERATION)
+                      for x in rows]
+            out = bandpass_bank(traces, edges, order, zero_phase)
+            for i, ts in enumerate(traces):
+                for j, (lo, hi) in enumerate(edges):
+                    sos = sps.butter(order, [lo, hi], btype="bandpass",
+                                     fs=50.0, output="sos")
+                    want = (sps.sosfiltfilt(sos, ts.samples) if zero_phase
+                            else sps.sosfilt(sos, ts.samples))
+                    assert np.array_equal(out[i][j].samples, want)
+                    assert out[i][j].dt == ts.dt and out[i][j].t0 == ts.t0
+
+    def test_bandpass_is_a_one_row_bank(self):
+        ts = burst_series(freq=1.0, dt=0.01)
+        assert np.array_equal(bandpass(ts, 0.5, 2.0).samples,
+                              bandpass_bank([ts], [(0.5, 2.0)])[0][0].samples)
+
+    def test_short_trace_message(self):
+        x = np.ones(27)
+        sos = sps.butter(4, [1.0, 2.0], btype="bandpass", fs=50.0,
+                         output="sos")
+        with pytest.raises(ValueError) as want:
+            sps.sosfiltfilt(sos, x)
+        with pytest.raises(ValueError) as got:
+            bandpass(TimeSeries(0.02, 0.0, x, Unit.ACCELERATION), 1.0, 2.0)
+        assert str(got.value) == str(want.value)
+        assert "padlen, which is 27." in str(got.value)
+
+    def test_bank_checks_grid_and_every_band(self):
+        a = sine_series(dt=0.01, duration=5.0)
+        with pytest.raises(ValueError, match="common grid"):
+            bandpass_bank([a, sine_series(dt=0.02, duration=5.0)],
+                          [(1.0, 2.0)])
+        with pytest.raises(ValueError, match=r"band \[1.0, 60.0\] Hz"):
+            bandpass_bank([a], [(1.0, 2.0), (1.0, 60.0)])
+        assert bandpass_bank([a, a], []) == [[], []]
+
+    def test_tukey_window(self):
+        for n in (2, 3, 4, 5, 101, 600):
+            for fraction in (0.0, 0.01, 0.05, 0.25, 0.3, 0.5):
+                want = sps.windows.tukey(n, alpha=2.0 * fraction, sym=True)
+                assert np.array_equal(tukey_window(n, fraction), want)
+
+    def test_integrate(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 1000):
+            ts = random_series(rng, n=n, dt=0.013)
+            want = sp_integrate.cumulative_trapezoid(ts.samples, dx=0.013,
+                                                     initial=0.0)
+            assert np.array_equal(integrate(ts).samples, want)
 
 
 class TestCalculus:
