@@ -188,7 +188,7 @@ def anderson_features(record: Record3C, bands: BandSpec,
         [ts for _, ts in record.components()], in_range.values(),
         config.filter_order, config.zero_phase)))
     freqs = 1.0 / np.asarray(config.periods, dtype=float)
-    in_band = [(freqs >= f_lo) & (freqs <= f_hi)
+    in_band = [_in_band(freqs, f_lo, f_hi)
                for f_lo, f_hi in in_range.values()] * len(COMPONENTS)
     traces = [ts for per_band in filtered.values() for ts in per_band]
     rows = iter(response_spectra(traces, config.damping, config.periods,
@@ -260,9 +260,15 @@ def _measures(ts: TimeSeries, sa: np.ndarray,
 def _vector_score(freqs, values_r, values_s, f_lo, f_hi):
     # Pointwise scoring over in-band samples, averaged; penalizes shape
     # mismatch inside the band rather than comparing band means.
-    mask = ((freqs >= f_lo) & (freqs <= f_hi)
+    mask = (_in_band(freqs, f_lo, f_hi)
             & np.isfinite(values_r) & np.isfinite(values_s))
     if not mask.any():
         return None
     pairs = zip(np.asarray(values_r)[mask], np.asarray(values_s)[mask])
     return float(np.mean([score_scalar(r, s) for r, s in pairs]))
+
+
+def _in_band(freqs, f_lo, f_hi):
+    # The samples a band scores, edges included; anderson_features
+    # computes Sa only at these periods.
+    return (freqs >= f_lo) & (freqs <= f_hi)

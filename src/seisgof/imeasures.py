@@ -136,31 +136,32 @@ def response_spectra(traces, damping: float = 0.05,
     rows, cols = np.nonzero(np.broadcast_to(wanted, sa.shape))
     if rows.size:
         ag = np.stack([ts.samples for ts in traces])
-        sa[rows, cols] = _newmark_sdof_max(ag[rows], first.dt, periods[cols],
+        sa[rows, cols] = _newmark_sdof_max(ag, rows, first.dt, periods[cols],
                                            damping, pseudo)
     return sa
 
 
-def _newmark_sdof_max(ag, dt, periods, zeta, pseudo):
+def _newmark_sdof_max(ag, trace, dt, periods, zeta, pseudo):
     # Average-acceleration Newmark (gamma=1/2, beta=1/4), unit mass,
-    # vectorized over (trace, period) pairs: row i of ag is the ground
-    # motion of the oscillator with period periods[i]; ground forcing
-    # p = -ag. Every state element sees the operations of the one-trace
-    # loop in the same order, so batching changes no bit.
+    # vectorized over (trace, period) pairs: the oscillator with period
+    # periods[j] is driven by row trace[j] of ag; ground forcing p = -ag.
+    # Every state element sees the operations of the one-trace loop in
+    # the same order, so batching changes no bit. The samples stay per
+    # trace and each step gathers its pairs' values.
     wn = 2.0 * np.pi / periods
     k = wn ** 2
     c = 2.0 * zeta * wn
     keff = k + 2.0 * c / dt + 4.0 / dt ** 2
     cv = 4.0 / dt + 2.0 * c
-    ag = np.ascontiguousarray(ag.T)  # ag[i] is sample i of every pair
+    ag = np.ascontiguousarray(ag.T)  # ag[i] is sample i of every trace
     dp = -(ag[1:] - ag[:-1])  # dp[i - 1] is the load step into sample i
     u = np.zeros(wn.size)
     v = np.zeros_like(u)
-    a = -ag[0]
+    a = -ag[0][trace]
     umax = np.zeros_like(u)
     amax = np.zeros_like(u)
     for i in range(1, ag.shape[0]):
-        dpe = dp[i - 1] + cv * v + 2.0 * a
+        dpe = dp[i - 1][trace] + cv * v + 2.0 * a
         du = dpe / keff
         dv = 2.0 / dt * du - 2.0 * v
         da = 4.0 / dt ** 2 * du - 4.0 / dt * v - 2.0 * a
@@ -169,7 +170,7 @@ def _newmark_sdof_max(ag, dt, periods, zeta, pseudo):
         a += da
         np.maximum(umax, np.abs(u), out=umax)
         if not pseudo:
-            np.maximum(amax, np.abs(a + ag[i]), out=amax)
+            np.maximum(amax, np.abs(a + ag[i][trace]), out=amax)
     return k * umax if pseudo else amax
 
 

@@ -231,13 +231,29 @@ class TestEnvironmentOverrides:
 
 
 def test_cli_starts_without_scipy():
-    # scipy's signal stack takes most of the CLI's start-up; only a
-    # report's p-values load scipy.special, when they are computed.
+    # scipy's signal stack takes most of the CLI's start-up. A report's
+    # p-values load scipy.special when they are computed, and a record
+    # longer than NUMPY_FILTER_MAX_SAMPLES loads scipy.signal when it is
+    # filtered.
     src = str(Path(seisgof.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, seisgof.cli; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    code = """
+import sys, numpy as np, seisgof.cli
+from seisgof.signal import (NUMPY_FILTER_MAX_SAMPLES, TimeSeries, Unit,
+                            bandpass_bank)
+def loaded():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+def filtered(n):
+    ts = TimeSeries(0.02, 0.0, np.ones(n), Unit.ACCELERATION)
+    bandpass_bank([ts], [(1.0, 2.0)])
+print(loaded())
+filtered(NUMPY_FILTER_MAX_SAMPLES)
+print(loaded())
+filtered(NUMPY_FILTER_MAX_SAMPLES + 1)
+print('scipy.signal' in loaded())
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.split("\n")[:3] == ["[]", "[]", "True"]

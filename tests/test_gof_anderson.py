@@ -224,17 +224,17 @@ def test_score_pair_runs_one_batched_kernel_per_record(monkeypatch):
     sim = record_from_arrays(1.5 * base.samples, base.samples[::-1] + noise,
                              np.zeros(base.n), dt=dt)
     kernel = imeasures._newmark_sdof_max
-    rows = []
+    pairs = []
 
-    def counting(ag, *args):
-        rows.append(ag.shape[0])
-        return kernel(ag, *args)
+    def counting(ag, trace, *args):
+        pairs.append(trace.size)
+        return kernel(ag, trace, *args)
 
     monkeypatch.setattr(imeasures, "_newmark_sdof_max", counting)
     cfg = AndersonConfig()
     scores = score_pair(rec, sim, config=cfg)
     # Per record: 3 components x the 38 periods inside their bands.
-    assert rows == [114, 114]
+    assert pairs == [114, 114]
 
     for name, rec_ts in rec.components():
         expected, skipped = _per_band_scores(rec_ts, getattr(sim, name), cfg)

@@ -6,6 +6,7 @@ from seisgof import (TimeSeries, Unit, UnitError, arias_duration,
                      cross_correlation, detrend, energy_duration,
                      energy_integral, integrate, peaks, response_spectra,
                      response_spectrum)
+from seisgof import imeasures
 from seisgof.imeasures import G, default_periods
 
 from conftest import burst_series, sine_series
@@ -171,6 +172,26 @@ class TestResponseSpectra:
             expected = _newmark_one_trace(ag, dt, periods[valid], 0.05, pseudo)
             assert np.array_equal(row[valid], expected)
         assert np.all(sa[2, valid] == 0.0)
+
+    def test_kernel_holds_each_trace_once(self, monkeypatch):
+        # Every (trace, period) pair is an oscillator, but the samples
+        # reach the kernel once per trace, not once per pair.
+        kernel = imeasures._newmark_sdof_max
+        calls = []
+
+        def recording(ag, trace, *args):
+            calls.append((ag.shape, np.bincount(trace).tolist()))
+            return kernel(ag, trace, *args)
+
+        monkeypatch.setattr(imeasures, "_newmark_sdof_max", recording)
+        rows = np.random.default_rng(44).standard_normal((4, 301))
+        traces = [TimeSeries(0.02, 0.0, x, Unit.ACCELERATION) for x in rows]
+        periods = np.array([0.1, 0.5, 2.0])
+        sa = response_spectra(traces, 0.05, periods)
+        assert calls == [((4, 301), [3, 3, 3, 3])]
+        for row, ag in zip(sa, rows):
+            assert np.array_equal(
+                row, _newmark_one_trace(ag, 0.02, periods, 0.05, True))
 
     @pytest.mark.parametrize("pseudo", [True, False])
     def test_where_computes_only_the_wanted_pairs(self, pseudo):

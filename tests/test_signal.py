@@ -6,6 +6,7 @@ from scipy import signal as sps
 
 from seisgof import (TimeSeries, Unit, UnitError, align, bandpass, detrend,
                      differentiate, fourier_amplitude, integrate, taper)
+from seisgof import signal
 from seisgof.signal import (Record3C, Spectrum, _butter_sos, bandpass_bank,
                             tukey_window)
 
@@ -118,7 +119,7 @@ class TestBandpass:
 
 class TestScipyReference:
     """The numpy filter design, filter, taper and integral against scipy,
-    which the program no longer imports, bit for bit."""
+    which the program imports only to filter long records, bit for bit."""
 
     BANDS = ((0.05, 0.1), (0.1, 0.25), (0.25, 0.5), (0.5, 1.0), (1.0, 2.0),
              (2.0, 5.0), (5.0, 10.0), (1.0, 1.01), (0.02, 12.0))
@@ -148,7 +149,10 @@ class TestScipyReference:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     @pytest.mark.parametrize("zero_phase", [True, False])
-    def test_bank_rows(self, order, zero_phase):
+    @pytest.mark.parametrize("numpy_max", [10_000, 0])
+    def test_bank_rows(self, order, zero_phase, numpy_max, monkeypatch):
+        # numpy_max 0 sends every length through scipy's filter.
+        monkeypatch.setattr(signal, "NUMPY_FILTER_MAX_SAMPLES", numpy_max)
         rng = np.random.default_rng(order)
         edges = ((0.05, 0.1), (0.5, 1.0), (5.0, 10.0), (2.0, 24.0))
         for n in (3 * (2 * order + 1) + 1, 60, 601):
@@ -166,6 +170,21 @@ class TestScipyReference:
                             else sps.sosfilt(sos, ts.samples))
                     assert np.array_equal(out[i][j].samples, want)
                     assert out[i][j].dt == ts.dt and out[i][j].t0 == ts.t0
+
+    def test_bank_bits_do_not_change_at_the_numpy_limit(self):
+        rng = np.random.default_rng(9)
+        edges = ((0.05, 0.1), (5.0, 10.0))
+        for n in (signal.NUMPY_FILTER_MAX_SAMPLES,
+                  signal.NUMPY_FILTER_MAX_SAMPLES + 1):
+            traces = [TimeSeries(0.02, 0.0, x, Unit.ACCELERATION)
+                      for x in rng.standard_normal((2, n))]
+            out = bandpass_bank(traces, edges)
+            for i, ts in enumerate(traces):
+                for j, (lo, hi) in enumerate(edges):
+                    sos = sps.butter(4, [lo, hi], btype="bandpass",
+                                     fs=50.0, output="sos")
+                    assert np.array_equal(out[i][j].samples,
+                                          sps.sosfiltfilt(sos, ts.samples))
 
     def test_bandpass_is_a_one_row_bank(self):
         ts = burst_series(freq=1.0, dt=0.01)
