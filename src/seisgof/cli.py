@@ -163,9 +163,8 @@ def cmd_sweep(cfg: PipelineConfig, out_dir: Path,
 def _sweep_external(grid, reference, cfg: PipelineConfig,
                     external_dir: Path) -> list:
     scorer = ReferenceScorer(reference, cfg.anderson, cfg.tf)
-    return [scorer.run(angles, lambda: traceio.read_record(
-                _ingest_external_run(external_dir, angles)))
-            for angles in grid.angles()]
+    return scorer.run_many(grid.angles(), lambda angles: traceio.read_record(
+        _ingest_external_run(external_dir, angles)))
 
 
 def cmd_report(run_dir: Path, out_dir: Path, alpha: float = 0.05) -> int:

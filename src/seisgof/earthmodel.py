@@ -7,9 +7,7 @@ freely across workers. Quality factors are stored but not applied anywhere
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -95,24 +93,3 @@ def vp_basin(z: float, profile: BasinProfile = BasinProfile()) -> float:
     if z < 0:
         raise ValueError(f"depth must be non-negative, got {z}")
     return profile.vp0 + profile.vp_coef * z ** profile.exponent
-
-
-def model_from_json(path) -> CrustalModel:
-    """Load a layer model from a JSON array of objects with the table columns."""
-    rows = json.loads(Path(path).read_text())
-    if not isinstance(rows, list):
-        raise ValueError("layer model JSON must be an array of layer objects")
-    layers = tuple(
-        CrustalLayer(depth_top=float(r["depth_top"]), rho=float(r["rho"]),
-                     vp=float(r["vp"]), vs=float(r["vs"]),
-                     qp=float(r.get("qp", 400.0)), qs=float(r.get("qs", 180.0)))
-        for r in rows)
-    return CrustalModel(layers)
-
-
-def model_to_dicts(model: CrustalModel) -> list[dict]:
-    return [
-        {"depth_top": layer.depth_top, "rho": layer.rho, "vp": layer.vp,
-         "vs": layer.vs, "qp": layer.qp, "qs": layer.qs}
-        for layer in model.layers
-    ]

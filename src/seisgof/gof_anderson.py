@@ -16,8 +16,7 @@ import numpy as np
 
 from .imeasures import (IntensityVector, compute_intensity_vector,
                         cross_correlation, default_periods, response_spectra)
-from .signal import (COMPONENTS, Record3C, TimeSeries, bandpass_bank,
-                     require_same_grid)
+from .signal import COMPONENTS, Record3C, TimeSeries, bandpass_bank
 
 IMS = ("pga", "pgv", "pgd", "ia", "da", "de", "iv", "sa", "fs", "cstar")
 SCALAR_IMS = ("pga", "pgv", "pgd", "ia", "da", "de", "iv")
@@ -146,15 +145,13 @@ def score_pair(rec: Record3C, sim: Record3C, bands: BandSpec | None = None,
 
     Both records must be aligned (same grid and unit); use
     :func:`seisgof.signal.align_records` first when they are not. This is
-    :func:`anderson_features` of each record followed by
+    :func:`anderson_features` of both records followed by
     :func:`compare_anderson`.
     """
     config = config if config is not None else AndersonConfig()
     bands = bands if bands is not None else config.bands
-    # A Record3C keeps one grid and unit for all its components.
-    require_same_grid(rec.ew, sim.ew)
-    return compare_anderson(anderson_features(rec, bands, config),
-                            anderson_features(sim, bands, config), config)
+    return compare_anderson(*anderson_features([rec, sim], bands, config),
+                            config)
 
 
 @dataclass(frozen=True)
@@ -172,32 +169,36 @@ class AndersonFeatures:
     components: dict[str, dict[int, tuple[TimeSeries, IntensityVector]]]
 
 
-def anderson_features(record: Record3C, bands: BandSpec,
-                      config: AndersonConfig) -> AndersonFeatures:
-    """Filter every component x band of one record and measure it.
+def anderson_features(records, bands: BandSpec,
+                      config: AndersonConfig) -> list[AndersonFeatures]:
+    """Filter every component x band of a batch of records and measure it.
 
-    One :func:`~seisgof.signal.bandpass_bank` call filters the record and
-    one :func:`~seisgof.imeasures.response_spectra` call covers the
-    in-band periods of all the filtered traces; its values equal
-    single-trace spectra bit for bit.
+    The records must share one grid and unit. One
+    :func:`~seisgof.signal.bandpass_bank` call filters every component of
+    every record, and one :func:`~seisgof.imeasures.response_spectra` call
+    covers the in-band periods of all the filtered traces. Both give each
+    trace the bits it gets on its own, so a record's features do not
+    depend on its batch. Returns one :class:`AndersonFeatures` per record.
     """
-    nyquist = 0.5 / record.dt
+    records = list(records)
+    nyquist = 0.5 / records[0].dt
     in_range = {bi: edge for bi, edge in enumerate(bands.edges)
                 if edge[1] < nyquist}
-    filtered = dict(zip(COMPONENTS, bandpass_bank(
-        [ts for _, ts in record.components()], in_range.values(),
-        config.filter_order, config.zero_phase)))
+    filtered = bandpass_bank(
+        [ts for rec in records for _, ts in rec.components()],
+        in_range.values(), config.filter_order, config.zero_phase)
     freqs = 1.0 / np.asarray(config.periods, dtype=float)
     in_band = [_in_band(freqs, f_lo, f_hi)
-               for f_lo, f_hi in in_range.values()] * len(COMPONENTS)
-    traces = [ts for per_band in filtered.values() for ts in per_band]
+               for f_lo, f_hi in in_range.values()] * len(filtered)
+    traces = [ts for per_band in filtered for ts in per_band]
     rows = iter(response_spectra(traces, config.damping, config.periods,
                                  config.pseudo_spectral, in_band)
                 if traces else ())
-    return AndersonFeatures(bands, nyquist, {
+    per_trace = iter(filtered)
+    return [AndersonFeatures(bands, nyquist, {
         name: {bi: (ts, _measures(ts, next(rows), config))
-               for bi, ts in zip(in_range, per_band)}
-        for name, per_band in filtered.items()})
+               for bi, ts in zip(in_range, next(per_trace))}
+        for name in COMPONENTS}) for _ in records]
 
 
 def compare_anderson(rec: AndersonFeatures, sim: AndersonFeatures,

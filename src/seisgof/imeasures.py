@@ -113,7 +113,8 @@ def response_spectra(traces, damping: float = 0.05,
     All traces must be acceleration traces on one shared grid. Returns an
     array of shape (len(traces), len(periods)) whose rows equal the
     single-trace spectra bit for bit. ``where``, a boolean array of that
-    shape, limits the work to its true entries; the others are NaN.
+    shape, limits the work to its true entries; the others are NaN. Only
+    wanted periods at or below 2*dt are warned about.
     """
     traces = list(traces)
     if not traces:
@@ -127,13 +128,14 @@ def response_spectra(traces, damping: float = 0.05,
     if periods is None:
         periods = default_periods()
     periods = np.asarray(periods, dtype=float)
-    valid = periods > 2.0 * first.dt
-    if not valid.all():
-        warnings.warn(f"{int((~valid).sum())} periods at or below 2*dt "
-                      f"({2 * first.dt:g} s) skipped", stacklevel=2)
     sa = np.full((len(traces), periods.size), np.nan)
-    wanted = valid if where is None else valid & where
-    rows, cols = np.nonzero(np.broadcast_to(wanted, sa.shape))
+    where = np.broadcast_to(True if where is None else where, sa.shape)
+    valid = periods > 2.0 * first.dt
+    skipped = where.any(axis=0) & ~valid
+    if skipped.any():
+        warnings.warn(f"{int(skipped.sum())} periods at or below 2*dt "
+                      f"({2 * first.dt:g} s) skipped", stacklevel=2)
+    rows, cols = np.nonzero(where & valid)
     if rows.size:
         ag = np.stack([ts.samples for ts in traces])
         sa[rows, cols] = _newmark_sdof_max(ag, rows, first.dt, periods[cols],

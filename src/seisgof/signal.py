@@ -22,7 +22,6 @@ class Unit(enum.Enum):
 
 
 _PROMOTE = {Unit.ACCELERATION: Unit.VELOCITY, Unit.VELOCITY: Unit.DISPLACEMENT}
-_DEMOTE = {v: k for k, v in _PROMOTE.items()}
 
 
 class UnitError(ValueError):
@@ -175,15 +174,6 @@ def tukey_window(n: int, fraction: float) -> np.ndarray:
                                    + 2.0 * tail / alpha / (n - 1))))))
 
 
-def taper(ts: TimeSeries, fraction: float = 0.05) -> TimeSeries:
-    """Cosine (Tukey) taper. ``fraction=0`` is the identity, ``0.5`` a full Hann."""
-    if not 0.0 <= fraction <= 0.5:
-        raise ValueError(f"taper fraction must be in [0, 0.5], got {fraction}")
-    if fraction == 0.0:
-        return ts
-    return ts.with_samples(ts.samples * tukey_window(ts.n, fraction))
-
-
 def bandpass(ts: TimeSeries, f_lo: float, f_hi: float, order: int = 4,
              zero_phase: bool = True) -> TimeSeries:
     """Butterworth band-pass. Zero-phase runs forward-backward (doubled order)."""
@@ -192,13 +182,16 @@ def bandpass(ts: TimeSeries, f_lo: float, f_hi: float, order: int = 4,
 
 def bandpass_bank(traces, edges, order: int = 4,
                   zero_phase: bool = True) -> list[list[TimeSeries]]:
-    """:func:`bandpass` of every trace in every band in one batched pass.
+    """:func:`bandpass` of every trace in every band, in batched passes.
 
-    All traces must share one grid. Returns ``out[i][j]``, trace ``i``
-    filtered in band ``edges[j]``, equal bit for bit to
-    ``scipy.signal.sosfiltfilt`` (or ``sosfilt`` when ``zero_phase`` is
-    false) with ``scipy.signal.butter``'s second-order sections. Traces
-    longer than :data:`NUMPY_FILTER_MAX_SAMPLES` are filtered by scipy.
+    All traces must share one grid; a batch may hold the traces of many
+    records. Returns ``out[i][j]``, trace ``i`` filtered in band
+    ``edges[j]``, equal bit for bit to ``scipy.signal.sosfiltfilt`` (or
+    ``sosfilt`` when ``zero_phase`` is false) with
+    ``scipy.signal.butter``'s second-order sections. Every row takes the
+    same arithmetic whatever its batch-mates, so a trace's output does not
+    depend on the batch it is filtered in. One pass takes at most
+    :data:`BANK_MAX_VALUES` samples; a bigger bank runs in slices of rows.
     """
     traces, edges = list(traces), list(edges)
     if not traces:
@@ -215,45 +208,25 @@ def bandpass_bank(traces, edges, order: int = 4,
         return [[] for _ in traces]
     designs = np.stack([_butter_sos(f_lo, f_hi, first.dt, order)
                         for f_lo, f_hi in edges])
+    zi = (np.stack([_sosfilt_zi(d) for d in designs]) if zero_phase
+          else np.zeros(designs.shape[:2] + (2,)))
+    filt = _sosfiltfilt if zero_phase else _sosfilt
     x = np.stack([ts.samples for ts in traces])
-    if first.n > NUMPY_FILTER_MAX_SAMPLES:
-        y = _scipy_bank(designs, x, zero_phase)
-    else:
-        y = _numpy_bank(designs, x, zero_phase)
+    # Row r holds trace r // len(edges) in band r % len(edges).
+    pairs = np.arange(x.shape[0] * len(edges))
+    step = max(1, BANK_MAX_VALUES // first.n)
+    y = []
+    for r in range(0, pairs.size, step):
+        trace, band = np.divmod(pairs[r:r + step], len(edges))
+        y.extend(filt(designs[band], x[trace], zi[band]))
     rows = iter(y)
     return [[ts.with_samples(next(rows)) for _ in edges] for ts in traces]
 
 
-# Longest record filtered by the numpy pass; longer ones go through
-# scipy's compiled filter, imported on first use. Both give the same bits.
-# The numpy pass steps every sample in Python: on a 2-vCPU Xeon host a
-# record's 21 rows cost it about 12 us per sample, against about 1 us in
-# scipy, whose import costs about 1.2 s once per process. A serial 27-run
-# sweep, 28 records, breaks even near 4,000 samples; a single pair only
-# near 50,000.
-NUMPY_FILTER_MAX_SAMPLES = 3000
-
-
-def _numpy_bank(designs: np.ndarray, x: np.ndarray,
-                zero_phase: bool) -> np.ndarray:
-    # Row i * len(designs) + j holds row i of x in band j.
-    sos = np.tile(designs, (x.shape[0], 1, 1))
-    rows = np.repeat(x, designs.shape[0], axis=0)
-    if not zero_phase:
-        return _sosfilt(sos, rows, np.zeros(sos.shape[:2] + (2,)))
-    zi = np.tile(np.stack([_sosfilt_zi(d) for d in designs]),
-                 (x.shape[0], 1, 1))
-    return _sosfiltfilt(sos, rows, zi)
-
-
-def _scipy_bank(designs: np.ndarray, x: np.ndarray,
-                zero_phase: bool) -> np.ndarray:
-    # The rows of _numpy_bank, in its order, by scipy's filter.
-    from scipy import signal as sps
-
-    filt = sps.sosfiltfilt if zero_phase else sps.sosfilt
-    y = np.stack([filt(sos, x) for sos in designs], axis=1)
-    return y.reshape(-1, x.shape[1])
+# Most samples (rows x samples) one filter pass takes. A pass holds about
+# four arrays of that size, so 2**21 samples keep it near 64 MB; rows are
+# independent, so slicing a bank changes no bit.
+BANK_MAX_VALUES = 2 ** 21
 
 
 @lru_cache(maxsize=64)
@@ -371,13 +344,16 @@ def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
     """
     rows, n = x.shape
     ns = sos.shape[1]
-    # w[k, s] holds the input of section s at sample k - s: at step k
-    # every section reads row k and writes its output to row k + 1, so
-    # one step advances all sections of all rows. Column ns is the
-    # filter's output.
-    w = np.zeros((n + ns, ns + 1, rows))
-    w[:n, 0] = x.T
+    steps = n + ns - 1
+    # w[j, s] holds the input of section s at sample k0 + j - s in the
+    # block of steps from k0: at step k0 + j every section reads row j
+    # and writes its output to row j + 1, so one step advances all
+    # sections of all rows. Column ns is the filter's output. Only one
+    # block of this wavefront is held; its last row starts the next.
+    block = min(steps, _SOSFILT_BLOCK)
+    w = np.zeros((block + 1, ns + 1, rows))
     xin, yout = w[:, :ns], w[1:, 1:]
+    out = np.empty((rows, n))
     b = np.ascontiguousarray(sos[..., :3].transpose(2, 1, 0))
     a = np.ascontiguousarray(sos[..., 4:].transpose(2, 1, 0))
     zi = zi.transpose(2, 1, 0)
@@ -385,26 +361,32 @@ def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
     bx0, bx12 = bx[0], bx[1:]
     # The state alternates between two buffers, (buffer, z0, z1) each.
     z, z_next = ((buf, buf[0], buf[1]) for buf in (zi.copy(), zi.copy()))
-    for k in range(n + ns - 1):
-        y = yout[k]
-        np.multiply(b, xin[k], out=bx)
-        np.add(bx0, z[1], out=y)
-        np.multiply(a, y, out=ay)
-        np.subtract(bx12, ay, out=z_next[0])
-        np.add(z_next[1], z[2], out=z_next[1])
-        z, z_next = z_next, z
-        if k < ns - 1:
-            # Sections above k have not reached their first sample, so
-            # they keep their initial state.
-            z[0][:, k + 1:] = zi[:, k + 1:]
-    return np.ascontiguousarray(w[ns:, ns].T)
+    for k0 in range(0, steps, block):
+        m = min(block, steps - k0)
+        fed = min(m, max(0, n - k0))
+        w[:fed, 0] = x[:, k0:k0 + fed].T
+        w[fed:m, 0] = 0.0
+        for j in range(m):
+            y = yout[j]
+            np.multiply(b, xin[j], out=bx)
+            np.add(bx0, z[1], out=y)
+            np.multiply(a, y, out=ay)
+            np.subtract(bx12, ay, out=z_next[0])
+            np.add(z_next[1], z[2], out=z_next[1])
+            z, z_next = z_next, z
+            if k0 + j < ns - 1:
+                # Sections above this step have not reached their first
+                # sample, so they keep their initial state.
+                z[0][:, k0 + j + 1:] = zi[:, k0 + j + 1:]
+        # Row j of the block, j >= 1, ends output sample k0 + j - ns.
+        lo = max(1, ns - k0)
+        out[:, k0 + lo - ns:k0 + m + 1 - ns] = w[lo:m + 1, ns].T
+        w[0, 1:] = w[m, 1:]
+    return out
 
 
-def differentiate(ts: TimeSeries) -> TimeSeries:
-    """Central differences (one-sided at the ends); demotes the unit."""
-    if ts.unit not in _DEMOTE:
-        raise UnitError("cannot differentiate an acceleration trace (no unit below)")
-    return ts.with_samples(np.gradient(ts.samples, ts.dt), unit=_DEMOTE[ts.unit])
+# Steps of the filter wavefront held at once.
+_SOSFILT_BLOCK = 256
 
 
 def integrate(ts: TimeSeries) -> TimeSeries:

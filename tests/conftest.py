@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from seisgof import (FocalMechanism, Record3C, TimeSeries, Unit,
-                     default_scenario, synth_fullspace)
+from seisgof import (FocalMechanism, TimeSeries, Unit, default_scenario,
+                     synth_fullspace)
+from seisgof.signal import Record3C
 
 
 def sine_series(freq=1.0, dt=0.005, duration=10.0, amplitude=1.0, t0=0.0,

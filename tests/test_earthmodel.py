@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from seisgof import default_crustal_model, layer_at, vp_basin, vs_basin
-from seisgof.earthmodel import (CrustalLayer, CrustalModel, model_from_json,
-                                model_to_dicts)
+from seisgof.earthmodel import CrustalLayer, CrustalModel
 
 EXPECTED_ROWS = [
     (0.0, 2500.0, 3366.0, 2047.0, 400.0, 180.0),
@@ -70,9 +69,3 @@ class TestCrustalModel:
             CrustalLayer(0.0, 2500.0, 1000.0, 2000.0, 400.0, 180.0)
         with pytest.raises(ValueError):
             CrustalModel((CrustalLayer(10.0, 2500, 3000, 2000, 400, 180),))
-
-    def test_json_override(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_dicts(default_crustal_model())))
-        loaded = model_from_json(path)
-        assert loaded == default_crustal_model()

@@ -3,15 +3,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seisgof import (AndersonConfig, BandSpec, FocalMechanism, Record3C,
-                     TfConfig, align_records, build_grid, correlation_tables,
-                     default_scenario, ensemble, gof_anderson, gof_tf,
-                     group_report, p_value, pearson, record_tf_gof, run_sweep,
+from seisgof import (FocalMechanism, build_grid, default_scenario, ensemble,
+                     gof_anderson, gof_tf, p_value, pearson, record_tf_gof,
                      score_pair, significant, synth_fullspace)
 from seisgof.ensemble import (METRICS, PARAMETERS, CorrelationTable,
-                              ReferenceScorer, RunResult, metric_values)
-from seisgof.gof_anderson import IMS, AndersonScores, default_bands
-from seisgof.gof_tf import TfGof
+                              ReferenceScorer, RunResult, correlation_tables,
+                              group_report, metric_values, run_sweep)
+from seisgof.gof_anderson import (IMS, AndersonConfig, AndersonScores,
+                                  BandSpec, default_bands)
+from seisgof.gof_tf import TfConfig, TfGof
+from seisgof.signal import Record3C, Unit, align_records
 
 
 class TestBuildGrid:
@@ -292,9 +293,12 @@ class TestReferenceScorer:
                             reference)
         assert len(results) == 27
         assert all(res.error is None for res in results)
-        # One bank of 3 components x 7 bands for the reference, then one
-        # per run.
-        assert bank_rows == [21] * (1 + 27)
+        # One bank of 3 components x 7 bands per record for each chunk of
+        # runs; the reference joins the first.
+        chunk = ensemble.SWEEP_CHUNK_RUNS
+        sizes = [len(c) for c in ensemble._chunks(list(range(27)))]
+        assert sizes[:-1] == [chunk] * (len(sizes) - 1)
+        assert bank_rows == [21 * (1 + sizes[0])] + [21 * n for n in sizes[1:]]
         assert calls == {"cwt": 3 + 27 * 3}
 
     def test_silent_reference_component_fails_every_run(
@@ -320,6 +324,74 @@ class TestReferenceScorer:
             assert {res.error for res in results} == {
                 "ValueError: reference trace is identically zero; "
                 "misfit normalization is undefined"}
-        # Pool tasks carry the angles only; the reference goes to each
-        # worker once.
-        assert tasks == [(angles,) for angles in grid.angles()]
+        # Pool tasks carry chunks of angles only; the reference goes to
+        # each worker once.
+        assert tasks == [(chunk,) for chunk in ensemble._chunks(grid.angles())]
+
+
+def _assert_scores_equal(result, want_a, want_tf):
+    for comp in ("ew", "ns", "ud"):
+        assert np.array_equal(result.anderson[comp].scores,
+                              want_a[comp].scores, equal_nan=True)
+        assert result.anderson[comp].skipped == want_a[comp].skipped
+        got, want = result.tf[comp], want_tf[comp]
+        for name in ("eg", "pg", "times", "freqs", "teg", "tpg", "feg",
+                     "fpg", "tfeg", "tfpg"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestBatchFailures:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failures_stay_per_run(self, small_sweep_inputs, monkeypatch):
+        scenario, reference, a_cfg, t_cfg = small_sweep_inputs
+        grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 5.0, 0.0))
+        angles = grid.angles()
+        other_grid = default_scenario(duration=10.0, dt=0.02)
+        synth = ensemble.synth_fullspace
+
+        def scaled(record, scale, unit=None):
+            return Record3C(**{name: ts.with_samples(
+                ts.samples / np.abs(ts.samples).max() * scale, unit)
+                for name, ts in record.components()})
+
+        def fake_synth(scn, fm, stf=None):
+            # The first chunk holds one run of each kind of failure, one
+            # run on another grid and two ordinary runs.
+            run = angles.index((fm.strike, fm.dip, fm.rake))
+            if run == 0:
+                raise RuntimeError("synthesis failed")
+            if run == 3:
+                return synth(other_grid, fm, stf)
+            record = synth(scn, fm, stf)
+            if run == 1:  # its features overflow inside the batch
+                return scaled(record, 1e308)
+            if run == 2:  # alignment rejects it before the batch
+                return scaled(record, 1.0, Unit.VELOCITY)
+            return record
+
+        monkeypatch.setattr(ensemble, "synth_fullspace", fake_synth)
+        monkeypatch.setattr(ensemble, "SWEEP_CHUNK_RUNS", 6)
+        serial, parallel = (
+            run_sweep(scenario, grid, reference, anderson_config=a_cfg,
+                      tf_config=t_cfg, workers=workers)
+            for workers in (1, 2))
+        with pytest.raises(OverflowError) as overflow:
+            score_pair(*align_records(reference, fake_synth(
+                scenario, FocalMechanism(*angles[1]))), config=a_cfg)
+        assert [res.error for res in serial[:3]] == [
+            "RuntimeError: synthesis failed",
+            f"OverflowError: {overflow.value}",
+            "UnitError: unit mismatch: m/s2 vs m/s"]
+        for i, run in enumerate(angles):
+            res_s, res_p = serial[i], parallel[i]
+            assert res_s.angles == res_p.angles == run
+            assert res_s.error == res_p.error
+            if i < 3:
+                continue
+            assert res_s.error is None
+            rec, sim = align_records(reference, fake_synth(
+                scenario, FocalMechanism(*run)))
+            want_a = score_pair(rec, sim, config=a_cfg)
+            want_tf = record_tf_gof(rec, sim, t_cfg)
+            _assert_scores_equal(res_s, want_a, want_tf)
+            _assert_scores_equal(res_p, want_a, want_tf)

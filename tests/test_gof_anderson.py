@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from seisgof import (AndersonConfig, BandSpec, QualityLevel, Record3C,
-                     aggregate, bandpass, compute_intensity_vector,
-                     cross_correlation, default_bands, quality, score_pair,
+from seisgof import (QualityLevel, aggregate, imeasures, quality, score_pair,
                      score_scalar)
-from seisgof import imeasures
-from seisgof.gof_anderson import IMS, SCALAR_IMS
+from seisgof.gof_anderson import (IMS, SCALAR_IMS, AndersonConfig, BandSpec,
+                                  default_bands)
+from seisgof.imeasures import compute_intensity_vector, cross_correlation
+from seisgof.signal import Record3C, bandpass
 
 from conftest import burst_series, record_from_arrays
 
@@ -233,8 +233,9 @@ def test_score_pair_runs_one_batched_kernel_per_record(monkeypatch):
     monkeypatch.setattr(imeasures, "_newmark_sdof_max", counting)
     cfg = AndersonConfig()
     scores = score_pair(rec, sim, config=cfg)
-    # Per record: 3 components x the 38 periods inside their bands.
-    assert pairs == [114, 114]
+    # One call for both records: 2 x 3 components x the 38 periods inside
+    # their bands.
+    assert pairs == [228]
 
     for name, rec_ts in rec.components():
         expected, skipped = _per_band_scores(rec_ts, getattr(sim, name), cfg)

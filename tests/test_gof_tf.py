@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from seisgof import (TfConfig, TimeSeries, Unit, cwt, log_freqs, tf_gof,
-                     tf_misfits, to_gof)
-from seisgof.gof_tf import write_plane_csv
+from seisgof import TimeSeries, Unit, tf_gof
+from seisgof.gof_tf import (TfConfig, cwt, log_freqs, tf_misfits, to_gof,
+                            write_plane_csv)
 
 from conftest import burst_series, random_series
 

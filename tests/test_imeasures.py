@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from seisgof import (TimeSeries, Unit, UnitError, arias_duration,
-                     arias_intensity, compute_intensity_vector,
-                     cross_correlation, detrend, energy_duration,
-                     energy_integral, integrate, peaks, response_spectra,
-                     response_spectrum)
-from seisgof import imeasures
-from seisgof.imeasures import G, default_periods
+from seisgof import (TimeSeries, Unit, arias_duration, arias_intensity,
+                     imeasures, response_spectrum)
+from seisgof.imeasures import (G, compute_intensity_vector, cross_correlation,
+                               default_periods, energy_duration,
+                               energy_integral, peaks, response_spectra)
+from seisgof.signal import UnitError, detrend, integrate
 
 from conftest import burst_series, sine_series
 

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from seisgof import (FocalMechanism, Medium, PointSourceScenario, boxcar_stf,
-                     build_grid, default_medium, default_scenario, liu_stf,
+from seisgof import (FocalMechanism, build_grid, default_scenario,
                      moment_tensor, radiation_pattern, synth_fullspace)
-from seisgof.source import scenario_from_dict, scenario_to_dict
+from seisgof.source import (Medium, PointSourceScenario, boxcar_stf,
+                            default_medium, liu_stf, scenario_from_dict,
+                            scenario_to_dict)
 
 M0 = 2.81e16
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from seisgof import Record3C, TimeSeries, Unit, UnitError
+from seisgof import TimeSeries, Unit
+from seisgof.signal import Record3C, UnitError
 from seisgof.traceio import meta_path_for, read_record, write_record
 
 from conftest import record_from_arrays
