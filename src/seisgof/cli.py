@@ -233,12 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gof" and args.config is None:
-            cfg = PipelineConfig()
-        elif getattr(args, "config", None) is not None:
-            cfg = load_config(args.config)
-        else:
-            cfg = PipelineConfig()
+        cfg = (load_config(args.config)
+               if getattr(args, "config", None) is not None
+               else PipelineConfig())
         if getattr(args, "workers", None) is not None:
             cfg.workers = args.workers
         out_dir = Path(args.out) if args.out is not None else cfg.output_dir

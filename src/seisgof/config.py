@@ -45,6 +45,21 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
+def _number(value, name: str, cast=float):
+    # A value of the wrong type is a ConfigError that names its key.
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _object(raw: dict, key: str) -> dict:
+    value = raw[key]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
 def load_config(path) -> PipelineConfig:
     """Parse and validate a config JSON file; apply environment overrides."""
     path = Path(path)
@@ -70,17 +85,18 @@ def load_config(path) -> PipelineConfig:
     if "output_dir" in raw:
         cfg.output_dir = _resolve(base, str(raw["output_dir"]))
     if "workers" in raw:
-        cfg.workers = int(raw["workers"])
+        cfg.workers = _number(raw["workers"], "workers", int)
     if "alpha" in raw:
-        cfg.alpha = float(raw["alpha"])
+        cfg.alpha = _number(raw["alpha"], "alpha")
         if not 0.0 < cfg.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {cfg.alpha}")
 
     if "grid" in raw:
-        g = raw["grid"]
-        cfg.grid_deltas = (float(g.get("strike_delta", 5.0)),
-                           float(g.get("dip_delta", 5.0)),
-                           float(g.get("rake_delta", 10.0)))
+        g = _object(raw, "grid")
+        cfg.grid_deltas = tuple(
+            _number(g.get(key, default), f"grid.{key}")
+            for key, default in (("strike_delta", 5.0), ("dip_delta", 5.0),
+                                 ("rake_delta", 10.0)))
         if any(d < 0 for d in cfg.grid_deltas):
             raise ConfigError("grid deltas must be non-negative")
 
@@ -94,23 +110,26 @@ def load_config(path) -> PipelineConfig:
     else:
         anderson.bands = default_bands()
     if "damping" in raw:
-        anderson.damping = float(raw["damping"])
+        anderson.damping = _number(raw["damping"], "damping")
         if not 0.0 < anderson.damping < 1.0:
             raise ConfigError("damping must be in (0, 1)")
     if "duration_thresholds" in raw:
-        lo, hi = (float(v) for v in raw["duration_thresholds"])
+        pair = raw["duration_thresholds"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError("duration_thresholds must be a list [lo, hi]")
+        lo, hi = (_number(v, "duration_thresholds") for v in pair)
         if not 0.0 <= lo < hi <= 1.0:
             raise ConfigError("duration thresholds must satisfy 0 <= lo < hi <= 1")
         anderson.duration_lo, anderson.duration_hi = lo, hi
     if "max_lag" in raw:
-        anderson.max_lag = float(raw["max_lag"])
+        anderson.max_lag = _number(raw["max_lag"], "max_lag")
         if anderson.max_lag < 0:
             raise ConfigError("max_lag must be non-negative")
     if "periods" in raw:
-        p = raw["periods"]
-        t_min = float(p.get("min", 0.02))
-        t_max = float(p.get("max", 10.0))
-        count = int(p.get("count", 50))
+        p = _object(raw, "periods")
+        t_min = _number(p.get("min", 0.02), "periods.min")
+        t_max = _number(p.get("max", 10.0), "periods.max")
+        count = _number(p.get("count", 50), "periods.count", int)
         if not 0 < t_min < t_max or count < 1:
             raise ConfigError("periods must satisfy 0 < min < max, count >= 1")
         anderson.periods = default_periods(count, t_min, t_max)
@@ -118,13 +137,13 @@ def load_config(path) -> PipelineConfig:
 
     tf = TfConfig()
     if "tf" in raw:
-        t = raw["tf"]
-        tf.f_min = float(t.get("fmin", tf.f_min))
-        tf.f_max = float(t.get("fmax", tf.f_max))
-        tf.n_freqs = int(t.get("nfreq", tf.n_freqs))
-        tf.wavelet_omega0 = float(t.get("omega0", tf.wavelet_omega0))
-        tf.amplitude = float(t.get("amplitude", tf.amplitude))
-        tf.decay = float(t.get("decay", tf.decay))
+        t = _object(raw, "tf")
+        for key, attr, cast in (
+                ("fmin", "f_min", float), ("fmax", "f_max", float),
+                ("nfreq", "n_freqs", int), ("omega0", "wavelet_omega0", float),
+                ("amplitude", "amplitude", float), ("decay", "decay", float)):
+            if key in t:
+                setattr(tf, attr, _number(t[key], f"tf.{key}", cast))
         if not 0 < tf.f_min < tf.f_max or tf.n_freqs < 2:
             raise ConfigError("tf grid must satisfy 0 < fmin < fmax, nfreq >= 2")
         if tf.amplitude <= 0 or tf.decay <= 0:
@@ -132,7 +151,7 @@ def load_config(path) -> PipelineConfig:
     cfg.tf = tf
 
     if ENV_WORKERS in os.environ:
-        cfg.workers = int(os.environ[ENV_WORKERS])
+        cfg.workers = _number(os.environ[ENV_WORKERS], ENV_WORKERS, int)
     if ENV_OUTPUT_DIR in os.environ:
         cfg.output_dir = Path(os.environ[ENV_OUTPUT_DIR])
     if cfg.workers < 1:

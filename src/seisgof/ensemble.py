@@ -15,8 +15,9 @@ from itertools import product
 
 import numpy as np
 
-from .gof_anderson import (IMS, AndersonConfig, AndersonScores, aggregate,
-                           anderson_features, compare_anderson)
+from .gof_anderson import (IMS, AndersonConfig, AndersonScores,
+                           anderson_features, anderson_summary,
+                           compare_anderson)
 from .gof_tf import TfConfig, TfGof, compare_tf, tf_features
 from .signal import COMPONENTS, Record3C, align_records
 from .source import (FocalMechanism, PointSourceScenario, SourceTimeFunction,
@@ -76,12 +77,14 @@ def build_grid(center: FocalMechanism,
 
 @dataclass
 class RunResult:
-    """One sweep run: the swept angles plus both score sets per component."""
+    """One sweep run as the sweep writes it: the swept angles, and either
+    the error or the synthetic and its ``gof.json`` body (``summary``: EG
+    and PG per component and :func:`anderson_summary`). No time-frequency
+    array is kept, so a result is small to send between processes."""
 
     angles: tuple[float, float, float]
     synthetic: Record3C | None = None
-    tf: dict[str, TfGof] | None = None
-    anderson: dict[str, AndersonScores] | None = None
+    summary: dict | None = None
     error: str | None = None
 
 
@@ -119,10 +122,10 @@ class ReferenceScorer:
         a_cfg, t_cfg = self.anderson_config, self.tf_config
         records = [sim for _, sim in pairs]
         if self._anderson is None:
-            self._anderson, *features = anderson_features(
-                [rec, *records], a_cfg.bands, a_cfg)
+            self._anderson, *features = anderson_features([rec, *records],
+                                                          a_cfg)
         else:
-            features = anderson_features(records, a_cfg.bands, a_cfg)
+            features = anderson_features(records, a_cfg)
         if self._tf is None:
             self._tf = tf_features(rec, t_cfg)
         return [(compare_anderson(self._anderson, sim_f, a_cfg),
@@ -157,7 +160,11 @@ class ReferenceScorer:
         # (result, aligned pair) runs of one grid in one batch; if it
         # raises, run by run, so that each run records its own error.
         try:
-            scores = self._score_aligned([pair for _, pair in runs])
+            summaries = [{"tf": {comp: {"EG": gof.eg, "PG": gof.pg}
+                                 for comp, gof in tf.items()},
+                          "anderson": anderson_summary(anderson)}
+                         for anderson, tf in self._score_aligned(
+                             [pair for _, pair in runs])]
         except Exception as exc:
             if len(runs) > 1:
                 for run in runs:
@@ -165,8 +172,8 @@ class ReferenceScorer:
             else:
                 runs[0][0].synthetic, runs[0][0].error = None, _error(exc)
             return
-        for (res, _), (anderson, tf) in zip(runs, scores):
-            res.anderson, res.tf = anderson, tf
+        for (res, _), summary in zip(runs, summaries):
+            res.summary = summary
 
 
 def _grid(rec: Record3C) -> tuple[float, float, int]:
@@ -178,10 +185,12 @@ def _error(exc: Exception) -> str:
 
 
 # Runs scored in one batch and sent to a pool worker as one task. The
-# per-run cost falls with the batch, but a worker returns a task's results
-# at once and the parent briefly holds them twice, pickled and unpickled.
-# Four runs keep most of the speed-up of larger chunks and raise a
-# 601-sample sweep's peak memory by about 4 % (curve in ROADMAP.md).
+# per-run cost falls with the batch, but a task is also the unit the pool
+# shares out: larger chunks leave fewer tasks to balance between workers
+# (one 27-run chunk is a serial sweep), and a worker holds a whole chunk's
+# filtered traces at once. Four runs keep most of the speed-up of larger
+# chunks (curve in ROADMAP.md). A result holds only its synthetic and
+# gof.json body, so whether a larger chunk pays is open and measurable.
 SWEEP_CHUNK_RUNS = 4
 
 
@@ -267,11 +276,10 @@ def p_value(r: float, n: int) -> float:
 
 def metric_values(result: RunResult, component: str) -> dict[str, float]:
     """EG, PG and the ten mean-over-bands measure scores for one run."""
-    out = {"EG": result.tf[component].eg, "PG": result.tf[component].pg}
-    agg = aggregate(result.anderson[component])
-    for im in IMS:
-        out[im] = agg[im][1]
-    return out
+    tf = result.summary["tf"][component]
+    aggregates = result.summary["anderson"][component]["aggregates"]
+    return {"EG": tf["EG"], "PG": tf["PG"],
+            **{im: aggregates[im]["mean"] for im in IMS}}
 
 
 @dataclass(frozen=True)

@@ -93,11 +93,6 @@ class AndersonConfig:
     duration_lo: float = 0.05
     duration_hi: float = 0.75
     max_lag: float = 0.5
-    filter_order: int = 4
-    zero_phase: bool = True
-    detrend_integrations: bool = True
-    fs_smoothing_octaves: float = 0.0
-    pseudo_spectral: bool = True
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,24 @@ def aggregate(scores: AndersonScores) -> dict[str, tuple[float, float, float]]:
     return out
 
 
-def score_pair(rec: Record3C, sim: Record3C, bands: BandSpec | None = None,
+def anderson_summary(scores_by_component: dict[str, AndersonScores]) -> dict:
+    """JSON-ready aggregates (max/mean/min and quality of the mean) per IM,
+    with each component's skipped cells."""
+    out = {}
+    for comp, scores in scores_by_component.items():
+        comp_out = {}
+        for im, (mx, mean, mn) in aggregate(scores).items():
+            comp_out[im] = {"max": mx, "mean": mean, "min": mn,
+                            "quality": (quality(mean).value
+                                        if np.isfinite(mean) else None)}
+        out[comp] = {
+            "aggregates": comp_out,
+            "skipped": [list(item) for item in scores.skipped],
+        }
+    return out
+
+
+def score_pair(rec: Record3C, sim: Record3C,
                config: AndersonConfig | None = None) -> dict[str, AndersonScores]:
     """Score a recorded/simulated pair per component.
 
@@ -149,27 +161,25 @@ def score_pair(rec: Record3C, sim: Record3C, bands: BandSpec | None = None,
     :func:`compare_anderson`.
     """
     config = config if config is not None else AndersonConfig()
-    bands = bands if bands is not None else config.bands
-    return compare_anderson(*anderson_features([rec, sim], bands, config),
-                            config)
+    return compare_anderson(*anderson_features([rec, sim], config), config)
 
 
 @dataclass(frozen=True)
 class AndersonFeatures:
     """The per-record half of a score: each component's band-filtered
-    traces and their intensity measures, keyed by band index.
+    traces and their intensity measures, keyed by the index of the band in
+    the config's ``bands``.
 
     Bands at or beyond the Nyquist frequency are absent. Each trace's Sa
     holds values only at the periods inside its band, the only ones a
     score reads, and NaN elsewhere.
     """
 
-    bands: BandSpec
     nyquist: float
     components: dict[str, dict[int, tuple[TimeSeries, IntensityVector]]]
 
 
-def anderson_features(records, bands: BandSpec,
+def anderson_features(records,
                       config: AndersonConfig) -> list[AndersonFeatures]:
     """Filter every component x band of a batch of records and measure it.
 
@@ -182,20 +192,20 @@ def anderson_features(records, bands: BandSpec,
     """
     records = list(records)
     nyquist = 0.5 / records[0].dt
-    in_range = {bi: edge for bi, edge in enumerate(bands.edges)
+    in_range = {bi: edge for bi, edge in enumerate(config.bands.edges)
                 if edge[1] < nyquist}
     filtered = bandpass_bank(
         [ts for rec in records for _, ts in rec.components()],
-        in_range.values(), config.filter_order, config.zero_phase)
+        in_range.values())
     freqs = 1.0 / np.asarray(config.periods, dtype=float)
     in_band = [_in_band(freqs, f_lo, f_hi)
                for f_lo, f_hi in in_range.values()] * len(filtered)
     traces = [ts for per_band in filtered for ts in per_band]
     rows = iter(response_spectra(traces, config.damping, config.periods,
-                                 config.pseudo_spectral, in_band)
+                                 where=in_band)
                 if traces else ())
     per_trace = iter(filtered)
-    return [AndersonFeatures(bands, nyquist, {
+    return [AndersonFeatures(nyquist, {
         name: {bi: (ts, _measures(ts, next(rows), config))
                for bi, ts in zip(in_range, next(per_trace))}
         for name in COMPONENTS}) for _ in records]
@@ -204,8 +214,8 @@ def anderson_features(records, bands: BandSpec,
 def compare_anderson(rec: AndersonFeatures, sim: AndersonFeatures,
                      config: AndersonConfig) -> dict[str, AndersonScores]:
     """Per-component scores from the features of two aligned records."""
-    return {name: _score_component(per_band, sim.components[name], rec.bands,
-                                   rec.nyquist, config.max_lag)
+    return {name: _score_component(per_band, sim.components[name],
+                                   config.bands, rec.nyquist, config.max_lag)
             for name, per_band in rec.components.items()}
 
 
@@ -252,10 +262,7 @@ def _measures(ts: TimeSeries, sa: np.ndarray,
               cfg: AndersonConfig) -> IntensityVector:
     return compute_intensity_vector(
         ts, damping=cfg.damping, periods=cfg.periods,
-        duration_lo=cfg.duration_lo, duration_hi=cfg.duration_hi,
-        detrend_integrations=cfg.detrend_integrations,
-        fs_smoothing_octaves=cfg.fs_smoothing_octaves,
-        pseudo_spectral=cfg.pseudo_spectral, sa=sa)
+        duration_lo=cfg.duration_lo, duration_hi=cfg.duration_hi, sa=sa)
 
 
 def _vector_score(freqs, values_r, values_s, f_lo, f_hi):

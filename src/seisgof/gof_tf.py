@@ -36,7 +36,6 @@ class TfConfig:
     f_max: float = 10.0
     n_freqs: int = 40
     wavelet_omega0: float = 6.0
-    taper_fraction: float = 0.05
     amplitude: float = 10.0  # GOF for perfect agreement
     decay: float = 1.0       # sensitivity of GOF to the misfit
 
@@ -44,31 +43,12 @@ class TfConfig:
         return log_freqs(self.f_min, self.f_max, self.n_freqs)
 
 
-@dataclass(frozen=True)
-class TFPlane:
-    """Complex wavelet coefficients on a (time x frequency) grid."""
-
-    times: np.ndarray
-    freqs: np.ndarray
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, float)
-        freqs = np.asarray(self.freqs, float)
-        coeff = np.asarray(self.coefficients, complex)
-        if coeff.shape != (times.size, freqs.size):
-            raise ValueError("coefficient matrix must be (n_times, n_freqs)")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("freqs must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "coefficients", coeff)
-
-
 def cwt(ts: TimeSeries, freqs: np.ndarray, wavelet_omega0: float = 6.0,
-        taper_fraction: float = 0.05) -> TFPlane:
+        taper_fraction: float = 0.05) -> np.ndarray:
     """Continuous wavelet transform with the analytic Morlet wavelet.
 
+    Returns the complex coefficients as an (n_times, n_freqs) array, one
+    column per frequency of ``freqs``, which must be strictly increasing.
     Scales are L2-normalized (1/sqrt(a)); the signal is cosine-tapered and
     zero-padded before the FFT-based convolution.
     """
@@ -78,6 +58,8 @@ def cwt(ts: TimeSeries, freqs: np.ndarray, wavelet_omega0: float = 6.0,
     nyquist = 0.5 / ts.dt
     if freqs.min() <= 0 or freqs.max() >= nyquist:
         raise ValueError(f"frequencies must lie in (0, {nyquist:g}) Hz")
+    if np.any(np.diff(freqs) <= 0):
+        raise ValueError("freqs must be strictly increasing")
 
     x = ts.samples
     if taper_fraction > 0:
@@ -94,7 +76,7 @@ def cwt(ts: TimeSeries, freqs: np.ndarray, wavelet_omega0: float = 6.0,
         # One inverse FFT per frequency: a batched one changes the last
         # digits of the coefficients.
         coeff[:, j] = np.fft.ifft(kernel_f * xf)[i0:i0 + n] * dt
-    return TFPlane(ts.times, freqs, coeff)
+    return coeff
 
 
 @lru_cache(maxsize=1)
@@ -165,8 +147,7 @@ class TfReference:
         """All eight misfits of ``sim``, which must share the trace's grid."""
         require_same_grid(self.trace, sim)
         w_ref, env_ref = self.coefficients, self.envelope
-        w_sim = cwt(sim, self.freqs, self.wavelet_omega0,
-                    self.taper_fraction).coefficients
+        w_sim = cwt(sim, self.freqs, self.wavelet_omega0, self.taper_fraction)
         env_diff = np.abs(w_sim) - env_ref
         # Arg(W_sim * conj(W_ref)) in [-pi, pi], weighted by the reference
         # envelope. The cross product is assembled from separate array ops
@@ -200,7 +181,7 @@ def tf_reference(ref: TimeSeries, freqs: np.ndarray | None = None, *,
     if freqs is None:
         freqs = log_freqs()
     freqs = np.asarray(freqs, float)
-    w_ref = cwt(ref, freqs, wavelet_omega0, taper_fraction).coefficients
+    w_ref = cwt(ref, freqs, wavelet_omega0, taper_fraction)
     env_ref = np.abs(w_ref)
     return TfReference(
         trace=ref, freqs=freqs, wavelet_omega0=wavelet_omega0,
@@ -253,8 +234,7 @@ def tf_gof(ref: TimeSeries, sim: TimeSeries,
     """Misfits plus GOF mapping in one call."""
     cfg = config if config is not None else TfConfig()
     misfits = tf_misfits(ref, sim, cfg.freqs(),
-                         wavelet_omega0=cfg.wavelet_omega0,
-                         taper_fraction=cfg.taper_fraction)
+                         wavelet_omega0=cfg.wavelet_omega0)
     return to_gof(misfits, cfg.amplitude, cfg.decay)
 
 
@@ -275,8 +255,7 @@ def tf_features(rec: Record3C, config: TfConfig) -> dict[str, TfReference]:
     """:func:`tf_reference` of every component of a reference record."""
     freqs = config.freqs()
     return {name: tf_reference(ts, freqs,
-                               wavelet_omega0=config.wavelet_omega0,
-                               taper_fraction=config.taper_fraction)
+                               wavelet_omega0=config.wavelet_omega0)
             for name, ts in rec.components()}
 
 

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import METRICS, PARAMETERS, CorrelationTable, GroupedScores
+from .ensemble import PARAMETERS, CorrelationTable, GroupedScores
 
 
 def table_from_csv(path, component: str) -> CorrelationTable:
     """Rebuild a correlation table from ``correlations_<component>.csv``."""
-    rows = list(csv.DictReader(Path(path).open(newline="")))
+    with Path(path).open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     metrics = []
     for row in rows:
         if row["metric"] not in metrics:
@@ -43,11 +44,9 @@ def grouped_rows_from_csv(path) -> list[GroupedScores]:
     Only the mean is needed for rendering; the persisted mean is replayed as
     a single-score distribution so the chart is byte-stable.
     """
-    out = []
-    for row in csv.DictReader(Path(path).open(newline="")):
-        out.append(GroupedScores(component=row["component"],
-                                 parameter=row["parameter"],
-                                 value=float(row["value"]),
-                                 metric=row["metric"],
-                                 scores=(float(row["mean"]),)))
-    return out
+    with Path(path).open(newline="") as fh:
+        return [GroupedScores(component=row["component"],
+                              parameter=row["parameter"],
+                              value=float(row["value"]), metric=row["metric"],
+                              scores=(float(row["mean"]),))
+                for row in csv.DictReader(fh)]

@@ -17,7 +17,10 @@ import numpy as np
 
 from .ensemble import (CorrelationTable, GroupedScores, RunResult,
                        significant)
-from .gof_anderson import AndersonScores, QualityLevel, aggregate, quality
+# anderson_summary is kept in this module's namespace: the CLI and the
+# benchmark's spans reach it as report.anderson_summary.
+from .gof_anderson import (AndersonScores, QualityLevel, anderson_summary,
+                           quality)
 
 QUALITY_COLORS = {
     QualityLevel.POOR: "#d73027",
@@ -59,24 +62,6 @@ def write_anderson_csv(path, scores_by_component: dict[str, AndersonScores]) -> 
     return path
 
 
-def anderson_summary(scores_by_component: dict[str, AndersonScores]) -> dict:
-    """JSON-ready aggregates (max/mean/min and quality of the mean) per IM."""
-    out = {}
-    for comp, scores in scores_by_component.items():
-        agg = aggregate(scores)
-        comp_out = {}
-        for im, (mx, mean, mn) in agg.items():
-            entry = {"max": mx, "mean": mean, "min": mn}
-            entry["quality"] = (quality(mean).value if np.isfinite(mean)
-                                else None)
-            comp_out[im] = entry
-        out[comp] = {
-            "aggregates": comp_out,
-            "skipped": [list(item) for item in scores.skipped],
-        }
-    return out
-
-
 def write_correlations_csv(path, table: CorrelationTable,
                            alpha: float = 0.05) -> Path:
     path = Path(path)
@@ -115,10 +100,10 @@ class _Layout:
     font: str = "Helvetica, Arial, sans-serif"
 
 
-def render_correlation_svg(table: CorrelationTable, alpha: float = 0.05,
-                           layout: _Layout | None = None) -> str:
+def render_correlation_svg(table: CorrelationTable,
+                           alpha: float = 0.05) -> str:
     """Heatmap with blank cells where p > alpha or r is undefined."""
-    lay = layout or _Layout()
+    lay = _Layout()
     masked = significant(table, alpha)
     n_rows = len(table.parameters)
     n_cols = len(table.metrics)
@@ -169,10 +154,9 @@ def render_correlation_svg(table: CorrelationTable, alpha: float = 0.05,
     return "\n".join(parts) + "\n"
 
 
-def render_grouped_svg(rows: list[GroupedScores], component: str,
-                       layout: _Layout | None = None) -> str:
+def render_grouped_svg(rows: list[GroupedScores], component: str) -> str:
     """Fig-5-style panel set: one panel per fault angle, colored by quality."""
-    lay = layout or _Layout()
+    lay = _Layout()
     rows = [r for r in rows if r.component == component]
     params = []
     for row in rows:
@@ -245,16 +229,15 @@ def run_dir_name(angles: tuple[float, float, float]) -> str:
 
 
 def write_run_gof_json(path, result: RunResult) -> Path:
-    """Per-run GOF summary: EG/PG plus measure aggregates per component."""
+    """Per-run GOF summary: the angles, the error, and for a scored run its
+    EG/PG plus measure aggregates per component (``result.summary``)."""
     payload = {
         "angles": {"strike": result.angles[0], "dip": result.angles[1],
                    "rake": result.angles[2]},
         "error": result.error,
     }
     if result.error is None:
-        payload["tf"] = {comp: {"EG": gof.eg, "PG": gof.pg}
-                         for comp, gof in result.tf.items()}
-        payload["anderson"] = anderson_summary(result.anderson)
+        payload.update(result.summary)
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

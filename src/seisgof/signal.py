@@ -40,7 +40,6 @@ class TimeSeries:
     t0: float
     samples: np.ndarray
     unit: Unit
-    label: str = ""
 
     def __post_init__(self):
         if not isinstance(self.unit, Unit):
@@ -69,7 +68,7 @@ class TimeSeries:
     def with_samples(self, samples, unit: Unit | None = None) -> "TimeSeries":
         """New series on the same grid; optionally with a different unit."""
         return TimeSeries(self.dt, self.t0, samples,
-                          self.unit if unit is None else unit, self.label)
+                          self.unit if unit is None else unit)
 
 
 COMPONENTS = ("ew", "ns", "ud")
@@ -442,8 +441,8 @@ def align(a: TimeSeries, b: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
     t = start + np.arange(n) * dt
     ra = np.interp(t, a.times, a.samples)
     rb = np.interp(t, b.times, b.samples)
-    return (TimeSeries(dt, start, ra, a.unit, a.label),
-            TimeSeries(dt, start, rb, b.unit, b.label))
+    return (TimeSeries(dt, start, ra, a.unit),
+            TimeSeries(dt, start, rb, b.unit))
 
 
 def align_records(rec: Record3C, sim: Record3C) -> tuple[Record3C, Record3C]:

@@ -382,9 +382,9 @@ def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
     u *= scenario.m0 / (4.0 * np.pi * rho)
 
     unit = _OUTPUT_UNITS[output]
-    make = lambda x, lbl: TimeSeries(scenario.dt, 0.0, x, unit, lbl)
-    return Record3C(ew=make(u[1], "ew"), ns=make(u[0], "ns"),
-                    ud=make(-u[2], "ud"), station_id=station_id,
+    make = lambda x: TimeSeries(scenario.dt, 0.0, x, unit)
+    return Record3C(ew=make(u[1]), ns=make(u[0]), ud=make(-u[2]),
+                    station_id=station_id,
                     epicentral_distance=scenario.epicentral_distance)
 
 

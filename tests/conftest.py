@@ -26,9 +26,8 @@ def random_series(rng, n=512, dt=0.01, unit=Unit.ACCELERATION, t0=0.0):
 
 
 def record_from_arrays(ew, ns, ud, dt=0.005, unit=Unit.ACCELERATION):
-    mk = lambda x, lbl: TimeSeries(dt, 0.0, x, unit, lbl)
-    return Record3C(ew=mk(ew, "ew"), ns=mk(ns, "ns"), ud=mk(ud, "ud"),
-                    station_id="TST")
+    mk = lambda x: TimeSeries(dt, 0.0, x, unit)
+    return Record3C(ew=mk(ew), ns=mk(ns), ud=mk(ud), station_id="TST")
 
 
 @pytest.fixture(scope="session")

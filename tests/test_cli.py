@@ -197,6 +197,21 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert "t,ew,ns,ud" in err["error"]["message"]
 
+    @pytest.mark.parametrize("body", [
+        {"grid": [1, 2, 3]}, {"periods": 5}, {"tf": "x"},
+        {"duration_thresholds": 5}, {"alpha": None}, {"workers": None},
+        {"max_lag": [1]}, {"grid": {"strike_delta": None}},
+    ])
+    def test_wrongly_typed_value_gives_json_error(self, tmp_path, capsys,
+                                                  body):
+        scenario_path, _, _ = make_scenario_file(tmp_path)
+        config_path = make_config_file(tmp_path, scenario_path, **body)
+        rc = main(["synth", "--config", str(config_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert next(iter(body)) in err["error"]["message"]
+
     def test_sweep_requires_reference(self, tmp_path, capsys):
         scenario_path, _, _ = make_scenario_file(tmp_path)
         config_path = make_config_file(tmp_path, scenario_path)

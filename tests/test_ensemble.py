@@ -1,3 +1,5 @@
+import json
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -10,9 +12,10 @@ from seisgof.ensemble import (METRICS, PARAMETERS, CorrelationTable,
                               ReferenceScorer, RunResult, correlation_tables,
                               group_report, metric_values, run_sweep)
 from seisgof.gof_anderson import (IMS, AndersonConfig, AndersonScores,
-                                  BandSpec, default_bands)
-from seisgof.gof_tf import TfConfig, TfGof
-from seisgof.signal import Record3C, Unit, align_records
+                                  BandSpec, anderson_summary, default_bands)
+from seisgof.gof_tf import TfConfig
+from seisgof.report import write_run_gof_json
+from seisgof.signal import COMPONENTS, Record3C, Unit, align_records
 
 
 class TestBuildGrid:
@@ -103,19 +106,37 @@ def _planted_results(metric_fn):
     results = []
     for angles in grid.angles():
         value = metric_fn(*angles)
-        tf = {}
-        anderson = {}
-        for comp in ("ew", "ns", "ud"):
-            tf[comp] = TfGof(times=np.zeros(2), freqs=np.ones(2),
-                             eg=value, pg=value,
-                             teg=np.full(2, value), tpg=np.full(2, value),
-                             feg=np.full(2, value), fpg=np.full(2, value),
-                             tfeg=np.full((2, 2), value),
-                             tfpg=np.full((2, 2), value))
-            anderson[comp] = AndersonScores(
-                IMS, bands, np.full((len(IMS), len(bands)), value))
-        results.append(RunResult(angles=angles, tf=tf, anderson=anderson))
+        anderson = {comp: AndersonScores(
+            IMS, bands, np.full((len(IMS), len(bands)), value))
+            for comp in COMPONENTS}
+        summary = {"tf": {comp: {"EG": value, "PG": value}
+                          for comp in COMPONENTS},
+                   "anderson": anderson_summary(anderson)}
+        results.append(RunResult(angles=angles, summary=summary))
     return results
+
+
+def _samples(record):
+    return [(ts.dt, ts.t0, ts.unit, ts.samples.tobytes())
+            for _, ts in record.components()]
+
+
+def _written(result, path):
+    """What a sweep writes for one run: the bytes of its gof.json, and the
+    grid and sample bits of its synthetic (None for a failed run)."""
+    write_run_gof_json(path, result)
+    synthetic = (None if result.synthetic is None
+                 else _samples(result.synthetic))
+    return path.read_bytes(), synthetic
+
+
+def _gof_json(angles, anderson, tf):
+    """The gof.json bytes of a run with these per-pair scores."""
+    payload = {"angles": dict(zip(PARAMETERS, angles)), "error": None,
+               "tf": {comp: {"EG": gof.eg, "PG": gof.pg}
+                      for comp, gof in tf.items()},
+               "anderson": anderson_summary(anderson)}
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestCorrelationTables:
@@ -210,20 +231,38 @@ class TestRunSweep:
         assert all(res.error is None for res in results)
         assert [res.angles for res in results] == grid.angles()
 
-    def test_worker_count_does_not_change_results(self, small_sweep_inputs):
+    def test_worker_count_does_not_change_results(self, small_sweep_inputs,
+                                                  tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 0.0, 0.0))
         serial = run_sweep(scenario, grid, reference, anderson_config=a_cfg,
                            tf_config=t_cfg, workers=1)
         parallel = run_sweep(scenario, grid, reference, anderson_config=a_cfg,
                              tf_config=t_cfg, workers=2)
+        assert len(serial) == len(parallel) == 3
         for rs, rp in zip(serial, parallel):
             assert rs.angles == rp.angles
-            for comp in ("ew", "ns", "ud"):
-                assert rs.tf[comp].eg == rp.tf[comp].eg
-                assert rs.tf[comp].pg == rp.tf[comp].pg
-                ms, mp = rs.anderson[comp].scores, rp.anderson[comp].scores
-                assert np.array_equal(ms, mp, equal_nan=True)
+            assert rs.error is rp.error is None
+            assert (_written(rs, tmp_path / "serial.json")
+                    == _written(rp, tmp_path / "parallel.json"))
+
+    def test_results_hold_only_what_the_sweep_writes(self, small_sweep_inputs,
+                                                     tmp_path):
+        # Pool workers send back each run's synthetic and gof.json summary,
+        # no time-frequency planes.
+        scenario, reference, a_cfg, t_cfg = small_sweep_inputs
+        grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 0.0, 0.0))
+        results = run_sweep(scenario, grid, reference, anderson_config=a_cfg,
+                            tf_config=t_cfg, workers=2)
+        assert [res.angles for res in results] == grid.angles()
+        for res in results:
+            assert len(pickle.dumps(res)) < 32 * 1024
+            synthetic = synth_fullspace(scenario, FocalMechanism(*res.angles))
+            rec, sim = align_records(reference, synthetic)
+            want = _gof_json(res.angles, score_pair(rec, sim, config=a_cfg),
+                             record_tf_gof(rec, sim, t_cfg))
+            assert _written(res, tmp_path / "gof.json") == (
+                want, _samples(synthetic))
 
     def test_metric_values_shape(self, small_sweep_inputs):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
@@ -329,20 +368,10 @@ class TestReferenceScorer:
         assert tasks == [(chunk,) for chunk in ensemble._chunks(grid.angles())]
 
 
-def _assert_scores_equal(result, want_a, want_tf):
-    for comp in ("ew", "ns", "ud"):
-        assert np.array_equal(result.anderson[comp].scores,
-                              want_a[comp].scores, equal_nan=True)
-        assert result.anderson[comp].skipped == want_a[comp].skipped
-        got, want = result.tf[comp], want_tf[comp]
-        for name in ("eg", "pg", "times", "freqs", "teg", "tpg", "feg",
-                     "fpg", "tfeg", "tfpg"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-
-
 class TestBatchFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failures_stay_per_run(self, small_sweep_inputs, monkeypatch):
+    def test_failures_stay_per_run(self, small_sweep_inputs, monkeypatch,
+                                   tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 5.0, 0.0))
         angles = grid.angles()
@@ -386,12 +415,15 @@ class TestBatchFailures:
             res_s, res_p = serial[i], parallel[i]
             assert res_s.angles == res_p.angles == run
             assert res_s.error == res_p.error
+            written = _written(res_s, tmp_path / "gof.json")
+            assert _written(res_p, tmp_path / "gof.json") == written
             if i < 3:
+                assert written[1] is None
                 continue
             assert res_s.error is None
-            rec, sim = align_records(reference, fake_synth(
-                scenario, FocalMechanism(*run)))
-            want_a = score_pair(rec, sim, config=a_cfg)
-            want_tf = record_tf_gof(rec, sim, t_cfg)
-            _assert_scores_equal(res_s, want_a, want_tf)
-            _assert_scores_equal(res_p, want_a, want_tf)
+            synthetic = fake_synth(scenario, FocalMechanism(*run))
+            rec, sim = align_records(reference, synthetic)
+            assert written == (
+                _gof_json(run, score_pair(rec, sim, config=a_cfg),
+                          record_tf_gof(rec, sim, t_cfg)),
+                _samples(synthetic))

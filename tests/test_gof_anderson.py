@@ -188,8 +188,7 @@ def _per_band_scores(rec_ts, sim_ts, cfg):
     scores = np.full((len(IMS), len(cfg.bands)), np.nan)
     skipped = []
     for bi, (f_lo, f_hi) in enumerate(cfg.bands.edges):
-        rec_b, sim_b = (bandpass(ts, f_lo, f_hi, cfg.filter_order,
-                                 cfg.zero_phase) for ts in (rec_ts, sim_ts))
+        rec_b, sim_b = (bandpass(ts, f_lo, f_hi) for ts in (rec_ts, sim_ts))
         iv_r, iv_s = (compute_intensity_vector(ts, damping=cfg.damping,
                                                periods=cfg.periods)
                       for ts in (rec_b, sim_b))

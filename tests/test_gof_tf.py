@@ -17,23 +17,23 @@ class TestCwt:
         ts = TimeSeries(dt, 0.0, np.sin(2 * np.pi * 2.0 * t),
                         Unit.ACCELERATION)
         freqs = log_freqs(0.5, 8.0, 40)
-        plane = cwt(ts, freqs)
+        coeff = cwt(ts, freqs)
+        assert coeff.shape == (ts.n, freqs.size)
         interior = slice(ts.n // 4, 3 * ts.n // 4)
-        ridge = freqs[np.argmax(np.abs(plane.coefficients[interior]), axis=1)]
+        ridge = freqs[np.argmax(np.abs(coeff[interior]), axis=1)]
         step = freqs[1:] / freqs[:-1]
         assert np.all(ridge / 2.0 < step.max() * 1.001)
         assert np.all(2.0 / ridge < step.max() * 1.001)
 
     def test_zero_signal_zero_plane(self):
         ts = TimeSeries(0.01, 0.0, np.zeros(512), Unit.ACCELERATION)
-        plane = cwt(ts, log_freqs(1.0, 10.0, 10))
-        assert np.all(plane.coefficients == 0.0)
+        assert np.all(cwt(ts, log_freqs(1.0, 10.0, 10)) == 0.0)
 
     def test_linearity_in_amplitude(self):
         ts = burst_series(freq=2.0, dt=0.01, duration=10.0, center=5.0)
         freqs = log_freqs(0.5, 10.0, 16)
-        w1 = cwt(ts, freqs).coefficients
-        w2 = cwt(ts.with_samples(2.0 * ts.samples), freqs).coefficients
+        w1 = cwt(ts, freqs)
+        w2 = cwt(ts.with_samples(2.0 * ts.samples), freqs)
         assert np.array_equal(w2, 2.0 * w1)
         mask = np.abs(w1) > 1e-9 * np.abs(w1).max()
         assert np.allclose(np.angle(w2[mask]), np.angle(w1[mask]), atol=1e-12)
@@ -44,6 +44,8 @@ class TestCwt:
             cwt(ts, np.array([]))
         with pytest.raises(ValueError):
             cwt(ts, np.array([60.0]))  # beyond Nyquist for dt=0.01
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cwt(ts, np.array([2.0, 1.0]))
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seisgof import TimeSeries, Unit, score_pair, signal
-from seisgof.gof_anderson import BandSpec
+from seisgof.gof_anderson import AndersonConfig, BandSpec
 from seisgof.imeasures import response_spectra
 from seisgof.signal import bandpass_bank
 
@@ -85,6 +85,6 @@ def test_record_scored_against_itself_is_ten(n, dt, seed):
     rows = 10.0 ** rng.uniform(-6, 3, (3, 1)) * rng.standard_normal((3, n))
     rec = record_from_arrays(*rows, dt=dt)
     bands = BandSpec(((0.5, 1.0), (1.0, 5.0), (5.0, 30.0)))
-    for scores in score_pair(rec, rec, bands).values():
+    for scores in score_pair(rec, rec, AndersonConfig(bands=bands)).values():
         finite = scores.scores[np.isfinite(scores.scores)]
         assert finite.size and np.all(finite == 10.0)

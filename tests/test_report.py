@@ -91,6 +91,19 @@ class TestGoldenFiles:
         assert cmd_report(DATA / "fixture_run", out) == 0
         assert (out / name).read_bytes() == (DATA / "golden" / name).read_bytes()
 
+    def test_report_closes_the_files_it_reads(self, tmp_path):
+        import gc
+        import warnings
+
+        from seisgof.cli import cmd_report
+        # Recorded, not raised: an unclosed file warns from its finalizer,
+        # where an "error" filter's exception is only printed.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cmd_report(DATA / "fixture_run", tmp_path / "report") == 0
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
     def test_fixture_heatmap_has_blank_cells(self, tmp_path):
         golden = (DATA / "golden" / "correlation_ew.svg").read_text()
         # blank cell styling: white fill with the light border, no text

@@ -14,12 +14,9 @@ from conftest import record_from_arrays
 def record():
     rng = np.random.default_rng(53)
     return Record3C(
-        ew=TimeSeries(0.005, 0.0, rng.standard_normal(200),
-                      Unit.ACCELERATION, "ew"),
-        ns=TimeSeries(0.005, 0.0, rng.standard_normal(200),
-                      Unit.ACCELERATION, "ns"),
-        ud=TimeSeries(0.005, 0.0, rng.standard_normal(200),
-                      Unit.ACCELERATION, "ud"),
+        ew=TimeSeries(0.005, 0.0, rng.standard_normal(200), Unit.ACCELERATION),
+        ns=TimeSeries(0.005, 0.0, rng.standard_normal(200), Unit.ACCELERATION),
+        ud=TimeSeries(0.005, 0.0, rng.standard_normal(200), Unit.ACCELERATION),
         station_id="CRU1", epicentral_distance=15000.0)
 
 
