@@ -13,10 +13,11 @@ from pathlib import Path
 
 from . import report, traceio
 from .config import ConfigError, PipelineConfig, config_echo, load_config
-from .ensemble import (ReferenceScorer, build_grid, correlation_tables,
-                       group_report, run_sweep)
-from .gof_tf import write_plane_csv
-from .signal import COMPONENTS
+from .ensemble import (QUALITATIVE_TRENDS_NOTE, ReferenceScorer, build_grid,
+                       correlation_tables, group_report, run_sweep)
+from .gof_anderson import score_pair
+from .gof_tf import record_tf_gof, write_plane_csv
+from .signal import COMPONENTS, align_records
 from .source import scenario_from_dict, synth_fullspace
 
 
@@ -27,7 +28,11 @@ class CliError(RuntimeError):
 def _load_scenario(cfg: PipelineConfig):
     if cfg.scenario_path is None:
         raise CliError("config must reference a scenario JSON file")
-    return scenario_from_dict(json.loads(cfg.scenario_path.read_text()))
+    raw = json.loads(cfg.scenario_path.read_text())
+    for key in ("hypocenter", "receiver"):
+        if key not in raw:
+            raise CliError(f"scenario {cfg.scenario_path.name} has no {key!r}")
+    return scenario_from_dict(raw)
 
 
 def _load_reference(cfg: PipelineConfig):
@@ -55,11 +60,12 @@ def cmd_synth(cfg: PipelineConfig, out_dir: Path) -> int:
 def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
             out_dir: Path, component: str = "all") -> int:
     """Both GOF frameworks on one recorded/synthetic pair."""
-    rec = traceio.read_record(record_path)
-    sim = traceio.read_record(synthetic_path)
+    rec, sim = align_records(traceio.read_record(record_path),
+                             traceio.read_record(synthetic_path))
     wanted = COMPONENTS if component == "all" else (component,)
 
-    anderson, tf = ReferenceScorer(rec, cfg.anderson, cfg.tf).score(sim)
+    anderson = score_pair(rec, sim, cfg.anderson)
+    tf = record_tf_gof(rec, sim, cfg.tf)
     anderson = {comp: anderson[comp] for comp in wanted}
     tf = {comp: tf[comp] for comp in wanted}
 
@@ -154,7 +160,7 @@ def cmd_sweep(cfg: PipelineConfig, out_dir: Path,
                  "rakes": list(grid.rakes), "size": grid.size},
         "runs": [report.run_dir_name(r.angles) for r in results],
         "failed_runs": failed,
-        "correlation_note": tables[COMPONENTS[0]].note if tables else None,
+        "correlation_note": QUALITATIVE_TRENDS_NOTE,
         "files": sorted(files),
     })
     return 2 if failed else 0
@@ -167,13 +173,20 @@ def _sweep_external(grid, reference, cfg: PipelineConfig,
         _ingest_external_run(external_dir, angles)))
 
 
-def cmd_report(run_dir: Path, out_dir: Path, alpha: float = 0.05) -> int:
-    """Re-render SVG charts and the manifest from a sweep output directory."""
+def cmd_report(run_dir: Path, out_dir: Path) -> int:
+    """Re-render SVG charts and the manifest from a sweep output directory,
+    at the significance level the sweep's manifest records."""
     from .renderdata import (grouped_rows_from_csv, table_from_csv)
 
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise CliError(f"run directory not found: {run_dir}")
+    try:
+        alpha = json.loads((run_dir / "manifest.json").read_text())[
+            "config"]["alpha"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"no sweep manifest.json with config.alpha in "
+                       f"{run_dir}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
     for comp in COMPONENTS:
@@ -250,7 +263,7 @@ def main(argv=None) -> int:
                         if args.external_runs is not None else None)
             return cmd_sweep(cfg, out_dir, external)
         if args.command == "report":
-            return cmd_report(Path(args.run_dir), out_dir, cfg.alpha)
+            return cmd_report(Path(args.run_dir), out_dir)
         raise CliError(f"unknown command {args.command!r}")
     except (CliError, ConfigError, ValueError, OSError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -15,10 +15,9 @@ from itertools import product
 
 import numpy as np
 
-from .gof_anderson import (IMS, AndersonConfig, AndersonScores,
-                           anderson_features, anderson_summary,
-                           compare_anderson)
-from .gof_tf import TfConfig, TfGof, compare_tf, tf_features
+from .gof_anderson import (IMS, AndersonConfig, anderson_features,
+                           anderson_summary, compare_anderson)
+from .gof_tf import TfConfig, compare_tf, tf_features
 from .signal import COMPONENTS, Record3C, align_records
 from .source import (FocalMechanism, PointSourceScenario, SourceTimeFunction,
                      synth_fullspace)
@@ -105,16 +104,9 @@ class ReferenceScorer:
         self.tf_config = tf_config
         self._grid = self._anderson = self._tf = None
 
-    def score(self, synthetic: Record3C) -> tuple[dict[str, AndersonScores],
-                                                  dict[str, TfGof]]:
-        """Align the pair and score it: (Anderson scores, TF GOF)."""
-        return self._score_aligned([align_records(self.reference,
-                                                  synthetic)])[0]
-
-    def _score_aligned(self, pairs) -> list[tuple[dict[str, AndersonScores],
-                                                  dict[str, TfGof]]]:
-        # Scores aligned (reference, synthetic) pairs on one grid; one
-        # features batch covers every synthetic.
+    def _summaries(self, pairs) -> list[dict]:
+        # The gof.json bodies of aligned (reference, synthetic) pairs on
+        # one grid; one features batch covers every synthetic.
         rec = pairs[0][0]
         grid = _grid(rec)
         if grid != self._grid:
@@ -128,8 +120,10 @@ class ReferenceScorer:
             features = anderson_features(records, a_cfg)
         if self._tf is None:
             self._tf = tf_features(rec, t_cfg)
-        return [(compare_anderson(self._anderson, sim_f, a_cfg),
-                 compare_tf(self._tf, sim, t_cfg))
+        return [{"anderson": anderson_summary(
+                    compare_anderson(self._anderson, sim_f, a_cfg)),
+                 "tf": {comp: {"EG": gof.eg, "PG": gof.pg} for comp, gof
+                        in compare_tf(self._tf, sim, t_cfg).items()}}
                 for sim_f, sim in zip(features, records)]
 
     def run_many(self, angles, make_synthetic) -> list[RunResult]:
@@ -160,11 +154,7 @@ class ReferenceScorer:
         # (result, aligned pair) runs of one grid in one batch; if it
         # raises, run by run, so that each run records its own error.
         try:
-            summaries = [{"tf": {comp: {"EG": gof.eg, "PG": gof.pg}
-                                 for comp, gof in tf.items()},
-                          "anderson": anderson_summary(anderson)}
-                         for anderson, tf in self._score_aligned(
-                             [pair for _, pair in runs])]
+            summaries = self._summaries([pair for _, pair in runs])
         except Exception as exc:
             if len(runs) > 1:
                 for run in runs:
@@ -296,7 +286,6 @@ class CorrelationTable:
     r: np.ndarray
     p: np.ndarray
     n: int
-    note: str = QUALITATIVE_TRENDS_NOTE
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -342,7 +331,7 @@ def significant(table: CorrelationTable, alpha: float = 0.05) -> CorrelationTabl
     r = np.where(keep, table.r, np.nan)
     return CorrelationTable(component=table.component,
                             parameters=table.parameters, metrics=table.metrics,
-                            r=r, p=table.p, n=table.n, note=table.note)
+                            r=r, p=table.p, n=table.n)
 
 
 @dataclass(frozen=True)

@@ -71,18 +71,22 @@ def default_bands() -> BandSpec:
 
 
 def score_scalar(p1: float, p2: float) -> float:
-    """Score two scalar parameters; 10 iff equal, symmetric.
+    """Score two scalar parameters; symmetric, 10 for equal inputs.
 
-    Degenerate conventions: both zero -> 10 (identical), exactly one zero
-    -> 0. The denominator is min(|p1|, |p2|), which also covers
-    opposite-sign inputs.
+    Unequal inputs score below 10 unless they differ by less than about
+    1e-8 relative, where exp(-x^2) rounds to 1. Degenerate conventions:
+    both zero -> 10 (identical), exactly one zero -> 0. The denominator is
+    min(|p1|, |p2|), which also covers opposite-sign inputs.
     """
     if p1 == p2:
         return 10.0
     denom = min(abs(p1), abs(p2))
     if denom == 0.0:
         return 0.0
-    return float(10.0 * np.exp(-(((p1 - p2) / denom) ** 2)))
+    try:
+        return float(10.0 * np.exp(-(((p1 - p2) / denom) ** 2)))
+    except OverflowError:  # a finite ratio whose square exceeds the floats
+        return 0.0
 
 
 @dataclass

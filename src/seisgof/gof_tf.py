@@ -119,12 +119,11 @@ class TfMisfits:
 
 def tf_misfits(ref: TimeSeries, sim: TimeSeries,
                freqs: np.ndarray | None = None, *,
-               wavelet_omega0: float = 6.0,
-               taper_fraction: float = 0.05) -> TfMisfits:
+               wavelet_omega0: float = 6.0) -> TfMisfits:
     """All eight misfits of ``sim`` against the reference trace."""
     require_same_grid(ref, sim)  # reported before a silent reference
-    return tf_reference(ref, freqs, wavelet_omega0=wavelet_omega0,
-                        taper_fraction=taper_fraction).misfits(sim)
+    return tf_reference(ref, freqs,
+                        wavelet_omega0=wavelet_omega0).misfits(sim)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,6 @@ class TfReference:
     trace: TimeSeries
     freqs: np.ndarray
     wavelet_omega0: float
-    taper_fraction: float
     coefficients: np.ndarray
     envelope: np.ndarray
     env_max: float
@@ -147,7 +145,7 @@ class TfReference:
         """All eight misfits of ``sim``, which must share the trace's grid."""
         require_same_grid(self.trace, sim)
         w_ref, env_ref = self.coefficients, self.envelope
-        w_sim = cwt(sim, self.freqs, self.wavelet_omega0, self.taper_fraction)
+        w_sim = cwt(sim, self.freqs, self.wavelet_omega0)
         env_diff = np.abs(w_sim) - env_ref
         # Arg(W_sim * conj(W_ref)) in [-pi, pi], weighted by the reference
         # envelope. The cross product is assembled from separate array ops
@@ -172,8 +170,7 @@ class TfReference:
 
 
 def tf_reference(ref: TimeSeries, freqs: np.ndarray | None = None, *,
-                 wavelet_omega0: float = 6.0,
-                 taper_fraction: float = 0.05) -> TfReference:
+                 wavelet_omega0: float = 6.0) -> TfReference:
     """Prepare one reference trace for :meth:`TfReference.misfits`."""
     if not np.any(ref.samples):
         raise ValueError("reference trace is identically zero; "
@@ -181,11 +178,11 @@ def tf_reference(ref: TimeSeries, freqs: np.ndarray | None = None, *,
     if freqs is None:
         freqs = log_freqs()
     freqs = np.asarray(freqs, float)
-    w_ref = cwt(ref, freqs, wavelet_omega0, taper_fraction)
+    w_ref = cwt(ref, freqs, wavelet_omega0)
     env_ref = np.abs(w_ref)
     return TfReference(
         trace=ref, freqs=freqs, wavelet_omega0=wavelet_omega0,
-        taper_fraction=taper_fraction, coefficients=w_ref, envelope=env_ref,
+        coefficients=w_ref, envelope=env_ref,
         env_max=env_ref.max(), t_norm=env_ref.sum(axis=1).max(),
         f_norm=env_ref.sum(axis=0).max(), energy=(env_ref ** 2).sum())
 

@@ -26,26 +26,18 @@ def _require_unit(ts: TimeSeries, unit: Unit) -> None:
         raise UnitError(f"expected a {unit.value} trace, got {ts.unit.value}")
 
 
-def peaks(acc: TimeSeries, detrend_integrations: bool = True):
+def peaks(acc: TimeSeries):
     """(PGA, PGV, PGD) from an acceleration trace.
 
-    Velocity and displacement come from successive cumulative integrations;
-    a linear detrend is applied after each one unless disabled.
+    Velocity and displacement come from successive cumulative integrations,
+    each followed by a linear detrend.
     """
     _require_unit(acc, Unit.ACCELERATION)
-    return _peaks(acc, _velocity(acc, detrend_integrations),
-                  detrend_integrations)
+    return _peaks(acc, detrend(integrate(acc)))
 
 
-def _velocity(acc: TimeSeries, detrend_integrations: bool) -> TimeSeries:
-    vel = integrate(acc)
-    return detrend(vel, "linear") if detrend_integrations else vel
-
-
-def _peaks(acc: TimeSeries, vel: TimeSeries, detrend_integrations: bool):
-    disp = integrate(vel)
-    if detrend_integrations:
-        disp = detrend(disp, "linear")
+def _peaks(acc: TimeSeries, vel: TimeSeries):
+    disp = detrend(integrate(vel))
     return (float(np.abs(acc.samples).max()),
             float(np.abs(vel.samples).max()),
             float(np.abs(disp.samples).max()))
@@ -93,21 +85,19 @@ def default_periods(n: int = 50, t_min: float = 0.02, t_max: float = 10.0) -> np
 
 
 def response_spectrum(acc: TimeSeries, damping: float = 0.05,
-                      periods: np.ndarray | None = None,
-                      pseudo: bool = True) -> np.ndarray:
-    """Damped-SDOF spectrum via Newmark average acceleration.
+                      periods: np.ndarray | None = None) -> np.ndarray:
+    """Damped-SDOF pseudo-spectral acceleration w^2 * max|u| via Newmark
+    average acceleration.
 
     Returns one value per entry of ``periods`` (default 50 log-spaced points,
-    0.02-10 s). Pseudo-spectral acceleration w^2 * max|u| by default; set
-    ``pseudo=False`` for the absolute-acceleration spectrum. Periods at or
-    below 2*dt are skipped (NaN) with a warning.
+    0.02-10 s). Periods at or below 2*dt are skipped (NaN) with a warning.
     """
-    return response_spectra([acc], damping, periods, pseudo)[0]
+    return response_spectra([acc], damping, periods)[0]
 
 
 def response_spectra(traces, damping: float = 0.05,
-                     periods: np.ndarray | None = None,
-                     pseudo: bool = True, where=None) -> np.ndarray:
+                     periods: np.ndarray | None = None, *,
+                     where=None) -> np.ndarray:
     """:func:`response_spectrum` of many traces in one pass over the samples.
 
     All traces must be acceleration traces on one shared grid. Returns an
@@ -139,11 +129,11 @@ def response_spectra(traces, damping: float = 0.05,
     if rows.size:
         ag = np.stack([ts.samples for ts in traces])
         sa[rows, cols] = _newmark_sdof_max(ag, rows, first.dt, periods[cols],
-                                           damping, pseudo)
+                                           damping)
     return sa
 
 
-def _newmark_sdof_max(ag, trace, dt, periods, zeta, pseudo):
+def _newmark_sdof_max(ag, trace, dt, periods, zeta):
     # Average-acceleration Newmark (gamma=1/2, beta=1/4), unit mass,
     # vectorized over (trace, period) pairs: the oscillator with period
     # periods[j] is driven by row trace[j] of ag; ground forcing p = -ag.
@@ -161,7 +151,6 @@ def _newmark_sdof_max(ag, trace, dt, periods, zeta, pseudo):
     v = np.zeros_like(u)
     a = -ag[0][trace]
     umax = np.zeros_like(u)
-    amax = np.zeros_like(u)
     for i in range(1, ag.shape[0]):
         dpe = dp[i - 1][trace] + cv * v + 2.0 * a
         du = dpe / keff
@@ -171,9 +160,7 @@ def _newmark_sdof_max(ag, trace, dt, periods, zeta, pseudo):
         v += dv
         a += da
         np.maximum(umax, np.abs(u), out=umax)
-        if not pseudo:
-            np.maximum(amax, np.abs(a + ag[i][trace]), out=amax)
-    return k * umax if pseudo else amax
+    return k * umax
 
 
 def cross_correlation(a: TimeSeries, b: TimeSeries, max_lag: float = 0.5) -> float:
@@ -229,9 +216,6 @@ def compute_intensity_vector(acc: TimeSeries, *, damping: float = 0.05,
                              periods: np.ndarray | None = None,
                              duration_lo: float = 0.05,
                              duration_hi: float = 0.75,
-                             detrend_integrations: bool = True,
-                             fs_smoothing_octaves: float = 0.0,
-                             pseudo_spectral: bool = True,
                              sa: np.ndarray | None = None) -> IntensityVector:
     """Bundle all single-trace measures for one acceleration trace.
 
@@ -243,15 +227,15 @@ def compute_intensity_vector(acc: TimeSeries, *, damping: float = 0.05,
     _require_unit(acc, Unit.ACCELERATION)
     if periods is None:
         periods = default_periods()
-    vel = _velocity(acc, detrend_integrations)
-    pga, pgv, pgd = _peaks(acc, vel, detrend_integrations)
+    vel = detrend(integrate(acc))
+    pga, pgv, pgd = _peaks(acc, vel)
     ia = arias_intensity(acc)
     iv = energy_integral(vel)
     da = arias_duration(acc, duration_lo, duration_hi) if ia > 0 else 0.0
     de = energy_duration(vel, duration_lo, duration_hi) if iv > 0 else 0.0
     if sa is None:
-        sa = response_spectrum(acc, damping, periods, pseudo_spectral)
-    fs = fourier_amplitude(acc, fs_smoothing_octaves)
+        sa = response_spectrum(acc, damping, periods)
+    fs = fourier_amplitude(acc)
     return IntensityVector(pga=pga, pgv=pgv, pgd=pgd, ia=ia, da=da, de=de,
                            iv=iv, periods=np.asarray(periods, float), sa=sa,
                            fs=fs)

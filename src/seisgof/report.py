@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import (CorrelationTable, GroupedScores, RunResult,
-                       significant)
+from .ensemble import (QUALITATIVE_TRENDS_NOTE, CorrelationTable,
+                       GroupedScores, RunResult, significant)
 # anderson_summary is kept in this module's namespace: the CLI and the
 # benchmark's spans reach it as report.anderson_summary.
 from .gof_anderson import (AndersonScores, QualityLevel, anderson_summary,
@@ -149,7 +149,7 @@ def render_correlation_svg(table: CorrelationTable,
     parts.append(f'<text x="{lay.left}" y="{note_y}" font-size="11" '
                  f'fill="#555555" font-family="{lay.font}">n = {table.n}; '
                  f'blank cells are not statistically significant. '
-                 f'{_esc(table.note)}</text>')
+                 f'{_esc(QUALITATIVE_TRENDS_NOTE)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

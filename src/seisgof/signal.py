@@ -112,7 +112,6 @@ class Spectrum:
 
     freqs: np.ndarray
     amplitudes: np.ndarray
-    smoothing: str = "none"
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -138,18 +137,12 @@ def require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
         raise ValueError("traces are not on a common grid; align() them first")
 
 
-def detrend(ts: TimeSeries, mode: str = "linear") -> TimeSeries:
-    """Remove the mean (``mode='mean'``) or a least-squares line (``'linear'``)."""
+def detrend(ts: TimeSeries) -> TimeSeries:
+    """Remove the least-squares line."""
     x = ts.samples
-    if mode == "mean":
-        out = x - x.mean()
-    elif mode == "linear":
-        t = np.arange(x.size, dtype=float)
-        slope, intercept = np.polyfit(t, x, 1)
-        out = x - (slope * t + intercept)
-    else:
-        raise ValueError(f"unknown detrend mode: {mode!r}")
-    return ts.with_samples(out)
+    t = np.arange(x.size, dtype=float)
+    slope, intercept = np.polyfit(t, x, 1)
+    return ts.with_samples(x - (slope * t + intercept))
 
 
 def tukey_window(n: int, fraction: float) -> np.ndarray:
@@ -402,30 +395,10 @@ def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
 
 
-def fourier_amplitude(ts: TimeSeries, smoothing_octaves: float = 0.0) -> Spectrum:
-    """One-sided Fourier amplitude |X(f)|*dt, optionally boxcar-smoothed in log-f."""
-    amp = np.abs(np.fft.rfft(ts.samples)) * ts.dt
-    freqs = np.fft.rfftfreq(ts.n, ts.dt)
-    smoothing = "none"
-    if smoothing_octaves > 0.0:
-        amp = _smooth_log_boxcar(freqs, amp, smoothing_octaves)
-        smoothing = f"log-boxcar {smoothing_octaves:g} octaves"
-    return Spectrum(freqs, amp, smoothing)
-
-
-def _smooth_log_boxcar(freqs, amp, width_octaves):
-    # Boxcar average over [f/2^(w/2), f*2^(w/2)]; the DC bin is left untouched.
-    half = 2.0 ** (width_octaves / 2.0)
-    csum = np.concatenate([[0.0], np.cumsum(amp)])
-    lo = np.searchsorted(freqs, freqs / half, side="left")
-    hi = np.searchsorted(freqs, freqs * half, side="right")
-    lo = np.maximum(lo, 1)
-    counts = hi - lo
-    out = amp.copy()
-    idx = np.arange(freqs.size)
-    valid = (counts > 0) & (idx >= 1)
-    out[valid] = (csum[hi] - csum[lo])[valid] / counts[valid]
-    return out
+def fourier_amplitude(ts: TimeSeries) -> Spectrum:
+    """One-sided Fourier amplitude |X(f)|*dt, unsmoothed."""
+    return Spectrum(np.fft.rfftfreq(ts.n, ts.dt),
+                    np.abs(np.fft.rfft(ts.samples)) * ts.dt)
 
 
 def align(a: TimeSeries, b: TimeSeries) -> tuple[TimeSeries, TimeSeries]:

@@ -36,7 +36,9 @@ class FocalMechanism:
     def __post_init__(self):
         if not 0.0 <= self.dip <= 90.0:
             raise ValueError(f"dip must be in [0, 90], got {self.dip}")
-        object.__setattr__(self, "strike", float(self.strike) % 360.0)
+        # A tiny negative strike rounds to 360 under the modulo.
+        strike = float(self.strike) % 360.0
+        object.__setattr__(self, "strike", strike if strike < 360.0 else 0.0)
         rake = float(self.rake) % 360.0
         if rake > 180.0:
             rake -= 360.0
@@ -289,8 +291,7 @@ _OUTPUT_UNITS = {
 
 def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
                     stf: SourceTimeFunction | None = None,
-                    output: str = "acceleration",
-                    station_id: str = "SYN") -> Record3C:
+                    output: str = "acceleration") -> Record3C:
     """Three-component synthetic at the receiver.
 
     The five field terms share four scalar time series (shifted moment
@@ -384,7 +385,7 @@ def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
     unit = _OUTPUT_UNITS[output]
     make = lambda x: TimeSeries(scenario.dt, 0.0, x, unit)
     return Record3C(ew=make(u[1]), ns=make(u[0]), ud=make(-u[2]),
-                    station_id=station_id,
+                    station_id="SYN",
                     epicentral_distance=scenario.epicentral_distance)
 
 

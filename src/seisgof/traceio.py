@@ -51,6 +51,23 @@ def write_record(record: Record3C, path) -> Path:
     return path
 
 
+def _exact_interval(t: np.ndarray, dt: float) -> float:
+    # The interval for which t[0] + i * dt gives back every time of the
+    # column bit for bit, as write_record computes them, or the mean
+    # interval dt when none does. Each time grows with the interval, so
+    # those that fit form a range: bisect on the bits of positive floats.
+    i = np.arange(t.size)
+    lo, hi = np.array([dt / 2, dt * 2]).view(np.int64)
+    while lo < hi:
+        mid = lo + (hi - lo) // 2
+        if np.any(t[0] + i * mid.view(np.float64) < t):
+            lo = mid + 1
+        else:
+            hi = mid
+    fit = lo.view(np.float64)
+    return float(fit) if np.array_equal(t[0] + i * fit, t) else dt
+
+
 def read_record(path) -> Record3C:
     """Read a trace CSV (and its sidecar if present) back into a Record3C."""
     path = Path(path)
@@ -70,6 +87,8 @@ def read_record(path) -> Record3C:
     if jitter > JITTER:
         raise ValueError(f"{path}: non-uniform sampling (jitter {jitter:.3g} s "
                          f"exceeds {JITTER:g} s)")
+    if jitter > 0.0:
+        dt = _exact_interval(t, dt)
 
     station_id = ""
     epicentral = None

@@ -6,8 +6,9 @@ Run from the repository root:
 
 The fixture plants hand-picked values that exercise significant,
 non-significant and undefined correlation cells plus all three grouped-score
-color classes. Golden files are reviewed once and then byte-compared by the
-test suite.
+color classes, next to the manifest of a default-config sweep, from which
+the report reads its significance level (0.05). Golden files are reviewed
+once and then byte-compared by the test suite.
 """
 
 from pathlib import Path
@@ -15,8 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from seisgof.cli import cmd_report
-from seisgof.ensemble import METRICS, PARAMETERS, CorrelationTable, GroupedScores
-from seisgof.report import write_correlations_csv, write_grouped_csv
+from seisgof.config import PipelineConfig, config_echo
+from seisgof.ensemble import (METRICS, PARAMETERS, QUALITATIVE_TRENDS_NOTE,
+                              CorrelationTable, GroupedScores)
+from seisgof.report import (write_correlations_csv, write_grouped_csv,
+                            write_manifest)
 
 HERE = Path(__file__).parent
 FIXTURE = HERE / "fixture_run"
@@ -64,10 +68,16 @@ def planted_grouped() -> list[GroupedScores]:
 def main():
     FIXTURE.mkdir(parents=True, exist_ok=True)
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for comp in ("ew", "ns", "ud"):
-        write_correlations_csv(FIXTURE / f"correlations_{comp}.csv",
-                               planted_table(comp), alpha=0.05)
-    write_grouped_csv(FIXTURE / "grouped_scores.csv", planted_grouped())
+    cfg = PipelineConfig()
+    files = [write_correlations_csv(FIXTURE / f"correlations_{comp}.csv",
+                                    planted_table(comp), cfg.alpha).name
+             for comp in ("ew", "ns", "ud")]
+    files.append(write_grouped_csv(FIXTURE / "grouped_scores.csv",
+                                   planted_grouped()).name)
+    write_manifest(FIXTURE / "manifest.json", {
+        "command": "sweep", "config": config_echo(cfg),
+        "correlation_note": QUALITATIVE_TRENDS_NOTE, "files": sorted(files),
+    })
     rc = cmd_report(FIXTURE, GOLDEN)
     assert rc == 0
     (GOLDEN / "manifest.json").unlink()  # timestamps do not belong in goldens

@@ -15,6 +15,8 @@ from seisgof.config import config_echo, load_config
 from seisgof.source import scenario_to_dict
 from seisgof.traceio import read_record, write_record
 
+DATA = Path(__file__).parent / "data"
+
 
 def make_scenario_file(tmp_path, duration=12.0, dt=0.01):
     scenario = default_scenario(duration=duration, dt=dt)
@@ -180,6 +182,33 @@ class TestReportCommand:
             gb = (report_out / f"grouped_{comp}.svg").read_bytes()
             assert ga == gb
 
+    def test_report_renders_at_the_sweeps_alpha(self, workspace):
+        tmp_path, _ = workspace
+        config_path = make_config_file(tmp_path, tmp_path / "scenario.json",
+                                       tmp_path / "recorded.csv", alpha=0.3)
+        out = tmp_path / "sweep_alpha"
+        assert main(["sweep", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        report_out = tmp_path / "report_alpha"
+        assert main(["report", str(out), "--out", str(report_out)]) == 0
+        svgs = sorted(p.name for p in out.glob("*.svg"))
+        assert len(svgs) == 6
+        for name in svgs:
+            assert ((report_out / name).read_bytes()
+                    == (out / name).read_bytes())
+        assert "p &#8804; 0.3)" in (out / "correlation_ew.svg").read_text()
+
+    def test_report_needs_the_sweep_manifest(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for path in (DATA / "fixture_run").glob("*.csv"):
+            (run_dir / path.name).write_bytes(path.read_bytes())
+        rc = main(["report", str(run_dir), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "CliError"
+        assert "manifest.json" in err["error"]["message"]
+
 
 class TestErrorHandling:
     def test_missing_config_gives_json_error(self, tmp_path, capsys):
@@ -211,6 +240,20 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
         assert next(iter(body)) in err["error"]["message"]
+
+    @pytest.mark.parametrize("key", ["hypocenter", "receiver"])
+    def test_scenario_without_geometry_gives_json_error(self, tmp_path,
+                                                        capsys, key):
+        scenario_path, _, _ = make_scenario_file(tmp_path)
+        scenario = json.loads(scenario_path.read_text())
+        del scenario[key]
+        scenario_path.write_text(json.dumps(scenario))
+        config_path = make_config_file(tmp_path, scenario_path)
+        rc = main(["synth", "--config", str(config_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "CliError"
+        assert repr(key) in err["error"]["message"]
 
     def test_sweep_requires_reference(self, tmp_path, capsys):
         scenario_path, _, _ = make_scenario_file(tmp_path)

@@ -275,33 +275,40 @@ class TestRunSweep:
 
 
 class TestReferenceScorer:
-    def test_equals_per_pair_scoring(self, small_sweep_inputs):
+    def test_equals_per_pair_scoring(self, small_sweep_inputs, monkeypatch,
+                                     tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
-        synthetics = [synth_fullspace(scenario, FocalMechanism(*angles))
+        synthetics = {angles: synth_fullspace(scenario,
+                                              FocalMechanism(*angles))
                       for angles in ((40.0, 50.0, 80.0), (45.0, 55.0, 90.0),
-                                     (50.0, 60.0, 100.0))]
-        # Another grid between runs on the reference's grid replaces the
-        # prepared reference and then brings the first one back.
-        other = default_scenario(duration=10.0, dt=0.02)
-        synthetics.insert(2, synth_fullspace(other,
-                                             FocalMechanism(45.0, 60.0, 80.0)))
+                                     (50.0, 60.0, 100.0))}
+        # With one run per batch, a run on another grid between runs on the
+        # reference's grid replaces the prepared reference and then brings
+        # the first one back.
+        angles = list(synthetics)
+        angles.insert(2, (45.0, 60.0, 80.0))
+        synthetics[angles[2]] = synth_fullspace(
+            default_scenario(duration=10.0, dt=0.02),
+            FocalMechanism(*angles[2]))
+        monkeypatch.setattr(ensemble, "SWEEP_CHUNK_RUNS", 1)
+        prepared = []
+        features = ensemble.tf_features
+
+        def counting_features(rec, config):
+            prepared.append(rec.ew.n)
+            return features(rec, config)
+
+        monkeypatch.setattr(ensemble, "tf_features", counting_features)
         scorer = ReferenceScorer(reference, a_cfg, t_cfg)
-        for synthetic in synthetics:
-            anderson, tf = scorer.score(synthetic)
-            rec, sim = align_records(reference, synthetic)
-            want_a = score_pair(rec, sim, config=a_cfg)
-            want_tf = record_tf_gof(rec, sim, t_cfg)
-            assert list(anderson) == list(tf) == ["ew", "ns", "ud"]
-            for comp in ("ew", "ns", "ud"):
-                assert np.array_equal(anderson[comp].scores,
-                                      want_a[comp].scores, equal_nan=True)
-                assert anderson[comp].skipped == want_a[comp].skipped
-                got, want = tf[comp], want_tf[comp]
-                assert (got.eg, got.pg) == (want.eg, want.pg)
-                for name in ("times", "freqs", "teg", "tpg", "feg", "fpg",
-                             "tfeg", "tfpg"):
-                    assert np.array_equal(getattr(got, name),
-                                          getattr(want, name))
+        results = scorer.run_many(angles, synthetics.__getitem__)
+        assert prepared == [1201, 1001, 1201]
+        assert [res.angles for res in results] == angles
+        for res in results:
+            rec, sim = align_records(reference, synthetics[res.angles])
+            want = _gof_json(res.angles, score_pair(rec, sim, config=a_cfg),
+                             record_tf_gof(rec, sim, t_cfg))
+            assert _written(res, tmp_path / "gof.json") == (
+                want, _samples(synthetics[res.angles]))
 
     @pytest.mark.filterwarnings("ignore:.*periods at or below 2\\*dt")
     def test_serial_sweep_prepares_the_reference_once(self, monkeypatch):
@@ -392,7 +399,7 @@ class TestBatchFailures:
             if run == 3:
                 return synth(other_grid, fm, stf)
             record = synth(scn, fm, stf)
-            if run == 1:  # its features overflow inside the batch
+            if run == 1:  # it overflows to NaN TF misfits inside the batch
                 return scaled(record, 1e308)
             if run == 2:  # alignment rejects it before the batch
                 return scaled(record, 1.0, Unit.VELOCITY)
@@ -404,12 +411,12 @@ class TestBatchFailures:
             run_sweep(scenario, grid, reference, anderson_config=a_cfg,
                       tf_config=t_cfg, workers=workers)
             for workers in (1, 2))
-        with pytest.raises(OverflowError) as overflow:
-            score_pair(*align_records(reference, fake_synth(
-                scenario, FocalMechanism(*angles[1]))), config=a_cfg)
+        with pytest.raises(ValueError) as overflow:
+            record_tf_gof(*align_records(reference, fake_synth(
+                scenario, FocalMechanism(*angles[1]))), t_cfg)
         assert [res.error for res in serial[:3]] == [
             "RuntimeError: synthesis failed",
-            f"OverflowError: {overflow.value}",
+            f"ValueError: {overflow.value}",
             "UnitError: unit mismatch: m/s2 vs m/s"]
         for i, run in enumerate(angles):
             res_s, res_p = serial[i], parallel[i]

@@ -23,9 +23,11 @@ class TestPeaks:
         assert abs(pga - 1.0) < 1e-3
 
     def test_constant_acceleration_pgv(self):
+        # The velocity of a constant acceleration is a line, which the
+        # detrend after the integration removes.
         ts = constant(1.0)
-        _, pgv, _ = peaks(ts, detrend_integrations=False)
-        assert abs(pgv - 1.0) < 1e-12
+        _, pgv, _ = peaks(ts)
+        assert pgv < 1e-12
 
     def test_zero_trace(self):
         ts = constant(0.0)
@@ -120,13 +122,8 @@ class TestResponseSpectrum:
         assert np.all(np.isfinite(sa))
         assert np.all(sa >= 0.0)
 
-    def test_absolute_spectrum_option(self):
-        ts = burst_series(freq=2.0)
-        sa_abs = response_spectrum(ts, periods=np.array([0.5]), pseudo=False)
-        assert sa_abs[0] > 0.0
 
-
-def _newmark_one_trace(ag, dt, periods, zeta, pseudo):
+def _newmark_one_trace(ag, dt, periods, zeta):
     # Reference oracle: the Newmark loop for one trace, vectorized over
     # periods only.
     wn = 2.0 * np.pi / periods
@@ -137,7 +134,6 @@ def _newmark_one_trace(ag, dt, periods, zeta, pseudo):
     v = np.zeros_like(wn)
     a = np.full_like(wn, -ag[0])
     umax = np.zeros_like(wn)
-    amax = np.zeros_like(wn)
     for i in range(1, ag.size):
         dp = -(ag[i] - ag[i - 1])
         dpe = dp + (4.0 / dt + 2.0 * c) * v + 2.0 * a
@@ -148,14 +144,11 @@ def _newmark_one_trace(ag, dt, periods, zeta, pseudo):
         v += dv
         a += da
         np.maximum(umax, np.abs(u), out=umax)
-        if not pseudo:
-            np.maximum(amax, np.abs(a + ag[i]), out=amax)
-    return k * umax if pseudo else amax
+    return k * umax
 
 
 class TestResponseSpectra:
-    @pytest.mark.parametrize("pseudo", [True, False])
-    def test_rows_equal_the_one_trace_loop_bit_for_bit(self, pseudo):
+    def test_rows_equal_the_one_trace_loop_bit_for_bit(self):
         rng = np.random.default_rng(41)
         dt = 0.02
         rows = rng.standard_normal((5, 401))
@@ -164,11 +157,11 @@ class TestResponseSpectra:
         periods = default_periods()
         valid = periods > 2.0 * dt
         with pytest.warns(UserWarning):
-            sa = response_spectra(traces, 0.05, periods, pseudo)
+            sa = response_spectra(traces, 0.05, periods)
         assert sa.shape == (5, periods.size)
         assert np.all(np.isnan(sa[:, ~valid]))
         for row, ag in zip(sa, rows):
-            expected = _newmark_one_trace(ag, dt, periods[valid], 0.05, pseudo)
+            expected = _newmark_one_trace(ag, dt, periods[valid], 0.05)
             assert np.array_equal(row[valid], expected)
         assert np.all(sa[2, valid] == 0.0)
 
@@ -190,10 +183,9 @@ class TestResponseSpectra:
         assert calls == [((4, 301), [3, 3, 3, 3])]
         for row, ag in zip(sa, rows):
             assert np.array_equal(
-                row, _newmark_one_trace(ag, 0.02, periods, 0.05, True))
+                row, _newmark_one_trace(ag, 0.02, periods, 0.05))
 
-    @pytest.mark.parametrize("pseudo", [True, False])
-    def test_where_computes_only_the_wanted_pairs(self, pseudo):
+    def test_where_computes_only_the_wanted_pairs(self):
         rng = np.random.default_rng(42)
         traces = [TimeSeries(0.02, 0.0, x, Unit.ACCELERATION)
                   for x in rng.standard_normal((3, 301))]
@@ -201,9 +193,9 @@ class TestResponseSpectra:
         where = rng.random((3, periods.size)) < 0.5
         where[:, 0] = True  # at 2*dt: skipped even where wanted
         with pytest.warns(UserWarning):
-            full = response_spectra(traces, 0.05, periods, pseudo)
+            full = response_spectra(traces, 0.05, periods)
         with pytest.warns(UserWarning):
-            part = response_spectra(traces, 0.05, periods, pseudo, where)
+            part = response_spectra(traces, 0.05, periods, where=where)
         wanted = where & (periods > 0.04)
         assert np.array_equal(part[wanted], full[wanted])
         assert np.all(np.isnan(part[~wanted]))
@@ -287,15 +279,11 @@ class TestInvariances:
         assert np.array_equal(iv1.sa, iv2.sa)
 
 
-@pytest.mark.parametrize("detrend_integrations", [True, False])
-def test_intensity_vector_integrates_velocity_once_with_peaks_bits(
-        detrend_integrations):
+def test_intensity_vector_integrates_velocity_once_with_peaks_bits():
     ts = burst_series(freq=1.5, dt=0.01)
     ts = ts.with_samples(ts.samples + 0.01)  # a drift for the detrend
-    iv = compute_intensity_vector(ts, detrend_integrations=detrend_integrations)
-    assert (iv.pga, iv.pgv, iv.pgd) == peaks(ts, detrend_integrations)
-    vel = integrate(ts)
-    if detrend_integrations:
-        vel = detrend(vel, "linear")
+    iv = compute_intensity_vector(ts)
+    assert (iv.pga, iv.pgv, iv.pgd) == peaks(ts)
+    vel = detrend(integrate(ts))
     assert iv.iv == energy_integral(vel)
     assert iv.de == energy_duration(vel)

@@ -1,4 +1,5 @@
-"""Property tests of the invariants batched scoring rests on.
+"""Property tests of the invariants batched scoring rests on, and of the
+scalar score, mechanism normalization and trace files.
 
 A row of a batched filter or response-spectrum pass must not depend on
 the rows it is batched with, nor on where it sits in the batch; a bank too
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seisgof import TimeSeries, Unit, score_pair, signal
-from seisgof.gof_anderson import AndersonConfig, BandSpec
+from seisgof import FocalMechanism, TimeSeries, Unit, score_pair, signal
+from seisgof.gof_anderson import AndersonConfig, BandSpec, score_scalar
 from seisgof.imeasures import response_spectra
-from seisgof.signal import bandpass_bank
+from seisgof.signal import Record3C, bandpass_bank
+from seisgof.traceio import meta_path_for, read_record, write_record
 
 from conftest import record_from_arrays
 
@@ -58,8 +60,8 @@ def test_spectra_row_ignores_its_batch_mates(batch, seed):
     rows, pos = batch
     where = np.random.default_rng(seed).random((len(rows), PERIODS.size)) < 0.6
     alone = response_spectra(traces_of(rows[pos:pos + 1]), 0.05, PERIODS,
-                             True, where[pos:pos + 1])
-    together = response_spectra(traces_of(rows), 0.05, PERIODS, True, where)
+                             where=where[pos:pos + 1])
+    together = response_spectra(traces_of(rows), 0.05, PERIODS, where=where)
     assert np.array_equal(alone[0], together[pos], equal_nan=True)
 
 
@@ -88,3 +90,52 @@ def test_record_scored_against_itself_is_ten(n, dt, seed):
     for scores in score_pair(rec, rec, AndersonConfig(bands=bands)).values():
         finite = scores.scores[np.isfinite(scores.scores)]
         assert finite.size and np.all(finite == 10.0)
+
+
+MAGNITUDES = st.floats(1e-300, 1e308)
+SIGNED = st.tuples(MAGNITUDES, st.booleans()).map(
+    lambda m: -m[0] if m[1] else m[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIGNED, SIGNED)
+def test_scalar_score_is_symmetric_and_in_range(p1, p2):
+    score = score_scalar(p1, p2)
+    assert score == score_scalar(p2, p1)
+    assert 0.0 <= score <= 10.0
+    assert score_scalar(p1, p1) == 10.0
+    # exp(-x^2) rounds to 1 only below a relative difference of about 1e-8.
+    if abs(p1 - p2) > 1e-7 * min(abs(p1), abs(p2)):
+        assert score < 10.0
+    # Vector measures reach the score as numpy scalars.
+    with np.errstate(over="ignore"):
+        assert score_scalar(np.float64(p1), np.float64(p2)) == score
+
+
+ANGLES = st.floats(-1e4, 1e4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANGLES, st.floats(0.0, 90.0), ANGLES)
+def test_mechanism_normalization_is_in_range_and_stable(strike, dip, rake):
+    fm = FocalMechanism(strike, dip, rake)
+    assert 0.0 <= fm.strike < 360.0
+    assert -180.0 < fm.rake <= 180.0
+    assert FocalMechanism(fm.strike, fm.dip, fm.rake) == fm
+
+
+@FEW
+@given(st.integers(2, 60), st.sampled_from([0.005, 0.01, 0.02, 0.04]),
+       st.floats(-100.0, 100.0), st.integers(0, 2 ** 32 - 1))
+def test_trace_csv_round_trip_is_byte_identical(tmp_path_factory, n, dt, t0,
+                                                seed):
+    rng = np.random.default_rng(seed)
+    rows = 10.0 ** rng.uniform(-12, 3, (3, 1)) * rng.standard_normal((3, n))
+    rec = Record3C(*(TimeSeries(dt, t0, x, Unit.ACCELERATION) for x in rows),
+                   station_id="TST", epicentral_distance=1e4)
+    work = tmp_path_factory.mktemp("trace")
+    first = write_record(rec, work / "first.csv")
+    second = write_record(read_record(first), work / "second.csv")
+    assert second.read_bytes() == first.read_bytes()
+    assert (meta_path_for(second).read_bytes()
+            == meta_path_for(first).read_bytes())
