@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import report, traceio
 from .config import ConfigError, PipelineConfig, config_echo, load_config
-from .ensemble import (QUALITATIVE_TRENDS_NOTE, ReferenceScorer, build_grid,
-                       correlation_tables, group_report, run_sweep)
+from .ensemble import (QUALITATIVE_TRENDS_NOTE, build_grid, correlation_tables,
+                       group_report, run_sweep, synthesize)
 from .gof_anderson import score_pair
 from .gof_tf import record_tf_gof, write_plane_csv
 from .signal import COMPONENTS, align_records
@@ -28,11 +29,11 @@ class CliError(RuntimeError):
 def _load_scenario(cfg: PipelineConfig):
     if cfg.scenario_path is None:
         raise CliError("config must reference a scenario JSON file")
-    raw = json.loads(cfg.scenario_path.read_text())
-    for key in ("hypocenter", "receiver"):
-        if key not in raw:
-            raise CliError(f"scenario {cfg.scenario_path.name} has no {key!r}")
-    return scenario_from_dict(raw)
+    try:
+        return scenario_from_dict(json.loads(cfg.scenario_path.read_text()))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"scenario {cfg.scenario_path.name} has a missing or "
+                       f"malformed entry: {exc!r}") from exc
 
 
 def _load_reference(cfg: PipelineConfig):
@@ -98,12 +99,12 @@ def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
     return 0
 
 
-def _ingest_external_run(external_dir: Path, angles) -> Path:
+def _ingest_external_run(external_dir: Path, angles):
     name = report.run_dir_name(angles)
     for candidate in (external_dir / f"{name}.csv",
                       external_dir / name / "synthetic.csv"):
         if candidate.exists():
-            return candidate
+            return traceio.read_record(candidate)
     raise CliError(f"external run not found for mechanism {name} under "
                    f"{external_dir}")
 
@@ -115,12 +116,11 @@ def cmd_sweep(cfg: PipelineConfig, out_dir: Path,
     reference = _load_reference(cfg)
     grid = build_grid(center, cfg.grid_deltas)
 
-    if external_runs is None:
-        results = run_sweep(scenario, grid, reference, stf=stf,
-                            anderson_config=cfg.anderson, tf_config=cfg.tf,
-                            workers=cfg.workers)
-    else:
-        results = _sweep_external(grid, reference, cfg, external_runs)
+    make_record = (partial(synthesize, scenario, stf) if external_runs is None
+                   else partial(_ingest_external_run, external_runs))
+    results = run_sweep(make_record, grid, reference,
+                        anderson_config=cfg.anderson, tf_config=cfg.tf,
+                        workers=cfg.workers)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -137,21 +137,12 @@ def cmd_sweep(cfg: PipelineConfig, out_dir: Path,
 
     tables = correlation_tables(results)
     for comp, table in tables.items():
-        p = report.write_correlations_csv(
-            out_dir / f"correlations_{comp}.csv", table, cfg.alpha)
-        files.append(p.name)
-        svg = report.render_correlation_svg(table, cfg.alpha)
-        svg_path = out_dir / f"correlation_{comp}.svg"
-        svg_path.write_text(svg)
-        files.append(svg_path.name)
-
+        files.append(report.write_correlations_csv(
+            out_dir / f"correlations_{comp}.csv", table, cfg.alpha).name)
     grouped = group_report(results)
     files.append(report.write_grouped_csv(out_dir / "grouped_scores.csv",
                                           grouped).name)
-    for comp in COMPONENTS:
-        svg_path = out_dir / f"grouped_{comp}.svg"
-        svg_path.write_text(report.render_grouped_svg(grouped, comp))
-        files.append(svg_path.name)
+    files += report.write_charts(out_dir, tables, grouped, cfg.alpha)
 
     report.write_manifest(out_dir / "manifest.json", {
         "command": "sweep",
@@ -164,13 +155,6 @@ def cmd_sweep(cfg: PipelineConfig, out_dir: Path,
         "files": sorted(files),
     })
     return 2 if failed else 0
-
-
-def _sweep_external(grid, reference, cfg: PipelineConfig,
-                    external_dir: Path) -> list:
-    scorer = ReferenceScorer(reference, cfg.anderson, cfg.tf)
-    return scorer.run_many(grid.angles(), lambda angles: traceio.read_record(
-        _ingest_external_run(external_dir, angles)))
 
 
 def cmd_report(run_dir: Path, out_dir: Path) -> int:
@@ -187,24 +171,15 @@ def cmd_report(run_dir: Path, out_dir: Path) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"no sweep manifest.json with config.alpha in "
                        f"{run_dir}") from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for comp in COMPONENTS:
-        csv_path = run_dir / f"correlations_{comp}.csv"
-        if not csv_path.exists():
-            raise CliError(f"missing {csv_path.name} in {run_dir}")
-        table = table_from_csv(csv_path, comp)
-        svg_path = out_dir / f"correlation_{comp}.svg"
-        svg_path.write_text(report.render_correlation_svg(table, alpha))
-        files.append(svg_path.name)
+    paths = {comp: run_dir / f"correlations_{comp}.csv" for comp in COMPONENTS}
     grouped_path = run_dir / "grouped_scores.csv"
-    if not grouped_path.exists():
-        raise CliError(f"missing grouped_scores.csv in {run_dir}")
+    for path in (*paths.values(), grouped_path):
+        if not path.exists():
+            raise CliError(f"missing {path.name} in {run_dir}")
+    tables = {comp: table_from_csv(path, comp) for comp, path in paths.items()}
     grouped = grouped_rows_from_csv(grouped_path)
-    for comp in COMPONENTS:
-        svg_path = out_dir / f"grouped_{comp}.svg"
-        svg_path.write_text(report.render_grouped_svg(grouped, comp))
-        files.append(svg_path.name)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = report.write_charts(out_dir, tables, grouped, alpha)
     report.write_manifest(out_dir / "manifest.json", {
         "command": "report", "source_dir": str(run_dir),
         "files": sorted(files),
@@ -234,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the mechanism grid pipeline")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=int, default=None,
+                         help="pool processes, also for --external-runs")
     p_sweep.add_argument("--external-runs", default=None)
 
     p_report = sub.add_parser("report", help="render charts from a sweep dir")
@@ -250,6 +226,8 @@ def main(argv=None) -> int:
                if getattr(args, "config", None) is not None
                else PipelineConfig())
         if getattr(args, "workers", None) is not None:
+            if args.workers < 1:
+                raise ConfigError(f"workers must be >= 1, got {args.workers}")
             cfg.workers = args.workers
         out_dir = Path(args.out) if args.out is not None else cfg.output_dir
 

@@ -146,8 +146,10 @@ def load_config(path) -> PipelineConfig:
                 setattr(tf, attr, _number(t[key], f"tf.{key}", cast))
         if not 0 < tf.f_min < tf.f_max or tf.n_freqs < 2:
             raise ConfigError("tf grid must satisfy 0 < fmin < fmax, nfreq >= 2")
-        if tf.amplitude <= 0 or tf.decay <= 0:
-            raise ConfigError("tf amplitude and decay must be positive")
+        # GOF values must lie in [0, 10]; a higher amplitude fails every pair.
+        if not 0 < tf.amplitude <= 10 or tf.decay <= 0:
+            raise ConfigError("tf amplitude must be in (0, 10] and decay "
+                              "positive")
     cfg.tf = tf
 
     if ENV_WORKERS in os.environ:

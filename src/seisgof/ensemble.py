@@ -1,6 +1,6 @@
 """Mechanism sweeps and significance-filtered correlation analysis.
 
-A sweep synthesizes one record per grid mechanism, scores it against the
+A sweep takes one record per grid mechanism, scores it against the
 reference with both frameworks, and correlates each fault angle with each
 score metric over all runs. With only three distinct values per angle the
 correlations are qualitative trends, and every report marks them as such.
@@ -19,8 +19,7 @@ from .gof_anderson import (IMS, AndersonConfig, anderson_features,
                            anderson_summary, compare_anderson)
 from .gof_tf import TfConfig, compare_tf, tf_features
 from .signal import COMPONENTS, Record3C, align_records
-from .source import (FocalMechanism, PointSourceScenario, SourceTimeFunction,
-                     synth_fullspace)
+from .source import FocalMechanism, PointSourceScenario, synth_fullspace
 
 PARAMETERS = ("strike", "dip", "rake")
 METRICS = ("EG", "PG") + IMS
@@ -189,7 +188,12 @@ def _chunks(runs: list) -> list[list]:
             for i in range(0, len(runs), SWEEP_CHUNK_RUNS)]
 
 
-# (scenario, stf, scorer) of the sweep a pool worker serves; set once per
+def synthesize(scenario: PointSourceScenario, stf, angles) -> Record3C:
+    """``synth_fullspace`` of the scenario for one (strike, dip, rake)."""
+    return synth_fullspace(scenario, FocalMechanism(*angles), stf)
+
+
+# (make_record, scorer) of the sweep a pool worker serves; set once per
 # worker by the pool initializer, so that tasks carry only angles.
 _SWEEP = None
 
@@ -200,18 +204,18 @@ def _start_worker(*sweep) -> None:
 
 
 def _execute_run(chunk, sweep=None) -> list[RunResult]:
-    scenario, stf, scorer = sweep if sweep is not None else _SWEEP
-    return scorer.run_many(chunk, lambda angles: synth_fullspace(
-        scenario, FocalMechanism(*angles), stf))
+    make_record, scorer = sweep if sweep is not None else _SWEEP
+    return scorer.run_many(chunk, make_record)
 
 
-def run_sweep(scenario: PointSourceScenario, grid: SweepGrid,
-              reference: Record3C, *,
-              stf: SourceTimeFunction | None = None,
+def run_sweep(make_record, grid: SweepGrid, reference: Record3C, *,
               anderson_config: AndersonConfig | None = None,
               tf_config: TfConfig | None = None,
               workers: int = 1) -> list[RunResult]:
-    """Execute every grid mechanism against the reference record.
+    """Score ``make_record(angles) -> Record3C``, for example
+    ``partial(synthesize, scenario, stf)``, against the reference record
+    for every grid mechanism. With ``workers > 1`` each pool worker is sent
+    ``make_record`` once, so it must pickle (no lambda or closure).
 
     Results come back in grid order regardless of worker count, so repeated
     sweeps are bit-identical. Each process prepares the reference once, and
@@ -219,7 +223,7 @@ def run_sweep(scenario: PointSourceScenario, grid: SweepGrid,
     """
     a_cfg = anderson_config if anderson_config is not None else AndersonConfig()
     t_cfg = tf_config if tf_config is not None else TfConfig()
-    sweep = (scenario, stf, ReferenceScorer(reference, a_cfg, t_cfg))
+    sweep = (make_record, ReferenceScorer(reference, a_cfg, t_cfg))
     chunks = _chunks(grid.angles())
     if workers <= 1:
         done = [_execute_run(chunk, sweep) for chunk in chunks]

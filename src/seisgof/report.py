@@ -9,7 +9,6 @@ leave non-significant cells blank.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -91,137 +90,116 @@ def write_grouped_csv(path, rows: list[GroupedScores]) -> Path:
     return path
 
 
-@dataclass
-class _Layout:
-    cell_w: int = 64
-    cell_h: int = 30
-    left: int = 96
-    top: int = 58
-    font: str = "Helvetica, Arial, sans-serif"
+CELL_W, CELL_H = 64, 30   # one heatmap or grouped-score cell
+LEFT, TOP = 96, 58        # the first cell's top-left corner
+FONT = "Helvetica, Arial, sans-serif"
+
+
+def _text(x, y, size, body, anchor="", fill="") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    fill = f' fill="{fill}"' if fill else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-size="{size}"{fill} '
+            f'font-family="{FONT}">{body}</text>')
+
+
+def _rect(x, y, width, height, fill, stroke="#999999") -> str:
+    return (f'<rect x="{x}" y="{y}" width="{width}" height="{height}" '
+            f'fill="{fill}" stroke="{stroke}"/>')
+
+
+def _cell(x, y, fill, label) -> list[str]:
+    """A filled grid cell with its value centered."""
+    return [_rect(x, y, CELL_W, CELL_H, fill),
+            _text(x + CELL_W // 2, y + CELL_H // 2 + 4, 11, label, "middle")]
+
+
+def _svg(width, height, title, parts) -> str:
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
+        _text(LEFT, 24, 16, title), *parts, "</svg>"]) + "\n"
 
 
 def render_correlation_svg(table: CorrelationTable,
                            alpha: float = 0.05) -> str:
     """Heatmap with blank cells where p > alpha or r is undefined."""
-    lay = _Layout()
     masked = significant(table, alpha)
     n_rows = len(table.parameters)
-    n_cols = len(table.metrics)
-    width = lay.left + n_cols * lay.cell_w + 20
-    height = lay.top + n_rows * lay.cell_h + 64
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{lay.left}" y="24" font-size="16" '
-        f'font-family="{lay.font}">Correlation of fault angles with score '
-        f'metrics ({_esc(table.component.upper())} component, '
-        f'p &#8804; {alpha:g})</text>',
-    ]
-    for j, metric in enumerate(table.metrics):
-        x = lay.left + j * lay.cell_w + lay.cell_w // 2
-        parts.append(f'<text x="{x}" y="{lay.top - 8}" text-anchor="middle" '
-                     f'font-size="12" font-family="{lay.font}">'
-                     f'{_esc(metric)}</text>')
+    parts = [_text(LEFT + j * CELL_W + CELL_W // 2, TOP - 8, 12, _esc(metric),
+                   "middle") for j, metric in enumerate(table.metrics)]
     for i, param in enumerate(table.parameters):
-        y = lay.top + i * lay.cell_h
-        parts.append(f'<text x="{lay.left - 10}" y="{y + lay.cell_h // 2 + 4}" '
-                     f'text-anchor="end" font-size="12" '
-                     f'font-family="{lay.font}">{_esc(param)}</text>')
+        y = TOP + i * CELL_H
+        parts.append(_text(LEFT - 10, y + CELL_H // 2 + 4, 12, _esc(param),
+                           "end"))
         for j in range(len(table.metrics)):
-            x = lay.left + j * lay.cell_w
+            x = LEFT + j * CELL_W
             r = masked.r[i, j]
             if np.isfinite(r):
-                fill = _corr_color(float(r))
-                parts.append(f'<rect x="{x}" y="{y}" width="{lay.cell_w}" '
-                             f'height="{lay.cell_h}" fill="{fill}" '
-                             f'stroke="#999999"/>')
-                parts.append(f'<text x="{x + lay.cell_w // 2}" '
-                             f'y="{y + lay.cell_h // 2 + 4}" '
-                             f'text-anchor="middle" font-size="11" '
-                             f'font-family="{lay.font}">{float(r):.2f}</text>')
+                parts += _cell(x, y, _corr_color(float(r)), f"{float(r):.2f}")
             else:
                 # Blank cell: no value, plain background.
-                parts.append(f'<rect x="{x}" y="{y}" width="{lay.cell_w}" '
-                             f'height="{lay.cell_h}" fill="#ffffff" '
-                             f'stroke="#cccccc"/>')
-    note_y = lay.top + n_rows * lay.cell_h + 24
-    parts.append(f'<text x="{lay.left}" y="{note_y}" font-size="11" '
-                 f'fill="#555555" font-family="{lay.font}">n = {table.n}; '
-                 f'blank cells are not statistically significant. '
-                 f'{_esc(QUALITATIVE_TRENDS_NOTE)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                parts.append(_rect(x, y, CELL_W, CELL_H, "#ffffff", "#cccccc"))
+    parts.append(_text(LEFT, TOP + n_rows * CELL_H + 24, 11,
+                       f"n = {table.n}; blank cells are not statistically "
+                       f"significant. {_esc(QUALITATIVE_TRENDS_NOTE)}",
+                       fill="#555555"))
+    return _svg(LEFT + len(table.metrics) * CELL_W + 20,
+                TOP + n_rows * CELL_H + 64,
+                f"Correlation of fault angles with score metrics "
+                f"({_esc(table.component.upper())} component, "
+                f"p &#8804; {alpha:g})", parts)
 
 
 def render_grouped_svg(rows: list[GroupedScores], component: str) -> str:
     """Fig-5-style panel set: one panel per fault angle, colored by quality."""
-    lay = _Layout()
     rows = [r for r in rows if r.component == component]
-    params = []
-    for row in rows:
-        if row.parameter not in params:
-            params.append(row.parameter)
-    metrics = []
-    for row in rows:
-        if row.metric not in metrics:
-            metrics.append(row.metric)
-    panel_gap = 40
-    panels = []
-    y_cursor = lay.top
-    width = lay.left + len(metrics) * lay.cell_w + 20
+    params = list(dict.fromkeys(r.parameter for r in rows))
+    metrics = list(dict.fromkeys(r.metric for r in rows))
+    lookup = {(r.parameter, r.value, r.metric): r for r in rows}
+    parts = []
+    y0 = TOP
     for param in params:
         levels = sorted({r.value for r in rows if r.parameter == param})
-        panels.append((param, levels, y_cursor))
-        y_cursor += len(levels) * lay.cell_h + panel_gap
-    height = y_cursor + 40
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{lay.left}" y="24" font-size="16" '
-        f'font-family="{lay.font}">Mean scores grouped by fault angle '
-        f'({_esc(component.upper())} component)</text>',
-    ]
-    lookup = {(r.parameter, r.value, r.metric): r for r in rows}
-    for param, levels, y0 in panels:
-        parts.append(f'<text x="{lay.left}" y="{y0 - 18}" font-size="13" '
-                     f'font-family="{lay.font}">{_esc(param)}</text>')
-        for j, metric in enumerate(metrics):
-            x = lay.left + j * lay.cell_w + lay.cell_w // 2
-            parts.append(f'<text x="{x}" y="{y0 - 4}" text-anchor="middle" '
-                         f'font-size="10" font-family="{lay.font}">'
-                         f'{_esc(metric)}</text>')
+        parts.append(_text(LEFT, y0 - 18, 13, _esc(param)))
+        parts += [_text(LEFT + j * CELL_W + CELL_W // 2, y0 - 4, 10,
+                        _esc(metric), "middle")
+                  for j, metric in enumerate(metrics)]
         for i, level in enumerate(levels):
-            y = y0 + i * lay.cell_h
-            parts.append(f'<text x="{lay.left - 10}" '
-                         f'y="{y + lay.cell_h // 2 + 4}" text-anchor="end" '
-                         f'font-size="12" font-family="{lay.font}">'
-                         f'{level:g}&#176;</text>')
+            y = y0 + i * CELL_H
+            parts.append(_text(LEFT - 10, y + CELL_H // 2 + 4, 12,
+                               f"{level:g}&#176;", "end"))
             for j, metric in enumerate(metrics):
-                x = lay.left + j * lay.cell_w
-                row = lookup[(param, level, metric)]
-                fill = QUALITY_COLORS[quality(row.mean)]
-                parts.append(f'<rect x="{x}" y="{y}" width="{lay.cell_w}" '
-                             f'height="{lay.cell_h}" fill="{fill}" '
-                             f'stroke="#999999"/>')
-                parts.append(f'<text x="{x + lay.cell_w // 2}" '
-                             f'y="{y + lay.cell_h // 2 + 4}" '
-                             f'text-anchor="middle" font-size="11" '
-                             f'font-family="{lay.font}">{row.mean:.1f}</text>')
-    legend_y = height - 14
-    legend = [("poor", QUALITY_COLORS[QualityLevel.POOR]),
-              ("fair to good", QUALITY_COLORS[QualityLevel.FAIR]),
-              ("excellent", QUALITY_COLORS[QualityLevel.EXCELLENT])]
-    x = lay.left
-    for label, color in legend:
-        parts.append(f'<rect x="{x}" y="{legend_y - 11}" width="14" '
-                     f'height="14" fill="{color}" stroke="#999999"/>')
-        parts.append(f'<text x="{x + 20}" y="{legend_y}" font-size="11" '
-                     f'font-family="{lay.font}">{_esc(label)}</text>')
+                mean = lookup[(param, level, metric)].mean
+                parts += _cell(LEFT + j * CELL_W, y,
+                               QUALITY_COLORS[quality(mean)], f"{mean:.1f}")
+        y0 += len(levels) * CELL_H + 40   # the gap between panels
+    height = y0 + 40
+    x = LEFT
+    for label, level in (("poor", QualityLevel.POOR),
+                         ("fair to good", QualityLevel.FAIR),
+                         ("excellent", QualityLevel.EXCELLENT)):
+        parts += [_rect(x, height - 25, 14, 14, QUALITY_COLORS[level]),
+                  _text(x + 20, height - 14, 11, _esc(label))]
         x += 24 + 8 * len(label) + 24
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(LEFT + len(metrics) * CELL_W + 20, height,
+                f"Mean scores grouped by fault angle "
+                f"({_esc(component.upper())} component)", parts)
+
+
+def write_charts(out_dir, tables: dict[str, CorrelationTable],
+                 grouped: list[GroupedScores], alpha: float) -> list[str]:
+    """Write ``correlation_<c>.svg`` and ``grouped_<c>.svg`` for each
+    component ``c`` of ``tables``; returns the file names."""
+    names = []
+    for comp, table in tables.items():
+        svgs = {f"correlation_{comp}.svg": render_correlation_svg(table,
+                                                                  alpha),
+                f"grouped_{comp}.svg": render_grouped_svg(grouped, comp)}
+        for name, svg in svgs.items():
+            (Path(out_dir) / name).write_text(svg)
+        names += svgs
+    return names
 
 
 def run_dir_name(angles: tuple[float, float, float]) -> str:

@@ -60,22 +60,7 @@ class MomentTensor:
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
 
     @property
-    def mxx(self): return float(self.matrix[0, 0])
-
-    @property
-    def myy(self): return float(self.matrix[1, 1])
-
-    @property
     def mzz(self): return float(self.matrix[2, 2])
-
-    @property
-    def mxy(self): return float(self.matrix[0, 1])
-
-    @property
-    def mxz(self): return float(self.matrix[0, 2])
-
-    @property
-    def myz(self): return float(self.matrix[1, 2])
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues sorted ascending; a double couple gives {-M0, 0, +M0}."""
@@ -391,7 +376,12 @@ def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
 
 def scenario_from_dict(cfg: dict):
     """(scenario, mechanism, stf) from the scenario JSON schema."""
-    med = cfg.get("medium")
+    sections = {key: cfg.get(key, {}) for key in ("medium", "mechanism",
+                                                  "stf")}
+    for key, value in sections.items():
+        if not isinstance(value, dict):
+            raise TypeError(f"{key!r} must be an object, got {value!r}")
+    med, mech, stf_cfg = sections.values()
     medium = (Medium(rho=float(med["rho"]), vp=float(med["vp"]),
                      vs=float(med["vs"])) if med else default_medium())
     scenario = PointSourceScenario(
@@ -400,11 +390,9 @@ def scenario_from_dict(cfg: dict):
         medium=medium, m0=float(cfg.get("m0", 2.81e16)),
         duration=float(cfg.get("duration", 12.0)),
         dt=float(cfg.get("dt", 0.005)))
-    mech = cfg.get("mechanism", {})
     fm = FocalMechanism(strike=float(mech.get("strike", 45.0)),
                         dip=float(mech.get("dip", 55.0)),
                         rake=float(mech.get("rake", 90.0)))
-    stf_cfg = cfg.get("stf", {})
     kind = stf_cfg.get("kind", "liu")
     rise = float(stf_cfg.get("rise_time", 1.0))
     if kind == "liu":

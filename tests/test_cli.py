@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import seisgof
-from seisgof import FocalMechanism, default_scenario, synth_fullspace
+from seisgof import (FocalMechanism, build_grid, default_scenario, ensemble,
+                     synth_fullspace)
 from seisgof.cli import main
 from seisgof.config import config_echo, load_config
-from seisgof.source import scenario_to_dict
+from seisgof.source import scenario_from_dict, scenario_to_dict
 from seisgof.traceio import read_record, write_record
 
 DATA = Path(__file__).parent / "data"
@@ -165,6 +166,60 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["failed_runs"]) == 2
 
+    def test_external_sweep_runs_in_the_pool(self, workspace, monkeypatch):
+        # --workers applies to --external-runs as to synthesized runs: a
+        # pool at --workers 2, and the tree of --workers 1 apart from the
+        # manifest's generated_at, one missing run included.
+        tmp_path, _ = workspace
+        config_path = make_config_file(
+            tmp_path, tmp_path / "scenario.json", tmp_path / "recorded.csv",
+            grid={"strike_delta": 5.0, "dip_delta": 5.0, "rake_delta": 0.0})
+        scenario, fm, stf = scenario_from_dict(
+            json.loads((tmp_path / "scenario.json").read_text()))
+        external = tmp_path / "external_pool"
+        angles_list = build_grid(fm, (5.0, 5.0, 0.0)).angles()
+        assert len(angles_list) == 9
+        for i, angles in enumerate(angles_list[:-1]):  # the last is missing
+            name = "{:g}_{:g}_{:g}".format(*angles)
+            # Both layouts the ingestion accepts.
+            path = (external / f"{name}.csv" if i % 2
+                    else external / name / "synthetic.csv")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_record(synth_fullspace(scenario, FocalMechanism(*angles),
+                                         stf), path)
+        pools = []
+
+        class CountingPool(ensemble.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
+        trees = []
+        for workers in (1, 2):
+            out = tmp_path / f"external_w{workers}"
+            assert main(["sweep", "--config", str(config_path), "--out",
+                         str(out), "--workers", str(workers),
+                         "--external-runs", str(external)]) == 2
+            trees.append(_tree(out))
+        assert pools == [2]
+        assert trees[0] == trees[1]
+        manifest = json.loads(trees[0]["manifest.json"])
+        assert [run["run"] for run in manifest["failed_runs"]] == [
+            "{:g}_{:g}_{:g}".format(*angles_list[-1])]
+        assert len(manifest["runs"]) == 9
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under root by relative path; the manifest without its
+    generated_at."""
+    tree = {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+    manifest = json.loads(tree["manifest.json"])
+    del manifest["generated_at"]
+    tree["manifest.json"] = json.dumps(manifest, sort_keys=True)
+    return tree
+
 
 class TestReportCommand:
     def test_report_from_sweep_dir_is_idempotent(self, workspace):
@@ -254,6 +309,50 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "CliError"
         assert repr(key) in err["error"]["message"]
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda s: s["medium"].pop("vs"), "'vs'"),
+        (lambda s: s.update(mechanism=[45.0, 55.0, 90.0]), "'mechanism'"),
+    ], ids=["medium-without-vs", "list-mechanism"])
+    def test_malformed_scenario_gives_json_error(self, tmp_path, capsys,
+                                                 edit, key):
+        scenario_path, _, _ = make_scenario_file(tmp_path)
+        scenario = json.loads(scenario_path.read_text())
+        edit(scenario)
+        scenario_path.write_text(json.dumps(scenario))
+        config_path = make_config_file(tmp_path, scenario_path)
+        rc = main(["synth", "--config", str(config_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "CliError"
+        assert "scenario.json" in err["error"]["message"]
+        assert key in err["error"]["message"]
+
+    @pytest.mark.parametrize("amplitude", [12.0, 10.5, 0.0, -1.0])
+    def test_tf_amplitude_outside_the_gof_scale_is_rejected(
+            self, tmp_path, capsys, amplitude):
+        scenario_path, _, _ = make_scenario_file(tmp_path)
+        config_path = make_config_file(
+            tmp_path, scenario_path,
+            tf={"fmin": 0.5, "fmax": 5.0, "nfreq": 10, "amplitude": amplitude})
+        rc = main(["synth", "--config", str(config_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "amplitude" in err["error"]["message"]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_flag_below_one_gives_json_error(self, workspace, capsys,
+                                                     workers):
+        tmp_path, config_path = workspace
+        out = tmp_path / "never_written"
+        rc = main(["sweep", "--config", str(config_path), "--out", str(out),
+                   "--workers", workers])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ConfigError", "message":
+                                f"workers must be >= 1, got {workers}"}
+        assert not out.exists()
 
     def test_sweep_requires_reference(self, tmp_path, capsys):
         scenario_path, _, _ = make_scenario_file(tmp_path)

@@ -1,6 +1,7 @@
 import json
 import pickle
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from seisgof import (FocalMechanism, build_grid, default_scenario, ensemble,
                      score_pair, significant, synth_fullspace)
 from seisgof.ensemble import (METRICS, PARAMETERS, CorrelationTable,
                               ReferenceScorer, RunResult, correlation_tables,
-                              group_report, metric_values, run_sweep)
+                              group_report, metric_values, run_sweep,
+                              synthesize)
 from seisgof.gof_anderson import (IMS, AndersonConfig, AndersonScores,
                                   BandSpec, anderson_summary, default_bands)
 from seisgof.gof_tf import TfConfig
@@ -225,8 +227,9 @@ class TestRunSweep:
     def test_serial_sweep_produces_results(self, small_sweep_inputs):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 0.0, 0.0))
-        results = run_sweep(scenario, grid, reference,
-                            anderson_config=a_cfg, tf_config=t_cfg)
+        results = run_sweep(partial(synthesize, scenario, None), grid,
+                            reference, anderson_config=a_cfg,
+                            tf_config=t_cfg)
         assert len(results) == 3
         assert all(res.error is None for res in results)
         assert [res.angles for res in results] == grid.angles()
@@ -235,9 +238,11 @@ class TestRunSweep:
                                                   tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 0.0, 0.0))
-        serial = run_sweep(scenario, grid, reference, anderson_config=a_cfg,
+        serial = run_sweep(partial(synthesize, scenario, None), grid,
+                           reference, anderson_config=a_cfg,
                            tf_config=t_cfg, workers=1)
-        parallel = run_sweep(scenario, grid, reference, anderson_config=a_cfg,
+        parallel = run_sweep(partial(synthesize, scenario, None), grid,
+                             reference, anderson_config=a_cfg,
                              tf_config=t_cfg, workers=2)
         assert len(serial) == len(parallel) == 3
         for rs, rp in zip(serial, parallel):
@@ -252,7 +257,8 @@ class TestRunSweep:
         # no time-frequency planes.
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 0.0, 0.0))
-        results = run_sweep(scenario, grid, reference, anderson_config=a_cfg,
+        results = run_sweep(partial(synthesize, scenario, None), grid,
+                            reference, anderson_config=a_cfg,
                             tf_config=t_cfg, workers=2)
         assert [res.angles for res in results] == grid.angles()
         for res in results:
@@ -267,8 +273,8 @@ class TestRunSweep:
     def test_metric_values_shape(self, small_sweep_inputs):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (0.0, 0.0, 0.0))
-        res = run_sweep(scenario, grid, reference, anderson_config=a_cfg,
-                        tf_config=t_cfg)[0]
+        res = run_sweep(partial(synthesize, scenario, None), grid, reference,
+                        anderson_config=a_cfg, tf_config=t_cfg)[0]
         vals = metric_values(res, "ew")
         assert set(vals) == set(METRICS)
         assert all(np.isfinite(v) for v in vals.values())
@@ -334,8 +340,8 @@ class TestReferenceScorer:
 
         monkeypatch.setattr(gof_anderson, "bandpass_bank", counting_bank)
         count(gof_tf, "cwt")
-        results = run_sweep(scenario, build_grid(FocalMechanism(45.0, 55.0,
-                                                                90.0)),
+        results = run_sweep(partial(synthesize, scenario, None),
+                            build_grid(FocalMechanism(45.0, 55.0, 90.0)),
                             reference)
         assert len(results) == 27
         assert all(res.error is None for res in results)
@@ -364,7 +370,8 @@ class TestReferenceScorer:
 
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
         for workers in (1, 2):
-            results = run_sweep(scenario, grid, silent, anderson_config=a_cfg,
+            results = run_sweep(partial(synthesize, scenario, None), grid,
+                                silent, anderson_config=a_cfg,
                                 tf_config=t_cfg, workers=workers)
             assert [res.angles for res in results] == grid.angles()
             assert {res.error for res in results} == {
@@ -408,8 +415,9 @@ class TestBatchFailures:
         monkeypatch.setattr(ensemble, "synth_fullspace", fake_synth)
         monkeypatch.setattr(ensemble, "SWEEP_CHUNK_RUNS", 6)
         serial, parallel = (
-            run_sweep(scenario, grid, reference, anderson_config=a_cfg,
-                      tf_config=t_cfg, workers=workers)
+            run_sweep(partial(synthesize, scenario, None), grid, reference,
+                      anderson_config=a_cfg, tf_config=t_cfg,
+                      workers=workers)
             for workers in (1, 2))
         with pytest.raises(ValueError) as overflow:
             record_tf_gof(*align_records(reference, fake_synth(
