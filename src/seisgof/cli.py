@@ -118,23 +118,15 @@ def cmd_sweep(cfg: PipelineConfig, out_dir: Path,
 
     make_record = (partial(synthesize, scenario, stf) if external_runs is None
                    else partial(_ingest_external_run, external_runs))
-    results = run_sweep(make_record, grid, reference,
+    # Created before any run is scored, so an unusable --out fails at once.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = run_sweep(make_record, grid, reference, out_dir,
                         anderson_config=cfg.anderson, tf_config=cfg.tf,
                         workers=cfg.workers)
+    failed = [{"run": report.run_dir_name(r.angles), "error": r.error}
+              for r in results if r.error is not None]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = []
-    failed = []
-    for result in results:
-        run_dir = out_dir / "runs" / report.run_dir_name(result.angles)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        if result.synthetic is not None:
-            traceio.write_record(result.synthetic, run_dir / "synthetic.csv")
-        report.write_run_gof_json(run_dir / "gof.json", result)
-        if result.error is not None:
-            failed.append({"run": report.run_dir_name(result.angles),
-                           "error": result.error})
-
     tables = correlation_tables(results)
     for comp, table in tables.items():
         files.append(report.write_correlations_csv(

@@ -8,13 +8,16 @@ correlations are qualitative trends, and every report marks them as such.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
+from . import traceio
 from .gof_anderson import (IMS, AndersonConfig, anderson_features,
                            anderson_summary, compare_anderson)
 from .gof_tf import TfConfig, compare_tf, tf_features
@@ -75,15 +78,34 @@ def build_grid(center: FocalMechanism,
 
 @dataclass
 class RunResult:
-    """One sweep run as the sweep writes it: the swept angles, and either
-    the error or the synthetic and its ``gof.json`` body (``summary``: EG
-    and PG per component and :func:`anderson_summary`). No time-frequency
-    array is kept, so a result is small to send between processes."""
+    """One sweep run: the swept angles, and either the error or the
+    ``gof.json`` body (``summary``: EG and PG per component and
+    :func:`anderson_summary`). The run's files were written under
+    ``<out>/runs/`` by the process that scored it, so a result holds no
+    samples and is small to send between processes."""
 
     angles: tuple[float, float, float]
-    synthetic: Record3C | None = None
     summary: dict | None = None
     error: str | None = None
+
+
+def run_dir_name(angles: tuple[float, float, float]) -> str:
+    return "{:g}_{:g}_{:g}".format(*angles)
+
+
+def write_run_gof_json(path, result: RunResult) -> Path:
+    """Per-run GOF summary: the angles, the error, and for a scored run its
+    EG/PG plus measure aggregates per component (``result.summary``)."""
+    payload = {
+        "angles": {"strike": result.angles[0], "dip": result.angles[1],
+                   "rake": result.angles[2]},
+        "error": result.error,
+    }
+    if result.error is None:
+        payload.update(result.summary)
+    path = Path(path)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 class ReferenceScorer:
@@ -125,28 +147,33 @@ class ReferenceScorer:
                         in compare_tf(self._tf, sim, t_cfg).items()}}
                 for sim_f, sim in zip(features, records)]
 
-    def run_many(self, angles, make_synthetic) -> list[RunResult]:
+    def run_many(self, angles, make_synthetic, out_dir) -> list[RunResult]:
         """Score the record ``make_synthetic(a)`` returns for each ``a`` in
-        ``angles`` as sweep runs, in order; failures are recorded in the
-        results, never raised.
-
-        Runs are taken :data:`SWEEP_CHUNK_RUNS` at a time, and a chunk's
-        runs aligned to one grid are scored as one batch.
+        ``angles`` as sweep runs, in order, with the runs aligned to one
+        grid in one batch. Once all are scored, each run's directory
+        ``out_dir/runs/<angles>/`` gets its ``gof.json`` and, if the run
+        was scored, its ``synthetic.csv``. Failures are recorded in the
+        results and the ``gof.json``, never raised.
         """
         results = [RunResult(angles=run) for run in angles]
-        for chunk in _chunks(results):
-            groups = {}
-            for res in chunk:
-                try:
-                    synthetic = make_synthetic(res.angles)
-                    pair = align_records(self.reference, synthetic)
-                except Exception as exc:  # per-run failures are recorded
-                    res.error = _error(exc)
-                else:
-                    res.synthetic = synthetic
-                    groups.setdefault(_grid(pair[0]), []).append((res, pair))
-            for runs in groups.values():
-                self._score_runs(runs)
+        synthetics, groups = [], {}
+        for res in results:
+            try:
+                synthetic = make_synthetic(res.angles)
+                pair = align_records(self.reference, synthetic)
+            except Exception as exc:  # per-run failures are recorded
+                res.error, synthetic = _error(exc), None
+            else:
+                groups.setdefault(_grid(pair[0]), []).append((res, pair))
+            synthetics.append(synthetic)
+        for runs in groups.values():
+            self._score_runs(runs)
+        for res, synthetic in zip(results, synthetics):
+            run_dir = Path(out_dir) / "runs" / run_dir_name(res.angles)
+            run_dir.mkdir(parents=True, exist_ok=True)
+            if res.error is None:
+                traceio.write_record(synthetic, run_dir / "synthetic.csv")
+            write_run_gof_json(run_dir / "gof.json", res)
         return results
 
     def _score_runs(self, runs) -> None:
@@ -159,7 +186,7 @@ class ReferenceScorer:
                 for run in runs:
                     self._score_runs([run])
             else:
-                runs[0][0].synthetic, runs[0][0].error = None, _error(exc)
+                runs[0][0].error = _error(exc)
             return
         for (res, _), summary in zip(runs, summaries):
             res.summary = summary
@@ -178,7 +205,7 @@ def _error(exc: Exception) -> str:
 # shares out: larger chunks leave fewer tasks to balance between workers
 # (one 27-run chunk is a serial sweep), and a worker holds a whole chunk's
 # filtered traces at once. Four runs keep most of the speed-up of larger
-# chunks (curve in ROADMAP.md). A result holds only its synthetic and
+# chunks (curve in ROADMAP.md). A result holds only its angles and
 # gof.json body, so whether a larger chunk pays is open and measurable.
 SWEEP_CHUNK_RUNS = 4
 
@@ -193,8 +220,8 @@ def synthesize(scenario: PointSourceScenario, stf, angles) -> Record3C:
     return synth_fullspace(scenario, FocalMechanism(*angles), stf)
 
 
-# (make_record, scorer) of the sweep a pool worker serves; set once per
-# worker by the pool initializer, so that tasks carry only angles.
+# (make_record, scorer, out_dir) of the sweep a pool worker serves; set
+# once per worker by the pool initializer, so that tasks carry only angles.
 _SWEEP = None
 
 
@@ -204,11 +231,11 @@ def _start_worker(*sweep) -> None:
 
 
 def _execute_run(chunk, sweep=None) -> list[RunResult]:
-    make_record, scorer = sweep if sweep is not None else _SWEEP
-    return scorer.run_many(chunk, make_record)
+    make_record, scorer, out_dir = sweep if sweep is not None else _SWEEP
+    return scorer.run_many(chunk, make_record, out_dir)
 
 
-def run_sweep(make_record, grid: SweepGrid, reference: Record3C, *,
+def run_sweep(make_record, grid: SweepGrid, reference: Record3C, out_dir, *,
               anderson_config: AndersonConfig | None = None,
               tf_config: TfConfig | None = None,
               workers: int = 1) -> list[RunResult]:
@@ -217,13 +244,15 @@ def run_sweep(make_record, grid: SweepGrid, reference: Record3C, *,
     for every grid mechanism. With ``workers > 1`` each pool worker is sent
     ``make_record`` once, so it must pickle (no lambda or closure).
 
+    The grid is cut into contiguous chunks of :data:`SWEEP_CHUNK_RUNS`
+    runs, one task each. The process that scores a chunk writes its runs'
+    files under ``out_dir/runs/`` (see :meth:`ReferenceScorer.run_many`).
     Results come back in grid order regardless of worker count, so repeated
-    sweeps are bit-identical. Each process prepares the reference once, and
-    each task is a contiguous chunk of the grid.
+    sweeps are bit-identical. Each process prepares the reference once.
     """
     a_cfg = anderson_config if anderson_config is not None else AndersonConfig()
     t_cfg = tf_config if tf_config is not None else TfConfig()
-    sweep = (make_record, ReferenceScorer(reference, a_cfg, t_cfg))
+    sweep = (make_record, ReferenceScorer(reference, a_cfg, t_cfg), out_dir)
     chunks = _chunks(grid.angles())
     if workers <= 1:
         done = [_execute_run(chunk, sweep) for chunk in chunks]
@@ -280,8 +309,9 @@ def metric_values(result: RunResult, component: str) -> dict[str, float]:
 class CorrelationTable:
     """Pearson r and p for each (fault angle x metric) cell, one component.
 
-    NaN in ``r`` marks an undefined (constant-input) or blanked cell; the
-    ``defined`` mask separates the two when masking is applied.
+    NaN in ``r`` marks an undefined (constant-input) cell, or after
+    :func:`significant` also a blanked one; ``p`` is NaN only where the
+    cell is undefined.
     """
 
     component: str

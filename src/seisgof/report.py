@@ -14,10 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
+# anderson_summary, run_dir_name and write_run_gof_json are kept in this
+# module's namespace: the benchmark's spans look them up as report.<name>,
+# and the CLI calls the first two from here.
 from .ensemble import (QUALITATIVE_TRENDS_NOTE, CorrelationTable,
-                       GroupedScores, RunResult, significant)
-# anderson_summary is kept in this module's namespace: the CLI and the
-# benchmark's spans reach it as report.anderson_summary.
+                       GroupedScores, run_dir_name, significant,
+                       write_run_gof_json)
 from .gof_anderson import (AndersonScores, QualityLevel, anderson_summary,
                            quality)
 
@@ -200,25 +202,6 @@ def write_charts(out_dir, tables: dict[str, CorrelationTable],
             (Path(out_dir) / name).write_text(svg)
         names += svgs
     return names
-
-
-def run_dir_name(angles: tuple[float, float, float]) -> str:
-    return "{:g}_{:g}_{:g}".format(*angles)
-
-
-def write_run_gof_json(path, result: RunResult) -> Path:
-    """Per-run GOF summary: the angles, the error, and for a scored run its
-    EG/PG plus measure aggregates per component (``result.summary``)."""
-    payload = {
-        "angles": {"strike": result.angles[0], "dip": result.angles[1],
-                   "rake": result.angles[2]},
-        "error": result.error,
-    }
-    if result.error is None:
-        payload.update(result.summary)
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def write_manifest(path, payload: dict) -> Path:

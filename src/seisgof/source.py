@@ -6,9 +6,9 @@ output components map as EW = u_y, NS = u_x, UD = -u_z.
 
 The synthesizer evaluates the complete displacement field of a moment-tensor
 point source in a homogeneous isotropic elastic full space: near-field,
-intermediate-field and far-field P and S terms. Velocity and acceleration
-outputs shift the time derivatives onto the source-time function, so arrivals
-stay causal at every output order.
+intermediate-field and far-field P and S terms. The output is acceleration:
+both time derivatives are taken of the source-time function, so arrivals
+stay causal.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .earthmodel import default_crustal_model
-from .signal import Record3C, TimeSeries, Unit, cumulative_trapezoid
+from .signal import Record3C, TimeSeries, Unit
 
 
 @dataclass(frozen=True)
@@ -267,28 +267,22 @@ def default_scenario(hypocentral_distance: float = 15000.0,
         m0=m0, duration=duration, dt=dt)
 
 
-_OUTPUT_UNITS = {
-    "displacement": Unit.DISPLACEMENT,
-    "velocity": Unit.VELOCITY,
-    "acceleration": Unit.ACCELERATION,
-}
-
-
 def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
-                    stf: SourceTimeFunction | None = None,
-                    output: str = "acceleration") -> Record3C:
-    """Three-component synthetic at the receiver.
+                    stf: SourceTimeFunction | None = None) -> Record3C:
+    """Three-component acceleration synthetic at the receiver.
 
-    The five field terms share four scalar time series (shifted moment
-    history and rate at the P and S travel times plus the near-field
-    integral); components differ only in their radiation coefficients, and
-    the scalar moment multiplies the assembled field exactly once so the
-    output is linear in m0 to the last bit.
+    The five field terms share four shifted scalar time series (the moment
+    rate's first and second derivatives at the P and S travel times) plus
+    the near-field integral; components differ only in their
+    radiation coefficients, and the scalar moment multiplies the assembled
+    field exactly once so the output is linear in m0 to the last bit. The
+    source-time function must be sampled at the scenario's ``dt``.
     """
-    if output not in _OUTPUT_UNITS:
-        raise ValueError(f"output must be one of {sorted(_OUTPUT_UNITS)}")
     if stf is None:
         stf = liu_stf(1.0, scenario.dt)
+    if stf.dt != scenario.dt:
+        raise ValueError(f"source-time function dt {stf.dt} differs from "
+                         f"the scenario dt {scenario.dt}")
 
     sep = scenario.separation
     r = float(np.linalg.norm(sep))
@@ -318,47 +312,33 @@ def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
     # Source history and its derivatives on the scenario grid. Derivatives
     # are one-sided at the support edges: onset/offset jumps are treated as
     # classical (pointwise) derivatives, never as distributional spikes.
-    srate = stf.samples
-    s_dt = stf.dt
-    if s_dt != scenario.dt:
-        n_res = int(np.floor((srate.size - 1) * s_dt / scenario.dt)) + 1
-        t_res = np.arange(n_res) * scenario.dt
-        srate = np.interp(t_res, stf.times, srate)
-        srate = srate / np.trapezoid(srate, dx=scenario.dt)
-        s_dt = scenario.dt
-    s_times = np.arange(srate.size) * s_dt
-    s_cum = cumulative_trapezoid(srate, s_dt)
-    s_dot = np.gradient(srate, s_dt)
-    s_ddot = np.gradient(s_dot, s_dt)
-
-    order = ("displacement", "velocity", "acceleration").index(output)
-    stacks = (s_cum, srate, s_dot, s_ddot)
-    f0, f0_tail = stacks[order], (1.0 if order == 0 else 0.0)
-    f1, f1_tail = stacks[order + 1], 0.0
+    s_dot = np.gradient(stf.samples, stf.dt)
+    s_ddot = np.gradient(s_dot, stf.dt)
 
     n = int(round(scenario.duration / scenario.dt)) + 1
     t = np.arange(n) * scenario.dt
 
-    def shifted(series, tail, shift):
-        return np.interp(t - shift, s_times, series, left=0.0, right=tail)
+    def shifted(series, shift):
+        return np.interp(t - shift, stf.times, series, left=0.0, right=0.0)
 
     t_p = r / alpha
     t_s = r / beta
 
-    # Near-field integral over tau in [r/alpha, r/beta] of tau * F0(t - tau).
+    # Near-field integral over tau in [r/alpha, r/beta] of tau * F0(t - tau),
+    # with F0 the moment rate's first derivative.
     n_tau = max(2, int(np.ceil((t_s - t_p) / scenario.dt)) + 1)
     taus = np.linspace(t_p, t_s, n_tau)
     d_tau = taus[1] - taus[0]
     near = np.zeros(n)
     for i, tau in enumerate(taus):
         w = 0.5 if i in (0, n_tau - 1) else 1.0
-        near += w * tau * shifted(f0, f0_tail, tau)
+        near += w * tau * shifted(s_dot, tau)
     near *= d_tau
 
-    series_p0 = shifted(f0, f0_tail, t_p)
-    series_s0 = shifted(f0, f0_tail, t_s)
-    series_p1 = shifted(f1, f1_tail, t_p)
-    series_s1 = shifted(f1, f1_tail, t_s)
+    series_p0 = shifted(s_dot, t_p)
+    series_s0 = shifted(s_dot, t_s)
+    series_p1 = shifted(s_ddot, t_p)
+    series_s1 = shifted(s_ddot, t_s)
 
     u = (np.outer(coef_near, near) / r ** 4
          + np.outer(coef_int_p, series_p0) / (alpha ** 2 * r ** 2)
@@ -367,8 +347,7 @@ def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
          + np.outer(coef_far_s, series_s1) / (beta ** 3 * r))
     u *= scenario.m0 / (4.0 * np.pi * rho)
 
-    unit = _OUTPUT_UNITS[output]
-    make = lambda x: TimeSeries(scenario.dt, 0.0, x, unit)
+    make = lambda x: TimeSeries(scenario.dt, 0.0, x, Unit.ACCELERATION)
     return Record3C(ew=make(u[1]), ns=make(u[0]), ud=make(-u[2]),
                     station_id="SYN",
                     epicentral_distance=scenario.epicentral_distance)

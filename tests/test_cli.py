@@ -354,6 +354,30 @@ class TestErrorHandling:
                                 f"workers must be >= 1, got {workers}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_into_a_regular_file_fails_before_any_run(
+            self, workspace, capsys, monkeypatch, workers):
+        # An --out that cannot be a directory is the JSON error before any
+        # run is synthesized, in this process or in a pool worker.
+        tmp_path, config_path = workspace
+        out = tmp_path / "taken"
+        out.write_text("a regular file\n")
+        marker = tmp_path / "synthesized"
+        synth = ensemble.synth_fullspace
+
+        def marking_synth(*args):
+            marker.touch()
+            return synth(*args)
+
+        monkeypatch.setattr(ensemble, "synth_fullspace", marking_synth)
+        rc = main(["sweep", "--config", str(config_path), "--out", str(out),
+                   "--workers", workers])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "FileExistsError"
+        assert out.read_text() == "a regular file\n"
+        assert not marker.exists()
+
     def test_sweep_requires_reference(self, tmp_path, capsys):
         scenario_path, _, _ = make_scenario_file(tmp_path)
         config_path = make_config_file(tmp_path, scenario_path)

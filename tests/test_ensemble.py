@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 from collections import Counter
@@ -11,13 +12,13 @@ from seisgof import (FocalMechanism, build_grid, default_scenario, ensemble,
                      score_pair, significant, synth_fullspace)
 from seisgof.ensemble import (METRICS, PARAMETERS, CorrelationTable,
                               ReferenceScorer, RunResult, correlation_tables,
-                              group_report, metric_values, run_sweep,
-                              synthesize)
+                              group_report, metric_values, run_dir_name,
+                              run_sweep, synthesize)
 from seisgof.gof_anderson import (IMS, AndersonConfig, AndersonScores,
                                   BandSpec, anderson_summary, default_bands)
 from seisgof.gof_tf import TfConfig
-from seisgof.report import write_run_gof_json
 from seisgof.signal import COMPONENTS, Record3C, Unit, align_records
+from seisgof.traceio import meta_path_for, write_record
 
 
 class TestBuildGrid:
@@ -118,18 +119,25 @@ def _planted_results(metric_fn):
     return results
 
 
-def _samples(record):
-    return [(ts.dt, ts.t0, ts.unit, ts.samples.tobytes())
-            for _, ts in record.components()]
+def _trace_bytes(csv_path):
+    """The bytes of a trace CSV and of its sidecar; None if there is none."""
+    if not csv_path.exists():
+        return None
+    return csv_path.read_bytes(), meta_path_for(csv_path).read_bytes()
 
 
-def _written(result, path):
-    """What a sweep writes for one run: the bytes of its gof.json, and the
-    grid and sample bits of its synthetic (None for a failed run)."""
-    write_run_gof_json(path, result)
-    synthetic = (None if result.synthetic is None
-                 else _samples(result.synthetic))
-    return path.read_bytes(), synthetic
+def _written(out_dir, angles):
+    """What a sweep wrote under ``out_dir`` for one run: the bytes of its
+    gof.json, and of its synthetic.csv and sidecar (None for a failed
+    run)."""
+    run_dir = out_dir / "runs" / run_dir_name(angles)
+    return ((run_dir / "gof.json").read_bytes(),
+            _trace_bytes(run_dir / "synthetic.csv"))
+
+
+def _trace_file(record, tmp_path):
+    """The bytes the sweep writes for a run's synthetic ``record``."""
+    return _trace_bytes(write_record(record, tmp_path / "expected.csv"))
 
 
 def _gof_json(angles, anderson, tf):
@@ -224,57 +232,65 @@ def small_sweep_inputs():
 
 
 class TestRunSweep:
-    def test_serial_sweep_produces_results(self, small_sweep_inputs):
+    def test_serial_sweep_produces_results(self, small_sweep_inputs,
+                                           tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 0.0, 0.0))
         results = run_sweep(partial(synthesize, scenario, None), grid,
-                            reference, anderson_config=a_cfg,
+                            reference, tmp_path, anderson_config=a_cfg,
                             tf_config=t_cfg)
         assert len(results) == 3
         assert all(res.error is None for res in results)
         assert [res.angles for res in results] == grid.angles()
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+            run_dir_name(angles) for angles in grid.angles()]
 
     def test_worker_count_does_not_change_results(self, small_sweep_inputs,
                                                   tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 0.0, 0.0))
         serial = run_sweep(partial(synthesize, scenario, None), grid,
-                           reference, anderson_config=a_cfg,
+                           reference, tmp_path / "w1", anderson_config=a_cfg,
                            tf_config=t_cfg, workers=1)
         parallel = run_sweep(partial(synthesize, scenario, None), grid,
-                             reference, anderson_config=a_cfg,
-                             tf_config=t_cfg, workers=2)
+                             reference, tmp_path / "w2",
+                             anderson_config=a_cfg, tf_config=t_cfg,
+                             workers=2)
         assert len(serial) == len(parallel) == 3
         for rs, rp in zip(serial, parallel):
             assert rs.angles == rp.angles
             assert rs.error is rp.error is None
-            assert (_written(rs, tmp_path / "serial.json")
-                    == _written(rp, tmp_path / "parallel.json"))
+            assert (_written(tmp_path / "w1", rs.angles)
+                    == _written(tmp_path / "w2", rp.angles))
 
     def test_results_hold_only_what_the_sweep_writes(self, small_sweep_inputs,
                                                      tmp_path):
-        # Pool workers send back each run's synthetic and gof.json summary,
-        # no time-frequency planes.
+        # Pool workers write each run's files and send back only its
+        # angles and gof.json summary: no samples, no time-frequency planes.
+        # A result that carried its 1,201-sample synthetic took about 31 KB.
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (5.0, 0.0, 0.0))
+        out = tmp_path / "sweep"
         results = run_sweep(partial(synthesize, scenario, None), grid,
-                            reference, anderson_config=a_cfg,
+                            reference, out, anderson_config=a_cfg,
                             tf_config=t_cfg, workers=2)
         assert [res.angles for res in results] == grid.angles()
+        assert [f.name for f in dataclasses.fields(RunResult)] == [
+            "angles", "summary", "error"]
         for res in results:
-            assert len(pickle.dumps(res)) < 32 * 1024
+            assert len(pickle.dumps(res)) < 4 * 1024
             synthetic = synth_fullspace(scenario, FocalMechanism(*res.angles))
             rec, sim = align_records(reference, synthetic)
             want = _gof_json(res.angles, score_pair(rec, sim, config=a_cfg),
                              record_tf_gof(rec, sim, t_cfg))
-            assert _written(res, tmp_path / "gof.json") == (
-                want, _samples(synthetic))
+            assert _written(out, res.angles) == (
+                want, _trace_file(synthetic, tmp_path))
 
-    def test_metric_values_shape(self, small_sweep_inputs):
+    def test_metric_values_shape(self, small_sweep_inputs, tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0), (0.0, 0.0, 0.0))
         res = run_sweep(partial(synthesize, scenario, None), grid, reference,
-                        anderson_config=a_cfg, tf_config=t_cfg)[0]
+                        tmp_path, anderson_config=a_cfg, tf_config=t_cfg)[0]
         vals = metric_values(res, "ew")
         assert set(vals) == set(METRICS)
         assert all(np.isfinite(v) for v in vals.values())
@@ -288,7 +304,7 @@ class TestReferenceScorer:
                                               FocalMechanism(*angles))
                       for angles in ((40.0, 50.0, 80.0), (45.0, 55.0, 90.0),
                                      (50.0, 60.0, 100.0))}
-        # With one run per batch, a run on another grid between runs on the
+        # With one run per call, a run on another grid between runs on the
         # reference's grid replaces the prepared reference and then brings
         # the first one back.
         angles = list(synthetics)
@@ -296,7 +312,6 @@ class TestReferenceScorer:
         synthetics[angles[2]] = synth_fullspace(
             default_scenario(duration=10.0, dt=0.02),
             FocalMechanism(*angles[2]))
-        monkeypatch.setattr(ensemble, "SWEEP_CHUNK_RUNS", 1)
         prepared = []
         features = ensemble.tf_features
 
@@ -306,18 +321,21 @@ class TestReferenceScorer:
 
         monkeypatch.setattr(ensemble, "tf_features", counting_features)
         scorer = ReferenceScorer(reference, a_cfg, t_cfg)
-        results = scorer.run_many(angles, synthetics.__getitem__)
+        out = tmp_path / "sweep"
+        results = [res for run in angles for res in scorer.run_many(
+            [run], synthetics.__getitem__, out)]
         assert prepared == [1201, 1001, 1201]
         assert [res.angles for res in results] == angles
         for res in results:
             rec, sim = align_records(reference, synthetics[res.angles])
             want = _gof_json(res.angles, score_pair(rec, sim, config=a_cfg),
                              record_tf_gof(rec, sim, t_cfg))
-            assert _written(res, tmp_path / "gof.json") == (
-                want, _samples(synthetics[res.angles]))
+            assert _written(out, res.angles) == (
+                want, _trace_file(synthetics[res.angles], tmp_path))
 
     @pytest.mark.filterwarnings("ignore:.*periods at or below 2\\*dt")
-    def test_serial_sweep_prepares_the_reference_once(self, monkeypatch):
+    def test_serial_sweep_prepares_the_reference_once(self, monkeypatch,
+                                                      tmp_path):
         scenario = default_scenario(duration=12.0, dt=0.02)
         reference = synth_fullspace(scenario, FocalMechanism(47.0, 57.0, 95.0))
         calls = Counter()
@@ -342,7 +360,7 @@ class TestReferenceScorer:
         count(gof_tf, "cwt")
         results = run_sweep(partial(synthesize, scenario, None),
                             build_grid(FocalMechanism(45.0, 55.0, 90.0)),
-                            reference)
+                            reference, tmp_path)
         assert len(results) == 27
         assert all(res.error is None for res in results)
         # One bank of 3 components x 7 bands per record for each chunk of
@@ -354,7 +372,7 @@ class TestReferenceScorer:
         assert calls == {"cwt": 3 + 27 * 3}
 
     def test_silent_reference_component_fails_every_run(
-            self, small_sweep_inputs, monkeypatch):
+            self, small_sweep_inputs, monkeypatch, tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
         silent = Record3C(ew=reference.ew, ns=reference.ns,
                           ud=reference.ud.with_samples(
@@ -370,13 +388,15 @@ class TestReferenceScorer:
 
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
         for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
             results = run_sweep(partial(synthesize, scenario, None), grid,
-                                silent, anderson_config=a_cfg,
+                                silent, out, anderson_config=a_cfg,
                                 tf_config=t_cfg, workers=workers)
             assert [res.angles for res in results] == grid.angles()
             assert {res.error for res in results} == {
                 "ValueError: reference trace is identically zero; "
                 "misfit normalization is undefined"}
+            assert not list(out.glob("runs/*/synthetic.csv"))
         # Pool tasks carry chunks of angles only; the reference goes to
         # each worker once.
         assert tasks == [(chunk,) for chunk in ensemble._chunks(grid.angles())]
@@ -416,8 +436,8 @@ class TestBatchFailures:
         monkeypatch.setattr(ensemble, "SWEEP_CHUNK_RUNS", 6)
         serial, parallel = (
             run_sweep(partial(synthesize, scenario, None), grid, reference,
-                      anderson_config=a_cfg, tf_config=t_cfg,
-                      workers=workers)
+                      tmp_path / f"w{workers}", anderson_config=a_cfg,
+                      tf_config=t_cfg, workers=workers)
             for workers in (1, 2))
         with pytest.raises(ValueError) as overflow:
             record_tf_gof(*align_records(reference, fake_synth(
@@ -430,8 +450,8 @@ class TestBatchFailures:
             res_s, res_p = serial[i], parallel[i]
             assert res_s.angles == res_p.angles == run
             assert res_s.error == res_p.error
-            written = _written(res_s, tmp_path / "gof.json")
-            assert _written(res_p, tmp_path / "gof.json") == written
+            written = _written(tmp_path / "w1", run)
+            assert _written(tmp_path / "w2", run) == written
             if i < 3:
                 assert written[1] is None
                 continue
@@ -441,4 +461,4 @@ class TestBatchFailures:
             assert written == (
                 _gof_json(run, score_pair(rec, sim, config=a_cfg),
                           record_tf_gof(rec, sim, t_cfg)),
-                _samples(synthetic))
+                _trace_file(synthetic, tmp_path))

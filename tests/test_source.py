@@ -239,11 +239,16 @@ class TestSynthesizer:
         scn = default_scenario()
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0))
         for angles in grid.angles():
-            vel = synth_fullspace(scn, FocalMechanism(*angles),
-                                  output="velocity")
+            acc = synth_fullspace(scn, FocalMechanism(*angles))
             energy = sum(np.trapezoid(ts.samples ** 2, dx=ts.dt)
-                         for _, ts in vel.components())
+                         for _, ts in acc.components())
             assert np.isfinite(energy) and energy > 0.0
+
+    def test_stf_on_another_grid_is_rejected(self):
+        scn = default_scenario(dt=0.005)
+        with pytest.raises(ValueError, match="dt 0.0025 differs"):
+            synth_fullspace(scn, FocalMechanism(45.0, 55.0, 90.0),
+                            liu_stf(1.0, 0.0025))
 
     def test_receiver_cannot_coincide_with_hypocenter(self):
         # a surface receiver and a buried source can only coincide at
