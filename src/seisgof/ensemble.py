@@ -200,19 +200,27 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-# Runs scored in one batch and sent to a pool worker as one task. The
-# per-run cost falls with the batch, but a task is also the unit the pool
-# shares out: larger chunks leave fewer tasks to balance between workers
-# (one 27-run chunk is a serial sweep), and a worker holds a whole chunk's
-# filtered traces at once. Four runs keep most of the speed-up of larger
-# chunks (curve in ROADMAP.md). A result holds only its angles and
-# gof.json body, so whether a larger chunk pays is open and measurable.
-SWEEP_CHUNK_RUNS = 4
+# Most runs scored in one batch and sent to a pool worker as one task.
+# The filter and response-spectrum kernels step through the samples in
+# Python for all rows at once, so a chunk pays that loop once however
+# many runs it holds; but a worker holds a whole chunk's filtered traces,
+# so peak memory grows with the chunk. On the 200-Hz criterion-8 sweep,
+# 14-run chunks against 4-run ones took a serial sweep from 3.9 to 3.3 s
+# and its peak RSS from 68 to 82 MB (the curve is in BENCH_11.json).
+# Fourteen is the smallest cap that splits the 27-run grid in two,
+# 14 + 13, at one or two workers.
+SWEEP_CHUNK_MAX_RUNS = 14
 
 
-def _chunks(runs: list) -> list[list]:
-    return [runs[i:i + SWEEP_CHUNK_RUNS]
-            for i in range(0, len(runs), SWEEP_CHUNK_RUNS)]
+def _chunks(runs: list, workers: int) -> list[list]:
+    # Contiguous chunks in run order: the fewest whose count is a multiple
+    # of ``workers`` (or one run each, if there are fewer runs than that)
+    # and whose sizes stay within the cap and differ by at most one.
+    count = min(len(runs), workers * math.ceil(
+        len(runs) / (workers * SWEEP_CHUNK_MAX_RUNS)))
+    size, larger = divmod(len(runs), count)
+    bounds = [i * size + min(i, larger) for i in range(count + 1)]
+    return [runs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def synthesize(scenario: PointSourceScenario, stf, angles) -> Record3C:
@@ -244,33 +252,45 @@ def run_sweep(make_record, grid: SweepGrid, reference: Record3C, out_dir, *,
     for every grid mechanism. With ``workers > 1`` each pool worker is sent
     ``make_record`` once, so it must pickle (no lambda or closure).
 
-    The grid is cut into contiguous chunks of :data:`SWEEP_CHUNK_RUNS`
-    runs, one task each. The process that scores a chunk writes its runs'
-    files under ``out_dir/runs/`` (see :meth:`ReferenceScorer.run_many`).
-    Results come back in grid order regardless of worker count, so repeated
-    sweeps are bit-identical. Each process prepares the reference once.
+    The grid is cut into contiguous chunks of at most
+    :data:`SWEEP_CHUNK_MAX_RUNS` runs, one task each: the fewest chunks
+    whose count is a multiple of ``workers``, with sizes that differ by at
+    most one, so that every worker gets the same share. The process that
+    scores a chunk writes its runs' files under ``out_dir/runs/`` (see
+    :meth:`ReferenceScorer.run_many`). Results come back in grid order
+    regardless of worker count, so repeated sweeps are bit-identical. Each
+    process prepares the reference once.
     """
     a_cfg = anderson_config if anderson_config is not None else AndersonConfig()
     t_cfg = tf_config if tf_config is not None else TfConfig()
     sweep = (make_record, ReferenceScorer(reference, a_cfg, t_cfg), out_dir)
-    chunks = _chunks(grid.angles())
-    if workers <= 1:
+    workers = max(1, workers)
+    chunks = _chunks(grid.angles(), workers)
+    if workers == 1:
         done = [_execute_run(chunk, sweep) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=sweep) as pool:
-            done = list(pool.map(_execute_run, chunks))
+            done = pool.map(_execute_run, chunks)
+            # Every chunk is submitted and, under fork, every worker
+            # started: the parent imports what p_value needs while they
+            # score, instead of after.
+            import scipy.special  # noqa: F401
+            done = list(done)
     return [res for results in done for res in results]
 
 
 def pearson(x, y) -> float:
-    """Pearson correlation coefficient; constant input is an error."""
+    """Pearson correlation coefficient; constant or non-finite input is an
+    error."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D arrays of equal length")
     if x.size < 3:
         raise ValueError("need at least 3 samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite input: correlation undefined")
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.dot(dx, dx))
@@ -290,7 +310,8 @@ def p_value(r: float, n: int) -> float:
     if abs(r) == 1.0:
         return 0.0
     # Imported on first use, so that the CLI starts without scipy: this
-    # is the only part of scipy the program needs.
+    # is the only part of scipy the program needs. A pooled sweep has
+    # imported it already, while its workers ran (see run_sweep).
     from scipy.special import stdtr
 
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
@@ -309,9 +330,9 @@ def metric_values(result: RunResult, component: str) -> dict[str, float]:
 class CorrelationTable:
     """Pearson r and p for each (fault angle x metric) cell, one component.
 
-    NaN in ``r`` marks an undefined (constant-input) cell, or after
-    :func:`significant` also a blanked one; ``p`` is NaN only where the
-    cell is undefined.
+    NaN in ``r`` marks an undefined (constant or non-finite input) cell,
+    or after :func:`significant` also a blanked one; ``p`` is NaN only
+    where the cell is undefined.
     """
 
     component: str

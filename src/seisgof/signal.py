@@ -138,11 +138,27 @@ def require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
 
 
 def detrend(ts: TimeSeries) -> TimeSeries:
-    """Remove the least-squares line."""
+    """Remove the least-squares line, bit for bit as ``np.polyfit(t, x, 1)``
+    over the sample indices ``t`` fits it: the same scaled Vandermonde
+    matrix, ``rcond`` and ``lstsq`` call, with the matrix kept per length.
+    """
     x = ts.samples
-    t = np.arange(x.size, dtype=float)
-    slope, intercept = np.polyfit(t, x, 1)
+    t, lhs, scale, rcond = _line_fit(x.size)
+    slope, intercept = np.linalg.lstsq(lhs, x + 0.0, rcond)[0] / scale
     return ts.with_samples(x - (slope * t + intercept))
+
+
+@lru_cache(maxsize=8)
+def _line_fit(n: int):
+    # np.polyfit's set-up for degree 1 on t = 0, 1, ..., n - 1: the
+    # Vandermonde matrix with its columns scaled to unit norm.
+    t = np.arange(n, dtype=float)
+    lhs = np.vander(t, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    for array in (t, lhs, scale):
+        array.flags.writeable = False
+    return t, lhs, scale, n * np.finfo(float).eps
 
 
 def tukey_window(n: int, fraction: float) -> np.ndarray:

@@ -14,6 +14,7 @@ stay causal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,20 +172,6 @@ def liu_stf(rise_time: float = 1.0, dt: float = 0.005) -> SourceTimeFunction:
     return SourceTimeFunction(rise_time, dt, s)
 
 
-def boxcar_stf(rise_time: float, dt: float) -> SourceTimeFunction:
-    """Constant moment rate over the rise time.
-
-    Useful for displacement-level sanity checks only: its onset/offset jumps
-    are not differentiable, so far-field velocity/acceleration vanish in the
-    interior under the classical-derivative semantics used by the
-    synthesizer.
-    """
-    t = _stf_grid(rise_time, dt)
-    s = np.ones_like(t)
-    s /= np.trapezoid(s, dx=dt)
-    return SourceTimeFunction(rise_time, dt, s)
-
-
 @dataclass(frozen=True)
 class Medium:
     """Homogeneous isotropic elastic medium."""
@@ -267,59 +254,71 @@ def default_scenario(hypocentral_distance: float = 15000.0,
         m0=m0, duration=duration, dt=dt)
 
 
-def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
-                    stf: SourceTimeFunction | None = None) -> Record3C:
-    """Three-component acceleration synthetic at the receiver.
+@dataclass(frozen=True)
+class FullspaceField:
+    """The mechanism-free part of the full-space field at a receiver.
 
-    The five field terms share four shifted scalar time series (the moment
-    rate's first and second derivatives at the P and S travel times) plus
-    the near-field integral; components differ only in their
-    radiation coefficients, and the scalar moment multiplies the assembled
-    field exactly once so the output is linear in m0 to the last bit. The
-    source-time function must be sampled at the scenario's ``dt``.
+    ``gamma`` is the unit source-receiver direction and ``r`` the distance.
+    The series are the near-field integral (``near``) and the moment
+    rate's first (``p0``, ``s0``) and second (``p1``, ``s1``) derivatives
+    shifted to the P and S travel times. Arrays are read-only: a field is
+    shared by every mechanism synthesized from it.
     """
-    if stf is None:
-        stf = liu_stf(1.0, scenario.dt)
-    if stf.dt != scenario.dt:
-        raise ValueError(f"source-time function dt {stf.dt} differs from "
-                         f"the scenario dt {scenario.dt}")
 
-    sep = scenario.separation
+    gamma: np.ndarray
+    r: float
+    near: np.ndarray
+    p0: np.ndarray
+    s0: np.ndarray
+    p1: np.ndarray
+    s1: np.ndarray
+
+
+def fullspace_field(scenario: PointSourceScenario,
+                    stf: SourceTimeFunction) -> FullspaceField:
+    """The scalar time series every mechanism's synthetic is assembled from.
+
+    The field of the last (scenario, source-time function) is kept, so a
+    sweep builds it once. The separation's bytes join the key because
+    scenarios compare their coordinates with ``==``, which does not tell
+    0.0 from -0.0.
+    """
+    return _fullspace_field(scenario, scenario.separation.tobytes(),
+                            stf.rise_time, stf.dt, stf.samples.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _fullspace_field(scenario: PointSourceScenario, separation: bytes,
+                     rise_time: float, dt: float,
+                     samples: bytes) -> FullspaceField:
+    if dt != scenario.dt:
+        raise ValueError(f"source-time function dt {dt} differs from "
+                         f"the scenario dt {scenario.dt}")
+    sep = np.frombuffer(separation)
     r = float(np.linalg.norm(sep))
     if r == 0.0:
         raise ValueError("receiver coincides with the hypocenter")
-    gamma = sep / r
     med = scenario.medium
-    alpha, beta, rho = med.vp, med.vs, med.rho
+    alpha, beta = med.vp, med.vs
 
-    if scenario.duration < r / beta + 2.0 * stf.rise_time:
+    if scenario.duration < r / beta + 2.0 * rise_time:
         raise ValueError(
             f"duration {scenario.duration} s does not cover the S arrival "
-            f"plus twice the rise time ({r / beta + 2 * stf.rise_time:.2f} s)")
-
-    # Radiation coefficients for a unit-moment tensor (trace kept for
-    # generality even though a double couple has none).
-    m_unit = moment_tensor(fm, 1.0).matrix
-    q = float(gamma @ m_unit @ gamma)
-    mg = m_unit @ gamma
-    tr = float(np.trace(m_unit))
-    coef_near = 15.0 * q * gamma - 3.0 * tr * gamma - 6.0 * mg
-    coef_int_p = 6.0 * q * gamma - tr * gamma - 2.0 * mg
-    coef_int_s = -(6.0 * q * gamma - tr * gamma - 3.0 * mg)
-    coef_far_p = q * gamma
-    coef_far_s = mg - q * gamma
+            f"plus twice the rise time ({r / beta + 2 * rise_time:.2f} s)")
 
     # Source history and its derivatives on the scenario grid. Derivatives
     # are one-sided at the support edges: onset/offset jumps are treated as
     # classical (pointwise) derivatives, never as distributional spikes.
-    s_dot = np.gradient(stf.samples, stf.dt)
-    s_ddot = np.gradient(s_dot, stf.dt)
+    samples = np.frombuffer(samples)
+    stf_times = np.arange(samples.size) * dt
+    s_dot = np.gradient(samples, dt)
+    s_ddot = np.gradient(s_dot, dt)
 
     n = int(round(scenario.duration / scenario.dt)) + 1
     t = np.arange(n) * scenario.dt
 
     def shifted(series, shift):
-        return np.interp(t - shift, stf.times, series, left=0.0, right=0.0)
+        return np.interp(t - shift, stf_times, series, left=0.0, right=0.0)
 
     t_p = r / alpha
     t_s = r / beta
@@ -335,16 +334,52 @@ def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
         near += w * tau * shifted(s_dot, tau)
     near *= d_tau
 
-    series_p0 = shifted(s_dot, t_p)
-    series_s0 = shifted(s_dot, t_s)
-    series_p1 = shifted(s_ddot, t_p)
-    series_s1 = shifted(s_ddot, t_s)
+    wavefield = FullspaceField(
+        gamma=sep / r, r=r, near=near,
+        p0=shifted(s_dot, t_p), s0=shifted(s_dot, t_s),
+        p1=shifted(s_ddot, t_p), s1=shifted(s_ddot, t_s))
+    for array in (wavefield.gamma, near, wavefield.p0, wavefield.s0,
+                  wavefield.p1, wavefield.s1):
+        array.flags.writeable = False
+    return wavefield
 
-    u = (np.outer(coef_near, near) / r ** 4
-         + np.outer(coef_int_p, series_p0) / (alpha ** 2 * r ** 2)
-         + np.outer(coef_int_s, series_s0) / (beta ** 2 * r ** 2)
-         + np.outer(coef_far_p, series_p1) / (alpha ** 3 * r)
-         + np.outer(coef_far_s, series_s1) / (beta ** 3 * r))
+
+def synth_fullspace(scenario: PointSourceScenario, fm: FocalMechanism,
+                    stf: SourceTimeFunction | None = None) -> Record3C:
+    """Three-component acceleration synthetic at the receiver.
+
+    The mechanism-free :func:`fullspace_field` (kept for the last scenario
+    and source-time function) holds four shifted scalar time series plus
+    the near-field integral; the five field terms assembled here differ
+    only in their radiation coefficients, and the scalar moment multiplies
+    the assembled field exactly once so the output is linear in m0 to the
+    last bit. The source-time function must be sampled at the scenario's
+    ``dt``.
+    """
+    if stf is None:
+        stf = liu_stf(1.0, scenario.dt)
+    wavefield = fullspace_field(scenario, stf)
+    gamma, r = wavefield.gamma, wavefield.r
+    med = scenario.medium
+    alpha, beta, rho = med.vp, med.vs, med.rho
+
+    # Radiation coefficients for a unit-moment tensor (trace kept for
+    # generality even though a double couple has none).
+    m_unit = moment_tensor(fm, 1.0).matrix
+    q = float(gamma @ m_unit @ gamma)
+    mg = m_unit @ gamma
+    tr = float(np.trace(m_unit))
+    coef_near = 15.0 * q * gamma - 3.0 * tr * gamma - 6.0 * mg
+    coef_int_p = 6.0 * q * gamma - tr * gamma - 2.0 * mg
+    coef_int_s = -(6.0 * q * gamma - tr * gamma - 3.0 * mg)
+    coef_far_p = q * gamma
+    coef_far_s = mg - q * gamma
+
+    u = (np.outer(coef_near, wavefield.near) / r ** 4
+         + np.outer(coef_int_p, wavefield.p0) / (alpha ** 2 * r ** 2)
+         + np.outer(coef_int_s, wavefield.s0) / (beta ** 2 * r ** 2)
+         + np.outer(coef_far_p, wavefield.p1) / (alpha ** 3 * r)
+         + np.outer(coef_far_s, wavefield.s1) / (beta ** 3 * r))
     u *= scenario.m0 / (4.0 * np.pi * rho)
 
     make = lambda x: TimeSeries(scenario.dt, 0.0, x, Unit.ACCELERATION)
@@ -374,17 +409,13 @@ def scenario_from_dict(cfg: dict):
                         rake=float(mech.get("rake", 90.0)))
     kind = stf_cfg.get("kind", "liu")
     rise = float(stf_cfg.get("rise_time", 1.0))
-    if kind == "liu":
-        stf = liu_stf(rise, scenario.dt)
-    elif kind == "boxcar":
-        stf = boxcar_stf(rise, scenario.dt)
-    else:
+    if kind != "liu":
         raise ValueError(f"unknown stf kind: {kind!r}")
-    return scenario, fm, stf
+    return scenario, fm, liu_stf(rise, scenario.dt)
 
 
 def scenario_to_dict(scenario: PointSourceScenario, fm: FocalMechanism,
-                     stf_kind: str = "liu", rise_time: float = 1.0) -> dict:
+                     rise_time: float = 1.0) -> dict:
     return {
         "hypocenter": list(scenario.hypocenter),
         "receiver": list(scenario.receiver),
@@ -394,5 +425,5 @@ def scenario_to_dict(scenario: PointSourceScenario, fm: FocalMechanism,
         "duration": scenario.duration,
         "dt": scenario.dt,
         "mechanism": {"strike": fm.strike, "dip": fm.dip, "rake": fm.rake},
-        "stf": {"kind": stf_kind, "rise_time": rise_time},
+        "stf": {"kind": "liu", "rise_time": rise_time},
     }

@@ -130,6 +130,25 @@ class TestSweepCommand:
         assert manifest["failed_runs"] == []
         assert "qualitative trends" in manifest["correlation_note"]
 
+    def test_trees_are_identical_at_one_two_and_three_workers(
+            self, workspace):
+        # The chunks differ with the worker count (14 + 13 runs at one or
+        # two workers, 9 + 9 + 9 at three); no output byte does.
+        tmp_path, config_path = workspace
+        trees = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"sweep_w{workers}"
+            assert main(["sweep", "--config", str(config_path), "--out",
+                         str(out), "--workers", workers]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["generated_at"]
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()
+                          and p.name != "manifest.json"} | {
+                              "manifest": manifest})
+        assert len(trees[0]) == 1 + 27 * 3 + 3 + 1 + 6
+        assert trees[0] == trees[1] == trees[2]
+
     def test_external_runs_ingestion(self, workspace):
         tmp_path, config_path = workspace
         scenario_path = tmp_path / "scenario.json"
@@ -377,6 +396,23 @@ class TestErrorHandling:
         assert err["error"]["type"] == "FileExistsError"
         assert out.read_text() == "a regular file\n"
         assert not marker.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "sweep"])
+    def test_boxcar_stf_is_an_unknown_kind(self, workspace, capsys, command):
+        # A boxcar moment rate has zero acceleration everywhere, so the
+        # kind is gone rather than synthesizing zeros.
+        tmp_path, config_path = workspace
+        scenario_path = tmp_path / "scenario.json"
+        scenario = json.loads(scenario_path.read_text())
+        scenario["stf"] = {"kind": "boxcar", "rise_time": 0.8}
+        scenario_path.write_text(json.dumps(scenario))
+        out = tmp_path / "never_written"
+        rc = main([command, "--config", str(config_path), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ValueError",
+                                "message": "unknown stf kind: 'boxcar'"}
+        assert not out.exists()
 
     def test_sweep_requires_reference(self, tmp_path, capsys):
         scenario_path, _, _ = make_scenario_file(tmp_path)

@@ -71,6 +71,15 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson(np.arange(27.0), np.zeros(27))
 
+    def test_non_finite_input_is_error(self):
+        # max(-1.0, nan) is -1.0: a NaN must not pass as r = -1, p = 0.
+        y = np.arange(27.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                pearson(np.arange(27.0), np.where(y == 3.0, bad, y))
+            with pytest.raises(ValueError, match="non-finite"):
+                pearson(np.where(y == 3.0, bad, y), np.arange(27.0))
+
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
             pearson(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
@@ -172,6 +181,17 @@ class TestCorrelationTables:
             assert np.all(np.isnan(table.r))
             assert np.all(np.isnan(table.p))
 
+    def test_non_finite_metric_flagged_undefined(self):
+        # One run whose every metric is NaN leaves every cell undefined,
+        # and so never significant.
+        results = _planted_results(
+            lambda s, d, r: np.nan if (s, d, r) == (40.0, 50.0, 80.0)
+            else 0.25 * r - 18.0)
+        for table in correlation_tables(results).values():
+            assert np.all(np.isnan(table.r))
+            assert np.all(np.isnan(table.p))
+            assert np.all(np.isnan(significant(table).r))
+
     def test_failed_runs_drop_from_n(self):
         results = _planted_results(lambda s, d, r: 0.25 * r - 18.0)
         results[3] = RunResult(angles=results[3].angles, error="boom")
@@ -229,6 +249,36 @@ def small_sweep_inputs():
                            periods=np.logspace(np.log10(0.1), 1.0, 8))
     t_cfg = TfConfig(f_min=0.5, f_max=5.0, n_freqs=10)
     return scenario, reference, a_cfg, t_cfg
+
+
+class TestChunks:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    def test_split_is_balanced_and_within_the_cap(self, workers):
+        # The fewest contiguous chunks, in run order, whose count is a
+        # multiple of the worker count, with sizes within the cap that
+        # differ by at most one; one run each if there are fewer runs than
+        # workers.
+        cap = ensemble.SWEEP_CHUNK_MAX_RUNS
+        for n in range(1, 61):
+            runs = list(range(n))
+            chunks = ensemble._chunks(runs, workers)
+            sizes = [len(chunk) for chunk in chunks]
+            assert [run for chunk in chunks for run in chunk] == runs
+            assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1
+            assert max(sizes) <= cap
+            if n < workers:
+                assert sizes == [1] * n
+                continue
+            assert len(chunks) % workers == 0
+            fewer = len(chunks) - workers
+            assert fewer == 0 or -(-n // fewer) > cap
+
+    def test_default_grid_is_two_chunks_at_one_or_two_workers(self):
+        angles = build_grid(FocalMechanism(45.0, 55.0, 90.0)).angles()
+        for workers in (1, 2):
+            chunks = ensemble._chunks(angles, workers)
+            assert [len(chunk) for chunk in chunks] == [14, 13]
+            assert chunks[0] + chunks[1] == angles
 
 
 class TestRunSweep:
@@ -364,10 +414,9 @@ class TestReferenceScorer:
         assert len(results) == 27
         assert all(res.error is None for res in results)
         # One bank of 3 components x 7 bands per record for each chunk of
-        # runs; the reference joins the first.
-        chunk = ensemble.SWEEP_CHUNK_RUNS
-        sizes = [len(c) for c in ensemble._chunks(list(range(27)))]
-        assert sizes[:-1] == [chunk] * (len(sizes) - 1)
+        # runs; the reference joins the first. 27 runs are 14 + 13.
+        sizes = [len(c) for c in ensemble._chunks(list(range(27)), 1)]
+        assert sizes == [14, 13]
         assert bank_rows == [21 * (1 + sizes[0])] + [21 * n for n in sizes[1:]]
         assert calls == {"cwt": 3 + 27 * 3}
 
@@ -399,7 +448,8 @@ class TestReferenceScorer:
             assert not list(out.glob("runs/*/synthetic.csv"))
         # Pool tasks carry chunks of angles only; the reference goes to
         # each worker once.
-        assert tasks == [(chunk,) for chunk in ensemble._chunks(grid.angles())]
+        assert tasks == [(chunk,) for chunk in ensemble._chunks(grid.angles(),
+                                                                2)]
 
 
 class TestBatchFailures:
@@ -419,7 +469,7 @@ class TestBatchFailures:
 
         def fake_synth(scn, fm, stf=None):
             # The first chunk holds one run of each kind of failure, one
-            # run on another grid and two ordinary runs.
+            # run on another grid and an ordinary run.
             run = angles.index((fm.strike, fm.dip, fm.rake))
             if run == 0:
                 raise RuntimeError("synthesis failed")
@@ -433,7 +483,8 @@ class TestBatchFailures:
             return record
 
         monkeypatch.setattr(ensemble, "synth_fullspace", fake_synth)
-        monkeypatch.setattr(ensemble, "SWEEP_CHUNK_RUNS", 6)
+        monkeypatch.setattr(ensemble, "SWEEP_CHUNK_MAX_RUNS", 6)
+        assert [len(c) for c in ensemble._chunks(angles, 1)] == [5, 4]
         serial, parallel = (
             run_sweep(partial(synthesize, scenario, None), grid, reference,
                       tmp_path / f"w{workers}", anderson_config=a_cfg,

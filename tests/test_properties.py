@@ -1,5 +1,5 @@
 """Property tests of the invariants batched scoring rests on, and of the
-scalar score, mechanism normalization and trace files.
+scalar score, mechanism normalization, trace files and the detrend.
 
 A row of a batched filter or response-spectrum pass must not depend on
 the rows it is batched with, nor on where it sits in the batch; a bank too
@@ -139,3 +139,17 @@ def test_trace_csv_round_trip_is_byte_identical(tmp_path_factory, n, dt, t0,
     assert second.read_bytes() == first.read_bytes()
     assert (meta_path_for(second).read_bytes()
             == meta_path_for(first).read_bytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5000), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+       st.floats(0.0, 1e6), st.integers(0, 2 ** 32 - 1))
+def test_detrend_is_polyfit_bit_for_bit(n, offset, slope, magnitude, seed):
+    # The line fit kept per length runs np.polyfit's arithmetic.
+    t = np.arange(n, dtype=float)
+    x = (offset + slope * t
+         + magnitude * np.random.default_rng(seed).standard_normal(n))
+    fit_slope, intercept = np.polyfit(t, x, 1)
+    want = x - (fit_slope * t + intercept)
+    got = signal.detrend(TimeSeries(0.01, 0.0, x, Unit.ACCELERATION))
+    assert got.samples.tobytes() == want.tobytes()

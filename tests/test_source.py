@@ -5,8 +5,9 @@ import pytest
 
 from seisgof import (FocalMechanism, build_grid, default_scenario,
                      moment_tensor, radiation_pattern, synth_fullspace)
-from seisgof.source import (Medium, PointSourceScenario, boxcar_stf,
-                            default_medium, liu_stf, scenario_from_dict,
+from seisgof import source
+from seisgof.source import (Medium, PointSourceScenario, default_medium,
+                            fullspace_field, liu_stf, scenario_from_dict,
                             scenario_to_dict)
 
 M0 = 2.81e16
@@ -121,10 +122,6 @@ class TestSourceTimeFunctions:
     def test_coarse_dt_rejected(self):
         with pytest.raises(ValueError):
             liu_stf(1.0, 0.1)
-
-    def test_boxcar_normalization(self):
-        stf = boxcar_stf(1.0, 1e-3)
-        assert abs(np.trapezoid(stf.samples, dx=stf.dt) - 1.0) < 1e-6
 
 
 class TestScenario:
@@ -268,3 +265,55 @@ class TestSynthesizer:
         start = time.perf_counter()
         synth_fullspace(scn, FocalMechanism(40.0, 50.0, 80.0))
         assert time.perf_counter() - start < 10.0
+
+
+def _bits(record):
+    return b"".join(ts.samples.tobytes() for _, ts in record.components())
+
+
+class TestFullspaceField:
+    """The mechanism-free field is kept for the last (scenario, STF)."""
+
+    def test_cached_field_gives_the_bits_of_a_fresh_one(self):
+        scn = default_scenario(dt=0.01)
+        stf = liu_stf(1.0, 0.01)
+        synth_fullspace(scn, FocalMechanism(45.0, 55.0, 90.0), stf)
+        for angles in build_grid(FocalMechanism(45.0, 55.0, 90.0)).angles():
+            fm = FocalMechanism(*angles)
+            hits = source._fullspace_field.cache_info().hits
+            cached = synth_fullspace(scn, fm, stf)
+            assert source._fullspace_field.cache_info().hits == hits + 1
+            source._fullspace_field.cache_clear()
+            assert _bits(cached) == _bits(synth_fullspace(scn, fm, stf))
+
+    def test_changed_inputs_recompute_the_field(self):
+        scn = default_scenario(dt=0.01)
+        stf = liu_stf(1.0, 0.01)
+        base = fullspace_field(scn, stf)
+        assert fullspace_field(default_scenario(dt=0.01),
+                               liu_stf(1.0, 0.01)) is base
+        # ``==`` takes -0.0 for 0.0, and the sign reaches gamma.
+        on_axis = PointSourceScenario((0.0, 0.0, 1000.0), (0.0, 14966.6),
+                                      dt=0.01)
+        mirrored = PointSourceScenario((0.0, 0.0, 1000.0), (-0.0, 14966.6),
+                                       dt=0.01)
+        for other_scn, other_stf in (
+                (default_scenario(dt=0.005), liu_stf(1.0, 0.005)),
+                (default_scenario(dt=0.01, azimuth_deg=90.0), stf),
+                (scn, liu_stf(1.5, 0.01)), (on_axis, stf), (mirrored, stf)):
+            field = fullspace_field(other_scn, other_stf)
+            source._fullspace_field.cache_clear()
+            fresh = fullspace_field(other_scn, other_stf)
+            assert field is not base
+            for name in ("gamma", "near", "p0", "s0", "p1", "s1"):
+                assert (getattr(field, name).tobytes()
+                        == getattr(fresh, name).tobytes())
+            assert field.r == fresh.r
+            base = field
+        assert fullspace_field(mirrored, stf).gamma[0].tobytes() == (
+            np.float64(-0.0).tobytes())
+
+    def test_field_is_read_only(self):
+        field = fullspace_field(default_scenario(dt=0.01), liu_stf(1.0, 0.01))
+        with pytest.raises(ValueError):
+            field.near[0] = 1.0
