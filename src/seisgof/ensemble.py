@@ -319,11 +319,14 @@ def p_value(r: float, n: int) -> float:
 
 
 def metric_values(result: RunResult, component: str) -> dict[str, float]:
-    """EG, PG and the ten mean-over-bands measure scores for one run."""
+    """EG, PG and the ten mean-over-bands measure scores for one run; NaN
+    for a measure with no scored band."""
     tf = result.summary["tf"][component]
     aggregates = result.summary["anderson"][component]["aggregates"]
+    means = {im: aggregates[im]["mean"] for im in IMS}
     return {"EG": tf["EG"], "PG": tf["PG"],
-            **{im: aggregates[im]["mean"] for im in IMS}}
+            **{im: math.nan if mean is None else mean
+               for im, mean in means.items()}}
 
 
 @dataclass(frozen=True)

@@ -140,14 +140,18 @@ def aggregate(scores: AndersonScores) -> dict[str, tuple[float, float, float]]:
 
 def anderson_summary(scores_by_component: dict[str, AndersonScores]) -> dict:
     """JSON-ready aggregates (max/mean/min and quality of the mean) per IM,
-    with each component's skipped cells."""
+    with each component's skipped cells. A measure with no scored band has
+    ``None`` (JSON ``null``) for all four."""
     out = {}
     for comp, scores in scores_by_component.items():
         comp_out = {}
         for im, (mx, mean, mn) in aggregate(scores).items():
-            comp_out[im] = {"max": mx, "mean": mean, "min": mn,
-                            "quality": (quality(mean).value
-                                        if np.isfinite(mean) else None)}
+            if np.isfinite(mean):
+                comp_out[im] = {"max": mx, "mean": mean, "min": mn,
+                                "quality": quality(mean).value}
+            else:
+                comp_out[im] = dict.fromkeys(("max", "mean", "min",
+                                              "quality"))
         out[comp] = {
             "aggregates": comp_out,
             "skipped": [list(item) for item in scores.skipped],

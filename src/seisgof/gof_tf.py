@@ -265,21 +265,30 @@ def compare_tf(features: dict[str, TfReference], sim: Record3C,
             for name, ref in features.items()}
 
 
+# Time samples per %-format in write_plane_csv; bounds the text in memory.
+PLANE_CSV_BLOCK_ROWS = 128
+
+
 def write_plane_csv(path, times, freqs, values) -> Path:
     """Dense (t, f, value) CSV export of a time-frequency matrix.
 
     Every number is written as the ``repr`` of a Python float, the shortest
     string that reads back to the same value. Rows are streamed to the
-    file one time sample at a time.
+    file in blocks of ``PLANE_CSV_BLOCK_ROWS`` time samples, each block
+    through one ``%`` format whose ``%r`` fields are its values. The format
+    is built from the time and frequency reprs, which never hold a ``%``.
     """
-    values = np.asarray(values)
+    values = np.asarray(values, float)
     if values.shape != (len(times), len(freqs)):
         raise ValueError("matrix shape must be (n_times, n_freqs)")
     path = Path(path)
-    f_cols = [f",{float(f)!r}," for f in freqs]
+    # One time sample's rows are repr(t).join(pieces).
+    pieces = ["", *(f",{float(f)!r},%r\n" for f in freqs)]
+    t_reprs = [repr(float(t)) for t in times]
     with path.open("w") as fh:
         fh.write("t,f,value\n")
-        for t, row in zip(times, np.asarray(values, float).tolist()):
-            t_s = repr(float(t))
-            fh.write("".join(f"{t_s}{f}{v!r}\n" for f, v in zip(f_cols, row)))
+        for i in range(0, len(t_reprs), PLANE_CSV_BLOCK_ROWS):
+            block = slice(i, i + PLANE_CSV_BLOCK_ROWS)
+            fmt = "".join(t_s.join(pieces) for t_s in t_reprs[block])
+            fh.write(fmt % tuple(values[block].ravel().tolist()))
     return path

@@ -163,8 +163,23 @@ def _newmark_sdof_max(ag, trace, dt, periods, zeta):
     return k * umax
 
 
+# np.correlate sums an overlap of 11 samples or fewer on a separate
+# small-kernel path, whose rounding differs from the dot product that full
+# mode uses for every lag but zero; the full mode is kept up to this
+# smallest overlap, with a margin over those 11.
+XCORR_FULL_MODE_MAX_OVERLAP = 32
+# One np.correlate call per kept lag costs about as much as a dot product of
+# this many samples (Xeon, numpy 2.4: 1.9 us), so n products of n samples
+# in one full-mode call are cheaper for short records with many lags, such
+# as 601 samples with 51 lags.
+XCORR_LAG_CALL_SAMPLES = 10_000
+
+
 def cross_correlation(a: TimeSeries, b: TimeSeries, max_lag: float = 0.5) -> float:
-    """Maximum normalized cross-correlation over lags |tau| <= max_lag seconds."""
+    """Maximum normalized cross-correlation over lags |tau| <= max_lag seconds.
+
+    Only the kept lags are computed (:func:`_kept_lags`).
+    """
     require_same_grid(a, b)
     if max_lag < 0:
         raise ValueError("max_lag must be non-negative")
@@ -176,11 +191,28 @@ def cross_correlation(a: TimeSeries, b: TimeSeries, max_lag: float = 0.5) -> flo
         raise ValueError("zero-variance input")
     den = float(np.sqrt(ea * eb))
     max_shift = int(np.floor(max_lag / a.dt + 1e-9))
-    full = np.correlate(xa, xb, mode="full")
-    mid = xa.size - 1
-    window = full[max(0, mid - max_shift):mid + max_shift + 1]
-    rho = float(window.max() / den)
+    rho = float(_kept_lags(xa, xb, max_shift).max() / den)
     return min(1.0, max(-1.0, rho))
+
+
+def _kept_lags(xa: np.ndarray, xb: np.ndarray, max_shift: int) -> np.ndarray:
+    """``np.correlate(xa, xb, "full")`` at the lags -max_shift..max_shift
+    that exist, bit for bit, for two arrays of one length.
+
+    Each lag k is one ``np.correlate`` of the overlapping samples, so the
+    cost grows with the length times the lag count instead of its square.
+    The full mode itself is computed instead when the smallest overlap is
+    ``XCORR_FULL_MODE_MAX_OVERLAP`` samples or fewer, where the two differ,
+    or when it is the cheaper of the two (see the constants).
+    """
+    n = xa.size
+    lag_cost = (2 * max_shift + 1) * (n + XCORR_LAG_CALL_SAMPLES)
+    if n - max_shift <= XCORR_FULL_MODE_MAX_OVERLAP or n * n <= lag_cost:
+        full = np.correlate(xa, xb, mode="full")
+        return full[max(0, n - 1 - max_shift):n + max_shift]
+    return np.array(
+        [np.correlate(xa[:n + k], xb[-k:])[0] for k in range(-max_shift, 0)]
+        + [np.correlate(xa[k:], xb[:n - k])[0] for k in range(max_shift + 1)])
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,12 @@ def grouped_rows_from_csv(path) -> list[GroupedScores]:
     """Rebuild grouped-score rows from ``grouped_scores.csv``.
 
     Only the mean is needed for rendering; the persisted mean is replayed as
-    a single-score distribution so the chart is byte-stable.
+    a single-score distribution so the chart is byte-stable. An empty mean
+    cell is replayed as NaN.
     """
     with Path(path).open(newline="") as fh:
         return [GroupedScores(component=row["component"],
                               parameter=row["parameter"],
                               value=float(row["value"]), metric=row["metric"],
-                              scores=(float(row["mean"]),))
+                              scores=(float(row["mean"] or "nan"),))
                 for row in csv.DictReader(fh)]

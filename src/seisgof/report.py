@@ -3,7 +3,8 @@
 SVGs are assembled from strings with no plotting dependency, so identical
 inputs produce identical bytes. Grouped-score cells use three color classes
 (red = poor, yellow = fair to good, white = excellent); correlation heatmaps
-leave non-significant cells blank.
+leave non-significant cells blank, and grouped-score charts leave a group
+with a non-finite mean blank.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def _corr_color(r: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
+def _csv_number(value: float) -> str:
+    """``repr`` of a finite value; an empty cell otherwise."""
+    return repr(float(value)) if np.isfinite(value) else ""
+
+
 def write_anderson_csv(path, scores_by_component: dict[str, AndersonScores]) -> Path:
     """``component,im,band_lo,band_hi,score`` rows; skipped cells stay empty."""
     path = Path(path)
@@ -56,9 +62,8 @@ def write_anderson_csv(path, scores_by_component: dict[str, AndersonScores]) -> 
         scores = scores_by_component[comp]
         for i, im in enumerate(scores.ims):
             for j, (lo, hi) in enumerate(scores.bands.edges):
-                val = scores.scores[i, j]
-                cell = "" if not np.isfinite(val) else repr(float(val))
-                lines.append(f"{comp},{im},{lo!r},{hi!r},{cell}")
+                lines.append(f"{comp},{im},{lo!r},{hi!r},"
+                             f"{_csv_number(scores.scores[i, j])}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -70,24 +75,25 @@ def write_correlations_csv(path, table: CorrelationTable,
     lines = ["parameter,metric,r,p,significant,n"]
     for i, param in enumerate(table.parameters):
         for j, metric in enumerate(table.metrics):
-            r, p = table.r[i, j], table.p[i, j]
             is_sig = bool(np.isfinite(masked.r[i, j]))
-            r_cell = repr(float(r)) if np.isfinite(r) else ""
-            p_cell = repr(float(p)) if np.isfinite(p) else ""
-            lines.append(f"{param},{metric},{r_cell},{p_cell},"
+            lines.append(f"{param},{metric},{_csv_number(table.r[i, j])},"
+                         f"{_csv_number(table.p[i, j])},"
                          f"{'yes' if is_sig else 'no'},{table.n}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def write_grouped_csv(path, rows: list[GroupedScores]) -> Path:
+    """One row per (component, angle value, metric). A group with a
+    non-finite score has empty mean, min, max and quality cells."""
     path = Path(path)
     lines = ["component,parameter,value,metric,n,mean,min,max,quality"]
     for row in rows:
+        level = quality(row.mean).value if np.isfinite(row.mean) else ""
         lines.append(
             f"{row.component},{row.parameter},{row.value!r},{row.metric},"
-            f"{len(row.scores)},{row.mean!r},{row.min!r},{row.max!r},"
-            f"{quality(row.mean).value}")
+            f"{len(row.scores)},{_csv_number(row.mean)},"
+            f"{_csv_number(row.min)},{_csv_number(row.max)},{level}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -115,6 +121,11 @@ def _cell(x, y, fill, label) -> list[str]:
             _text(x + CELL_W // 2, y + CELL_H // 2 + 4, 11, label, "middle")]
 
 
+def _blank_cell(x, y) -> str:
+    """A cell with no value: plain background, lighter border."""
+    return _rect(x, y, CELL_W, CELL_H, "#ffffff", "#cccccc")
+
+
 def _svg(width, height, title, parts) -> str:
     return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -140,8 +151,7 @@ def render_correlation_svg(table: CorrelationTable,
             if np.isfinite(r):
                 parts += _cell(x, y, _corr_color(float(r)), f"{float(r):.2f}")
             else:
-                # Blank cell: no value, plain background.
-                parts.append(_rect(x, y, CELL_W, CELL_H, "#ffffff", "#cccccc"))
+                parts.append(_blank_cell(x, y))
     parts.append(_text(LEFT, TOP + n_rows * CELL_H + 24, 11,
                        f"n = {table.n}; blank cells are not statistically "
                        f"significant. {_esc(QUALITATIVE_TRENDS_NOTE)}",
@@ -172,9 +182,13 @@ def render_grouped_svg(rows: list[GroupedScores], component: str) -> str:
             parts.append(_text(LEFT - 10, y + CELL_H // 2 + 4, 12,
                                f"{level:g}&#176;", "end"))
             for j, metric in enumerate(metrics):
+                x = LEFT + j * CELL_W
                 mean = lookup[(param, level, metric)].mean
-                parts += _cell(LEFT + j * CELL_W, y,
-                               QUALITY_COLORS[quality(mean)], f"{mean:.1f}")
+                if np.isfinite(mean):
+                    parts += _cell(x, y, QUALITY_COLORS[quality(mean)],
+                                   f"{mean:.1f}")
+                else:
+                    parts.append(_blank_cell(x, y))
         y0 += len(levels) * CELL_H + 40   # the gap between panels
     height = y0 + 40
     x = LEFT

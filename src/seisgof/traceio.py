@@ -34,14 +34,11 @@ def write_record(record: Record3C, path) -> Path:
         raise UnitError("trace CSV stores acceleration in m/s2; integrate/"
                         "differentiate to acceleration before writing")
     path = Path(path)
-    t = record.ew.times.tolist()
-    ew = record.ew.samples.tolist()
-    ns = record.ns.samples.tolist()
-    ud = record.ud.samples.tolist()
-    lines = [HEADER]
-    for i in range(record.ew.n):
-        lines.append(f"{t[i]!r},{ew[i]!r},{ns[i]!r},{ud[i]!r}")
-    path.write_text("\n".join(lines) + "\n")
+    # One %-format of the row template repeated once per sample; %r is repr.
+    columns = np.column_stack([record.ew.times, record.ew.samples,
+                               record.ns.samples, record.ud.samples])
+    rows = ("%r,%r,%r,%r\n" * record.ew.n) % tuple(columns.ravel().tolist())
+    path.write_text(f"{HEADER}\n{rows}")
     meta = {
         "station_id": record.station_id,
         "units": Unit.ACCELERATION.value,

@@ -30,6 +30,24 @@ def record_from_arrays(ew, ns, ud, dt=0.005, unit=Unit.ACCELERATION):
     return Record3C(ew=mk(ew), ns=mk(ns), ud=mk(ud), station_id="TST")
 
 
+def full_mode_lags(xa, xb, max_shift):
+    """The lags -max_shift..max_shift of the all-lags np.correlate, which
+    cross_correlation computed before it kept only those."""
+    mid = xa.size - 1
+    return np.correlate(xa, xb, mode="full")[max(0, mid - max_shift):
+                                             mid + max_shift + 1]
+
+
+def full_mode_cross_correlation(a, b, max_lag):
+    """cross_correlation through the all-lags np.correlate."""
+    xa = a.samples - a.samples.mean()
+    xb = b.samples - b.samples.mean()
+    den = float(np.sqrt(float(np.dot(xa, xa)) * float(np.dot(xb, xb))))
+    max_shift = int(np.floor(max_lag / a.dt + 1e-9))
+    rho = float(full_mode_lags(xa, xb, max_shift).max() / den)
+    return min(1.0, max(-1.0, rho))
+
+
 @pytest.fixture(scope="session")
 def default_synthetic():
     """One synthesized record at the default scenario, shared across tests."""

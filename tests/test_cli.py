@@ -284,6 +284,70 @@ class TestReportCommand:
         assert "manifest.json" in err["error"]["message"]
 
 
+def _strict_json(path: Path):
+    """The file's JSON; NaN or Infinity in it is an error."""
+    def reject(constant):
+        raise ValueError(f"{path.name}: non-JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestMeasureWithNoScoredBand:
+    # Sa periods of 30-100 s fall in neither 0.5-1 nor 1-2 Hz band, so no
+    # run has an Sa score and every Sa aggregate is non-finite.
+    @pytest.fixture
+    def config_path(self, workspace):
+        tmp_path, _ = workspace
+        return make_config_file(tmp_path, tmp_path / "scenario.json",
+                                tmp_path / "recorded.csv",
+                                periods={"min": 30.0, "max": 100.0,
+                                         "count": 8})
+
+    def test_gof_summary_is_valid_json_with_null_aggregates(
+            self, workspace, config_path):
+        tmp_path, _ = workspace
+        out = tmp_path / "gof_no_sa"
+        ref = str(tmp_path / "recorded.csv")
+        assert main(["gof", ref, ref, "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        summary = _strict_json(out / "gof_summary.json")
+        for comp in ("ew", "ns", "ud"):
+            aggregates = summary["anderson"][comp]["aggregates"]
+            assert aggregates["sa"] == {"max": None, "mean": None,
+                                        "min": None, "quality": None}
+            assert aggregates["pga"]["mean"] == 10.0
+
+    def test_sweep_and_report_write_every_output(self, workspace,
+                                                 config_path):
+        tmp_path, _ = workspace
+        out = tmp_path / "sweep_no_sa"
+        assert main(["sweep", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        gof_files = sorted((out / "runs").glob("*/gof.json"))
+        assert len(gof_files) == 27
+        for path in gof_files:
+            body = _strict_json(path)
+            assert body["anderson"]["ud"]["aggregates"]["sa"]["mean"] is None
+        manifest = _strict_json(out / "manifest.json")
+        assert manifest["failed_runs"] == []
+        assert set(manifest["files"]) >= {
+            "grouped_scores.csv", "grouped_ew.svg", "correlation_ud.svg"}
+        rows = (out / "grouped_scores.csv").read_text().splitlines()
+        sa_rows = [row for row in rows if row.split(",")[3] == "sa"]
+        assert len(sa_rows) == 3 * 9
+        assert all(row.endswith(",9,,,,") for row in sa_rows)
+        for comp in ("ew", "ns", "ud"):
+            for row in (out / f"correlations_{comp}.csv").read_text(
+                    ).splitlines():
+                if ",sa," in row:
+                    assert row.endswith(",,,no,27")
+        # The report replays the blank groups from the grouped CSV.
+        report_out = tmp_path / "report_no_sa"
+        assert main(["report", str(out), "--out", str(report_out)]) == 0
+        for name in sorted(p.name for p in out.glob("*.svg")):
+            assert ((report_out / name).read_bytes()
+                    == (out / name).read_bytes())
+
+
 class TestErrorHandling:
     def test_missing_config_gives_json_error(self, tmp_path, capsys):
         rc = main(["synth", "--config", str(tmp_path / "nope.json")])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from seisgof import TimeSeries, Unit, tf_gof
-from seisgof.gof_tf import (TfConfig, cwt, log_freqs, tf_misfits, to_gof,
-                            write_plane_csv)
+from seisgof.gof_tf import (PLANE_CSV_BLOCK_ROWS, TfConfig, cwt, log_freqs,
+                            tf_misfits, to_gof, write_plane_csv)
 
 from conftest import burst_series, random_series
 
@@ -203,12 +203,26 @@ def _fstring_plane_csv(path, times, freqs, values):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _random_plane(n_times, n_freqs):
+    # Long time reprs, and values from subnormal to 1e20 of either sign.
+    rng = np.random.default_rng(10 * n_times + n_freqs)
+    values = 10.0 ** rng.uniform(-320, 20, (n_times, n_freqs))
+    return (0.1 + np.arange(n_times) / 3.0, np.logspace(-1.3, 1.0, n_freqs),
+            values * rng.choice([-1.0, 1.0], values.shape))
+
+
+B = PLANE_CSV_BLOCK_ROWS
+
+
 @pytest.mark.parametrize("times, freqs, values", [
     (np.array([-0.0, 1e-5, 1e16]), np.array([0.1, 1e-5]),
      np.array([[-0.0, np.nan], [1e-5, 1e16], [np.inf, -1e-300]])),
     (np.arange(3.0), np.array([0.5, 2.0]), np.arange(6).reshape(3, 2)),
     ([0, 0.25, 1], [1, 2], [[1, -2], [3.5, 0.1], [0.0, -0.0]]),
     (np.array([0.0, 0.1]), np.array([]), np.zeros((2, 0))),
+    # Each side of the block edges.
+    *(_random_plane(n_times, n_freqs)
+      for n_times in (0, 1, B - 1, B, B + 1, 2 * B + 3) for n_freqs in (0, 3)),
 ])
 def test_plane_csv_bytes_match_fstring_writer(tmp_path, times, freqs, values):
     write_plane_csv(tmp_path / "streamed.csv", times, freqs, values)

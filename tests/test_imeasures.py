@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from seisgof.imeasures import (G, compute_intensity_vector, cross_correlation,
                                energy_integral, peaks, response_spectra)
 from seisgof.signal import UnitError, detrend, integrate
 
-from conftest import burst_series, sine_series
+from conftest import (burst_series, full_mode_cross_correlation,
+                      full_mode_lags, sine_series)
 
 
 def constant(value, dt=0.001, duration=1.0, unit=Unit.ACCELERATION):
@@ -250,6 +253,52 @@ class TestCrossCorrelation:
         b = constant(2.0)
         with pytest.raises(ValueError):
             cross_correlation(a, b)
+
+
+class TestKeptLags:
+    @pytest.mark.parametrize("lag_call_samples", [
+        0, imeasures.XCORR_LAG_CALL_SAMPLES])
+    def test_every_lag_of_every_short_length_is_full_mode(
+            self, monkeypatch, lag_call_samples):
+        # np.correlate rounds overlaps of 11 samples or fewer differently
+        # from full mode. With no cost on a lag call, lags are kept down to
+        # the overlap threshold, so every lag of every length up to 200
+        # pins XCORR_FULL_MODE_MAX_OVERLAP; the maximum over the lags is
+        # cross_correlation bit for bit.
+        monkeypatch.setattr(imeasures, "XCORR_LAG_CALL_SAMPLES",
+                            lag_call_samples)
+        rng = np.random.default_rng(211)
+        for n in range(2, 201):
+            scale = 10.0 ** rng.uniform(-6, 6)
+            xa = scale * rng.standard_normal(n)
+            xb = rng.standard_normal(n)
+            a = TimeSeries(0.01, 0.0, xa, Unit.ACCELERATION)
+            b = TimeSeries(0.01, 0.0, xb, Unit.ACCELERATION)
+            xa, xb = xa - xa.mean(), xb - xb.mean()
+            for max_shift in range(n + 2):
+                kept = imeasures._kept_lags(xa, xb, max_shift)
+                full = full_mode_lags(xa, xb, max_shift)
+                assert kept.tobytes() == full.tobytes(), (n, max_shift)
+            for max_lag in (0.0, 0.05, 0.5, 0.01 * n):
+                assert (cross_correlation(a, b, max_lag)
+                        == full_mode_cross_correlation(a, b, max_lag))
+
+    def test_cost_grows_linearly_with_length(self):
+        # 0.5 s of lags at 100 Hz: ten times the samples must not cost
+        # anywhere near the hundred times of the full mode.
+        rng = np.random.default_rng(223)
+
+        def seconds(n):
+            a, b = (TimeSeries(0.01, 0.0, rng.standard_normal(n),
+                               Unit.ACCELERATION) for _ in range(2))
+            best = np.inf
+            for _ in range(5):
+                start = time.perf_counter()
+                cross_correlation(a, b, 0.5)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert seconds(30_001) < 30.0 * seconds(3_001)
 
 
 class TestInvariances:

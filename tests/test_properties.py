@@ -1,5 +1,6 @@
 """Property tests of the invariants batched scoring rests on, and of the
-scalar score, mechanism normalization, trace files and the detrend.
+scalar score, mechanism normalization, trace files, the detrend and the
+cross-correlation.
 
 A row of a batched filter or response-spectrum pass must not depend on
 the rows it is batched with, nor on where it sits in the batch; a bank too
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 from seisgof import FocalMechanism, TimeSeries, Unit, score_pair, signal
 from seisgof.gof_anderson import AndersonConfig, BandSpec, score_scalar
-from seisgof.imeasures import response_spectra
+from seisgof.imeasures import cross_correlation, response_spectra
 from seisgof.signal import Record3C, bandpass_bank
 from seisgof.traceio import meta_path_for, read_record, write_record
 
-from conftest import record_from_arrays
+from conftest import full_mode_cross_correlation, record_from_arrays
 
 EDGES = ((0.1, 0.5), (0.5, 2.0), (2.0, 8.0))
 PERIODS = np.array([0.05, 0.1, 0.2, 1.0, 4.0])
@@ -153,3 +154,17 @@ def test_detrend_is_polyfit_bit_for_bit(n, offset, slope, magnitude, seed):
     want = x - (fit_slope * t + intercept)
     got = signal.detrend(TimeSeries(0.01, 0.0, x, Unit.ACCELERATION))
     assert got.samples.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5000), st.floats(-1e6, 1e6), st.floats(1e-6, 1e6),
+       st.floats(0.0, 60.0), st.integers(0, 2 ** 32 - 1))
+def test_cross_correlation_is_full_mode_bit_for_bit(n, offset, magnitude,
+                                                     max_lag, seed):
+    # Up to 60 s of lags at 100 Hz: beyond the record for every n below
+    # 6,000, so both the kept lags and the full mode are drawn.
+    rng = np.random.default_rng(seed)
+    a, b = (TimeSeries(0.01, 0.0, offset + magnitude * rng.standard_normal(n),
+                       Unit.ACCELERATION) for _ in range(2))
+    assert (cross_correlation(a, b, max_lag)
+            == full_mode_cross_correlation(a, b, max_lag))

@@ -51,6 +51,31 @@ class TestRoundTrip:
         assert back.epicentral_distance is None
 
 
+def _fstring_record_csv(record, path):
+    # The one-f-string-per-row writer the %-format one must match.
+    t = record.ew.times.tolist()
+    ew, ns, ud = (ts.samples.tolist() for _, ts in record.components())
+    lines = ["t,ew,ns,ud"]
+    for i in range(record.ew.n):
+        lines.append(f"{t[i]!r},{ew[i]!r},{ns[i]!r},{ud[i]!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("t0, dt", [(0.0, 0.005), (0.1, 1.0 / 3.0),
+                                    (-12.345, 0.04)])
+def test_bytes_match_fstring_writer(tmp_path, t0, dt):
+    rng = np.random.default_rng(61)
+    ew = np.array([-0.0, 1e-05, 1e16, 5e-324, -2.2e-308, 0.1, 1.0, -3.0])
+    ns = 10.0 ** rng.uniform(-320, 20, ew.size) * rng.choice([-1, 1], ew.size)
+    ud = rng.standard_normal(ew.size)
+    rec = Record3C(*(TimeSeries(dt, t0, x, Unit.ACCELERATION)
+                     for x in (ew, ns, ud)))
+    write_record(rec, tmp_path / "formatted.csv")
+    _fstring_record_csv(rec, tmp_path / "reference.csv")
+    assert ((tmp_path / "formatted.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
 class TestValidation:
     def test_jitter_rejected(self, tmp_path):
         lines = ["t,ew,ns,ud"]
