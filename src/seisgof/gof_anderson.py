@@ -10,12 +10,13 @@ cross correlation maps as 10 * max(0, rho).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imeasures import (IntensityVector, compute_intensity_vector,
-                        cross_correlation, default_periods, response_spectra)
+from .imeasures import (IntensityMeasures, cross_correlation,
+                        default_periods, intensity_measures)
 from .signal import COMPONENTS, Record3C, TimeSeries, bandpass_bank
 
 IMS = ("pga", "pgv", "pgd", "ia", "da", "de", "iv", "sa", "fs", "cstar")
@@ -175,16 +176,18 @@ def score_pair(rec: Record3C, sim: Record3C,
 @dataclass(frozen=True)
 class AndersonFeatures:
     """The per-record half of a score: each component's band-filtered
-    traces and their intensity measures, keyed by the index of the band in
-    the config's ``bands``.
+    traces, keyed by the index of the band in the config's ``bands``, each
+    with its row in ``measures``, their intensity measures.
 
-    Bands at or beyond the Nyquist frequency are absent. Each trace's Sa
-    holds values only at the periods inside its band, the only ones a
-    score reads, and NaN elsewhere.
+    Bands at or beyond the Nyquist frequency are absent, and ``measures``
+    is None when no band is left. Each trace's Sa holds values only at the
+    periods inside its band, the only ones a score reads, and NaN
+    elsewhere.
     """
 
     nyquist: float
-    components: dict[str, dict[int, tuple[TimeSeries, IntensityVector]]]
+    components: dict[str, dict[int, tuple[TimeSeries, int]]]
+    measures: IntensityMeasures | None
 
 
 def anderson_features(records,
@@ -193,10 +196,11 @@ def anderson_features(records,
 
     The records must share one grid and unit. One
     :func:`~seisgof.signal.bandpass_bank` call filters every component of
-    every record, and one :func:`~seisgof.imeasures.response_spectra` call
-    covers the in-band periods of all the filtered traces. Both give each
-    trace the bits it gets on its own, so a record's features do not
-    depend on its batch. Returns one :class:`AndersonFeatures` per record.
+    every record, and one :func:`~seisgof.imeasures.intensity_measures`
+    call measures all the filtered traces, with Sa at the in-band periods
+    only. Both give each trace the bits it gets on its own, so a record's
+    features do not depend on its batch. Returns one
+    :class:`AndersonFeatures` per record.
     """
     records = list(records)
     nyquist = 0.5 / records[0].dt
@@ -209,49 +213,58 @@ def anderson_features(records,
     in_band = [_in_band(freqs, f_lo, f_hi)
                for f_lo, f_hi in in_range.values()] * len(filtered)
     traces = [ts for per_band in filtered for ts in per_band]
-    rows = iter(response_spectra(traces, config.damping, config.periods,
-                                 where=in_band)
-                if traces else ())
+    measures = (intensity_measures(
+        traces, config.damping, config.periods,
+        duration_lo=config.duration_lo, duration_hi=config.duration_hi,
+        where=in_band) if traces else None)
+    size = len(COMPONENTS) * len(in_range)
     per_trace = iter(filtered)
-    return [AndersonFeatures(nyquist, {
-        name: {bi: (ts, _measures(ts, next(rows), config))
-               for bi, ts in zip(in_range, next(per_trace))}
-        for name in COMPONENTS}) for _ in records]
+    features = []
+    for i in range(len(records)):
+        rows = itertools.count()
+        components = {name: {bi: (ts, next(rows))
+                             for bi, ts in zip(in_range, next(per_trace))}
+                      for name in COMPONENTS}
+        own = (None if measures is None
+               else measures.rows(i * size, (i + 1) * size))
+        features.append(AndersonFeatures(nyquist, components, own))
+    return features
 
 
 def compare_anderson(rec: AndersonFeatures, sim: AndersonFeatures,
                      config: AndersonConfig) -> dict[str, AndersonScores]:
     """Per-component scores from the features of two aligned records."""
-    return {name: _score_component(per_band, sim.components[name],
-                                   config.bands, rec.nyquist, config.max_lag)
-            for name, per_band in rec.components.items()}
+    return {name: _score_component(rec, sim, name, config.bands,
+                                   config.max_lag)
+            for name in rec.components}
 
 
-def _score_component(rec: dict, sim: dict, bands: BandSpec, nyquist: float,
-                     max_lag: float) -> AndersonScores:
+def _score_component(rec: AndersonFeatures, sim: AndersonFeatures, name: str,
+                     bands: BandSpec, max_lag: float) -> AndersonScores:
     scores = np.full((len(IMS), len(bands)), np.nan)
     skipped: list[tuple[str, int, str]] = []
+    m_r, m_s = rec.measures, sim.measures
     for bi, (f_lo, f_hi) in enumerate(bands.edges):
-        if bi not in rec:
+        if bi not in rec.components[name]:
             skipped.append(("*", bi, f"band ({f_lo}, {f_hi}) Hz outside "
-                                     f"(0, {nyquist:g}) Hz"))
+                                     f"(0, {rec.nyquist:g}) Hz"))
             continue
-        rec_b, iv_r = rec[bi]
-        sim_b, iv_s = sim[bi]
+        rec_b, r = rec.components[name][bi]
+        sim_b, s = sim.components[name][bi]
 
+        # Python floats, as the score's float power needs (score_scalar).
         for im in SCALAR_IMS:
-            scores[IMS.index(im), bi] = score_scalar(getattr(iv_r, im),
-                                                     getattr(iv_s, im))
+            scores[IMS.index(im), bi] = score_scalar(
+                float(getattr(m_r, im)[r]), float(getattr(m_s, im)[s]))
 
-        sa_score = _vector_score(1.0 / iv_r.periods, iv_r.sa, iv_s.sa,
+        sa_score = _vector_score(1.0 / m_r.periods, m_r.sa[r], m_s.sa[s],
                                  f_lo, f_hi)
         if sa_score is None:
             skipped.append(("sa", bi, "no response-spectrum periods in band"))
         else:
             scores[IMS.index("sa"), bi] = sa_score
 
-        fs_score = _vector_score(iv_r.fs.freqs, iv_r.fs.amplitudes,
-                                 iv_s.fs.amplitudes, f_lo, f_hi)
+        fs_score = _vector_score(m_r.freqs, m_r.fs[r], m_s.fs[s], f_lo, f_hi)
         if fs_score is None:
             skipped.append(("fs", bi, "no Fourier samples in band"))
         else:
@@ -264,13 +277,6 @@ def _score_component(rec: dict, sim: dict, bands: BandSpec, nyquist: float,
         else:
             scores[IMS.index("cstar"), bi] = 10.0 * max(0.0, rho)
     return AndersonScores(IMS, bands, scores, tuple(skipped))
-
-
-def _measures(ts: TimeSeries, sa: np.ndarray,
-              cfg: AndersonConfig) -> IntensityVector:
-    return compute_intensity_vector(
-        ts, damping=cfg.damping, periods=cfg.periods,
-        duration_lo=cfg.duration_lo, duration_hi=cfg.duration_hi, sa=sa)
 
 
 def _vector_score(freqs, values_r, values_s, f_lo, f_hi):

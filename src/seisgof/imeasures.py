@@ -10,13 +10,13 @@ belongs to the score layer.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signal import (Spectrum, TimeSeries, Unit, UnitError,
-                     cumulative_trapezoid, detrend, fourier_amplitude,
-                     integrate, require_same_grid)
+from .signal import (BANK_MAX_VALUES, Spectrum, TimeSeries, Unit, UnitError,
+                     cumulative_trapezoid, detrend, detrend_rows, integrate,
+                     require_same_grid)
 
 G = 9.81  # m/s^2
 
@@ -33,10 +33,7 @@ def peaks(acc: TimeSeries):
     each followed by a linear detrend.
     """
     _require_unit(acc, Unit.ACCELERATION)
-    return _peaks(acc, detrend(integrate(acc)))
-
-
-def _peaks(acc: TimeSeries, vel: TimeSeries):
+    vel = detrend(integrate(acc))
     disp = detrend(integrate(vel))
     return (float(np.abs(acc.samples).max()),
             float(np.abs(vel.samples).max()),
@@ -49,10 +46,14 @@ def arias_intensity(acc: TimeSeries) -> float:
     return float(np.pi / (2.0 * G) * np.trapezoid(acc.samples ** 2, dx=acc.dt))
 
 
-def _energy_window(ts: TimeSeries, lo: float, hi: float) -> float:
+def _check_thresholds(lo: float, hi: float) -> None:
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"thresholds must satisfy 0 <= lo < hi <= 1, got "
                          f"({lo}, {hi})")
+
+
+def _energy_window(ts: TimeSeries, lo: float, hi: float) -> float:
+    _check_thresholds(lo, hi)
     cum = cumulative_trapezoid(ts.samples ** 2, ts.dt)
     total = cum[-1]
     if total <= 0.0:
@@ -247,27 +248,113 @@ class IntensityVector:
 def compute_intensity_vector(acc: TimeSeries, *, damping: float = 0.05,
                              periods: np.ndarray | None = None,
                              duration_lo: float = 0.05,
-                             duration_hi: float = 0.75,
-                             sa: np.ndarray | None = None) -> IntensityVector:
-    """Bundle all single-trace measures for one acceleration trace.
+                             duration_hi: float = 0.75) -> IntensityVector:
+    """Bundle all single-trace measures for one acceleration trace: the
+    one-row case of :func:`intensity_measures`.
 
     Zero-energy traces get zero durations rather than an error so that a
-    silent band scores cleanly against another silent band. ``sa`` takes
-    this trace's row of :func:`response_spectra` when the caller has
-    already computed it for ``periods``; it is computed here otherwise.
+    silent band scores cleanly against another silent band.
     """
-    _require_unit(acc, Unit.ACCELERATION)
-    if periods is None:
-        periods = default_periods()
-    vel = detrend(integrate(acc))
-    pga, pgv, pgd = _peaks(acc, vel)
-    ia = arias_intensity(acc)
-    iv = energy_integral(vel)
-    da = arias_duration(acc, duration_lo, duration_hi) if ia > 0 else 0.0
-    de = energy_duration(vel, duration_lo, duration_hi) if iv > 0 else 0.0
-    if sa is None:
-        sa = response_spectrum(acc, damping, periods)
-    fs = fourier_amplitude(acc)
-    return IntensityVector(pga=pga, pgv=pgv, pgd=pgd, ia=ia, da=da, de=de,
-                           iv=iv, periods=np.asarray(periods, float), sa=sa,
-                           fs=fs)
+    m = intensity_measures([acc], damping, periods, duration_lo=duration_lo,
+                           duration_hi=duration_hi)
+    return IntensityVector(pga=float(m.pga[0]), pgv=float(m.pgv[0]),
+                           pgd=float(m.pgd[0]), ia=float(m.ia[0]),
+                           da=float(m.da[0]), de=float(m.de[0]),
+                           iv=float(m.iv[0]), periods=m.periods, sa=m.sa[0],
+                           fs=Spectrum(m.freqs, m.fs[0]))
+
+
+@dataclass(frozen=True)
+class IntensityMeasures:
+    """The single-trace measures of a stack of traces on one grid.
+
+    Entry ``i`` of each scalar measure, and row ``i`` of ``sa`` (over
+    ``periods``) and of the Fourier amplitudes ``fs`` (over ``freqs``),
+    belong to trace ``i``.
+    """
+
+    pga: np.ndarray
+    pgv: np.ndarray
+    pgd: np.ndarray
+    ia: np.ndarray
+    da: np.ndarray
+    de: np.ndarray
+    iv: np.ndarray
+    periods: np.ndarray
+    sa: np.ndarray
+    freqs: np.ndarray
+    fs: np.ndarray
+
+    def rows(self, start: int, stop: int) -> IntensityMeasures:
+        """The measures of traces ``start`` to ``stop - 1``, copied, so
+        that they do not keep the whole stack's arrays alive."""
+        return replace(self, **{
+            name: getattr(self, name)[start:stop].copy()
+            for name in ("pga", "pgv", "pgd", "ia", "da", "de", "iv", "sa",
+                         "fs")})
+
+
+def intensity_measures(traces, damping: float = 0.05,
+                       periods: np.ndarray | None = None, *,
+                       duration_lo: float = 0.05, duration_hi: float = 0.75,
+                       where=None) -> IntensityMeasures:
+    """:func:`compute_intensity_vector` of many traces in 2-D passes.
+
+    All traces must be acceleration traces on one shared grid. Each
+    trace's measures equal, bit for bit, what :func:`peaks`,
+    :func:`arias_intensity`, :func:`arias_duration`,
+    :func:`energy_integral`, :func:`energy_duration` and
+    :func:`~seisgof.signal.fourier_amplitude` give it alone, and Sa is one
+    :func:`response_spectra` call with ``where``. Zero-energy traces get
+    zero durations. One pass takes at most
+    :data:`~seisgof.signal.BANK_MAX_VALUES` samples; a bigger stack runs
+    in slices of rows.
+    """
+    _check_thresholds(duration_lo, duration_hi)
+    traces = list(traces)
+    periods = np.asarray(default_periods() if periods is None else periods,
+                         dtype=float)
+    sa = response_spectra(traces, damping, periods, where=where)
+    first = traces[0]
+    dt, t = first.dt, first.times
+    scalars = np.empty((7, len(traces)))
+    fs = np.empty((len(traces), first.n // 2 + 1))
+    step = max(1, BANK_MAX_VALUES // first.n)
+    for r in range(0, len(traces), step):
+        # Views of this slice's entries of each scalar measure.
+        pga, pgv, pgd, ia, da, de, iv = scalars[:, r:r + step]
+        acc = np.stack([ts.samples for ts in traces[r:r + step]])
+        fs[r:r + step] = np.abs(np.fft.rfft(acc, axis=1)) * dt
+        pga[:] = np.abs(acc).max(axis=1)
+        ia[:], da[:] = _energy(acc, np.pi / (2.0 * G), dt, t, duration_lo,
+                               duration_hi)
+        vel = detrend_rows(cumulative_trapezoid(acc, dt))
+        del acc  # at most four arrays of the slice are held at once
+        pgv[:] = np.abs(vel).max(axis=1)
+        iv[:], de[:] = _energy(vel, 1.0, dt, t, duration_lo, duration_hi)
+        pgd[:] = np.abs(detrend_rows(cumulative_trapezoid(vel, dt))).max(
+            axis=1)
+    return IntensityMeasures(*scalars, periods=periods, sa=sa,
+                             freqs=np.fft.rfftfreq(first.n, dt), fs=fs)
+
+
+def _energy(x, scale, dt, t, lo, hi):
+    # Per row: scale times the trapezoid integral of x^2, and where that is
+    # positive the lo-hi window of its buildup (_energy_window), 0.0
+    # elsewhere. The trapezoid steps dt * (y[1:] + y[:-1]) / 2.0 are
+    # summed as np.trapezoid sums them, then accumulated in place into the
+    # buildup (cumulative_trapezoid), so no temporary array is made;
+    # np.interp takes one row at a time.
+    sq = x ** 2
+    cum = np.zeros(sq.shape)
+    steps = cum[:, 1:]
+    np.add(sq[:, 1:], sq[:, :-1], out=steps)
+    steps *= dt
+    steps /= 2.0
+    energy = scale * steps.sum(axis=1)
+    np.cumsum(steps, axis=1, out=steps)
+    window = np.zeros(len(x))
+    for i in np.flatnonzero(energy > 0):
+        frac = cum[i] / cum[i, -1]
+        window[i] = np.interp(hi, frac, t) - np.interp(lo, frac, t)
+    return energy, window

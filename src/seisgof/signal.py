@@ -142,10 +142,22 @@ def detrend(ts: TimeSeries) -> TimeSeries:
     over the sample indices ``t`` fits it: the same scaled Vandermonde
     matrix, ``rcond`` and ``lstsq`` call, with the matrix kept per length.
     """
-    x = ts.samples
-    t, lhs, scale, rcond = _line_fit(x.size)
-    slope, intercept = np.linalg.lstsq(lhs, x + 0.0, rcond)[0] / scale
-    return ts.with_samples(x - (slope * t + intercept))
+    return ts.with_samples(detrend_rows(ts.samples[None])[0])
+
+
+def detrend_rows(x: np.ndarray) -> np.ndarray:
+    """:func:`detrend` of every row of a 2-D array.
+
+    The line of each row is fitted by its own ``lstsq`` call, since a
+    batched fit does not give the same bits; the lines are removed in one
+    pass.
+    """
+    t, lhs, scale, rcond = _line_fit(x.shape[1])
+    co = np.array([np.linalg.lstsq(lhs, row + 0.0, rcond)[0]
+                   for row in x]) / scale
+    line = co[:, :1] * t
+    line += co[:, 1:]
+    return np.subtract(x, line, out=line)
 
 
 @lru_cache(maxsize=8)
@@ -406,9 +418,18 @@ def integrate(ts: TimeSeries) -> TimeSeries:
 
 
 def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
-    """Running trapezoidal integral of ``y`` from 0, one value per sample;
+    """Running trapezoidal integral of ``y`` from 0 along its last axis, one
+    value per sample;
     ``scipy.integrate.cumulative_trapezoid(y, dx=dx, initial=0)``."""
-    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+    out = np.zeros(y.shape)
+    # The steps dx * (y[1:] + y[:-1]) / 2.0 are summed up in place, so a
+    # stack of rows makes no temporary array of its size.
+    steps = out[..., 1:]
+    np.add(y[..., 1:], y[..., :-1], out=steps)
+    steps *= dx
+    steps /= 2.0
+    np.cumsum(steps, axis=-1, out=steps)
+    return out
 
 
 def fourier_amplitude(ts: TimeSeries) -> Spectrum:

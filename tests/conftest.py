@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from seisgof import (FocalMechanism, TimeSeries, Unit, default_scenario,
+from seisgof import (FocalMechanism, TimeSeries, Unit, arias_duration,
+                     arias_intensity, default_scenario, response_spectrum,
                      synth_fullspace)
-from seisgof.signal import Record3C
+from seisgof.imeasures import energy_duration, energy_integral, peaks
+from seisgof.signal import Record3C, detrend, fourier_amplitude, integrate
 
 
 def sine_series(freq=1.0, dt=0.005, duration=10.0, amplitude=1.0, t0=0.0,
@@ -46,6 +48,27 @@ def full_mode_cross_correlation(a, b, max_lag):
     max_shift = int(np.floor(max_lag / a.dt + 1e-9))
     rho = float(full_mode_lags(xa, xb, max_shift).max() / den)
     return min(1.0, max(-1.0, rho))
+
+
+def one_trace_measures(acc, periods):
+    """Bytes of every measure of one trace from the public one-trace
+    functions, the oracle of the batched measures (:func:`batch_row`)."""
+    vel = detrend(integrate(acc))
+    ia, iv = arias_intensity(acc), energy_integral(vel)
+    fs = fourier_amplitude(acc)
+    scalars = [*peaks(acc), ia, arias_duration(acc) if ia > 0 else 0.0,
+               energy_duration(vel) if iv > 0 else 0.0, iv]
+    return (np.array(scalars).tobytes(),
+            response_spectrum(acc, 0.05, periods).tobytes(),
+            fs.freqs.tobytes(), fs.amplitudes.tobytes())
+
+
+def batch_row(m, i):
+    """Bytes of trace ``i``'s measures in a batched result."""
+    scalars = [getattr(m, name)[i]
+               for name in ("pga", "pgv", "pgd", "ia", "da", "de", "iv")]
+    return (np.array(scalars).tobytes(), m.sa[i].tobytes(),
+            m.freqs.tobytes(), m.fs[i].tobytes())
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from seisgof import (QualityLevel, aggregate, imeasures, quality, score_pair,
-                     score_scalar)
+from seisgof import (QualityLevel, aggregate, gof_anderson, imeasures,
+                     quality, score_pair, score_scalar)
 from seisgof.gof_anderson import (IMS, SCALAR_IMS, AndersonConfig, BandSpec,
                                   default_bands)
 from seisgof.imeasures import compute_intensity_vector, cross_correlation
@@ -230,11 +230,20 @@ def test_score_pair_runs_one_batched_kernel_per_record(monkeypatch):
         return kernel(ag, trace, *args)
 
     monkeypatch.setattr(imeasures, "_newmark_sdof_max", counting)
+    measures = gof_anderson.intensity_measures
+    rows = []
+
+    def counting_measures(traces, *args, **kwargs):
+        rows.append(len(traces))
+        return measures(traces, *args, **kwargs)
+
+    monkeypatch.setattr(gof_anderson, "intensity_measures", counting_measures)
     cfg = AndersonConfig()
     scores = score_pair(rec, sim, config=cfg)
     # One call for both records: 2 x 3 components x the 38 periods inside
-    # their bands.
+    # their bands, and 2 x 3 components x 7 bands measured traces.
     assert pairs == [228]
+    assert rows == [42]
 
     for name, rec_ts in rec.components():
         expected, skipped = _per_band_scores(rec_ts, getattr(sim, name), cfg)

@@ -7,11 +7,12 @@ from seisgof import (TimeSeries, Unit, arias_duration, arias_intensity,
                      imeasures, response_spectrum)
 from seisgof.imeasures import (G, compute_intensity_vector, cross_correlation,
                                default_periods, energy_duration,
-                               energy_integral, peaks, response_spectra)
-from seisgof.signal import UnitError, detrend, integrate
+                               energy_integral, intensity_measures, peaks,
+                               response_spectra)
+from seisgof.signal import BANK_MAX_VALUES, UnitError, detrend, integrate
 
-from conftest import (burst_series, full_mode_cross_correlation,
-                      full_mode_lags, sine_series)
+from conftest import (batch_row, burst_series, full_mode_cross_correlation,
+                      full_mode_lags, one_trace_measures, sine_series)
 
 
 def constant(value, dt=0.001, duration=1.0, unit=Unit.ACCELERATION):
@@ -336,3 +337,56 @@ def test_intensity_vector_integrates_velocity_once_with_peaks_bits():
     vel = detrend(integrate(ts))
     assert iv.iv == energy_integral(vel)
     assert iv.de == energy_duration(vel)
+
+
+def test_intensity_vector_checks_thresholds_on_a_zero_trace():
+    with pytest.raises(ValueError, match="thresholds"):
+        compute_intensity_vector(constant(0.0), duration_lo=0.8,
+                                 duration_hi=0.2)
+
+
+class TestIntensityMeasures:
+    PERIODS = np.array([0.1, 0.5, 2.0])
+
+    @staticmethod
+    def mixed_traces(n, dt=0.02):
+        # A burst on a drift, seeded noise, a silent row and the burst
+        # under noise; both lengths have a large prime factor (601 is
+        # prime, 4501 = 7 x 643), so the FFT takes its Bluestein path.
+        rng = np.random.default_rng(n)
+        t = np.arange(n) * dt
+        burst = (np.sin(2 * np.pi * t) * np.exp(-0.5 * ((t - t[-1] / 2) / 2) ** 2)
+                 + 0.01 + 0.002 * t)
+        rows = (burst, rng.standard_normal(n), np.zeros(n),
+                burst + 1e-3 * rng.standard_normal(n))
+        return [TimeSeries(dt, 0.0, x, Unit.ACCELERATION) for x in rows]
+
+    @pytest.mark.parametrize("n", [601, 4501])
+    def test_rows_equal_the_one_trace_measures_bit_for_bit(self, n):
+        traces = self.mixed_traces(n)
+        batch = intensity_measures(traces, periods=self.PERIODS)
+        for i, acc in enumerate(traces):
+            assert (batch_row(batch, i)
+                    == one_trace_measures(acc, self.PERIODS)), i
+        alone = intensity_measures(traces[1:2], periods=self.PERIODS)
+        assert batch_row(alone, 0) == batch_row(batch, 1)
+        assert batch.da[2] == batch.de[2] == 0.0
+
+    def test_a_stack_sliced_at_the_cap_keeps_every_bit(self):
+        traces = self.mixed_traces(601)
+        periods = self.PERIODS[1:2]
+        small = intensity_measures(traces, periods=periods)
+        count = BANK_MAX_VALUES // 601 + 2  # one full slice and a part
+        big = intensity_measures(
+            [traces[i % len(traces)] for i in range(count)], periods=periods)
+        for i in range(count):
+            assert batch_row(big, i) == batch_row(small, i % len(traces)), i
+
+    def test_where_limits_sa_and_thresholds_come_first(self):
+        traces = self.mixed_traces(601)
+        where = np.zeros((len(traces), self.PERIODS.size), dtype=bool)
+        where[0, 1] = True
+        m = intensity_measures(traces, periods=self.PERIODS, where=where)
+        assert np.array_equal(np.isfinite(m.sa), where)
+        with pytest.raises(ValueError, match="thresholds"):
+            intensity_measures(traces, duration_lo=0.5, duration_hi=0.5)

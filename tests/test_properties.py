@@ -1,6 +1,6 @@
 """Property tests of the invariants batched scoring rests on, and of the
-scalar score, mechanism normalization, trace files, the detrend and the
-cross-correlation.
+scalar score, mechanism normalization, trace files, the detrend, the
+cross-correlation and the unit chain.
 
 A row of a batched filter or response-spectrum pass must not depend on
 the rows it is batched with, nor on where it sits in the batch; a bank too
@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 
 from seisgof import FocalMechanism, TimeSeries, Unit, score_pair, signal
 from seisgof.gof_anderson import AndersonConfig, BandSpec, score_scalar
-from seisgof.imeasures import cross_correlation, response_spectra
-from seisgof.signal import Record3C, bandpass_bank
+from seisgof.imeasures import (cross_correlation, intensity_measures,
+                               response_spectra)
+from seisgof.signal import (Record3C, UnitError, bandpass_bank, integrate,
+                            require_same_grid)
 from seisgof.traceio import meta_path_for, read_record, write_record
 
-from conftest import full_mode_cross_correlation, record_from_arrays
+from conftest import (batch_row, full_mode_cross_correlation,
+                      one_trace_measures, record_from_arrays)
 
 EDGES = ((0.1, 0.5), (0.5, 2.0), (2.0, 8.0))
 PERIODS = np.array([0.05, 0.1, 0.2, 1.0, 4.0])
@@ -64,6 +67,19 @@ def test_spectra_row_ignores_its_batch_mates(batch, seed):
                              where=where[pos:pos + 1])
     together = response_spectra(traces_of(rows), 0.05, PERIODS, where=where)
     assert np.array_equal(alone[0], together[pos], equal_nan=True)
+
+
+@FEW
+@given(batches(), st.floats(-1e3, 1e3))
+def test_measures_row_is_the_one_trace_measures(batch, drift):
+    # Amplitudes over eleven decades, zero rows or bare lines, and a drift
+    # for the detrend: every row must be what the one-trace functions give
+    # it.
+    rows, pos = batch
+    rows = rows + drift * np.linspace(0.0, 1.0, rows.shape[1])
+    measures = intensity_measures(traces_of(rows), periods=PERIODS)
+    for i, acc in enumerate(traces_of(rows)):
+        assert batch_row(measures, i) == one_trace_measures(acc, PERIODS)
 
 
 @FEW
@@ -168,3 +184,49 @@ def test_cross_correlation_is_full_mode_bit_for_bit(n, offset, magnitude,
                        Unit.ACCELERATION) for _ in range(2))
     assert (cross_correlation(a, b, max_lag)
             == full_mode_cross_correlation(a, b, max_lag))
+
+
+UNITS = st.sampled_from(list(Unit))
+
+
+@FEW
+@given(batches(), st.sampled_from([0.005, 0.01, 0.02]))
+def test_integrating_displacement_raises_unit_error(batch, dt):
+    rows, pos = batch
+    with pytest.raises(UnitError):
+        integrate(TimeSeries(dt, 0.0, rows[pos], Unit.DISPLACEMENT))
+
+
+@FEW
+@given(batches(), UNITS, UNITS)
+def test_mixed_units_are_not_one_grid(batch, unit_a, unit_b):
+    rows, pos = batch
+    a = TimeSeries(0.02, 0.0, rows[pos], unit_a)
+    b = TimeSeries(0.02, 0.0, rows[pos], unit_b)
+    if unit_a is unit_b:
+        require_same_grid(a, b)
+    else:
+        with pytest.raises(UnitError):
+            require_same_grid(a, b)
+
+
+@FEW
+@given(batches(), st.sampled_from([Unit.VELOCITY, Unit.DISPLACEMENT]))
+def test_measures_reject_a_row_that_is_not_acceleration(batch, unit):
+    rows, pos = batch
+    traces = traces_of(rows)
+    traces[pos] = traces[pos].with_samples(rows[pos], unit=unit)
+    with pytest.raises(UnitError):
+        intensity_measures(traces, periods=PERIODS)
+
+
+@FEW
+@given(batches(), st.sampled_from(["dt", "t0", "n"]))
+def test_measures_reject_rows_on_different_grids(batch, what):
+    rows, pos = batch
+    x = rows[pos]
+    other = {"dt": TimeSeries(0.01, 0.0, x, Unit.ACCELERATION),
+             "t0": TimeSeries(0.02, 0.02, x, Unit.ACCELERATION),
+             "n": TimeSeries(0.02, 0.0, x[:-1], Unit.ACCELERATION)}[what]
+    with pytest.raises(ValueError, match="common grid"):
+        intensity_measures([*traces_of(rows), other], periods=PERIODS)
