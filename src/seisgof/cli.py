@@ -13,7 +13,8 @@ from functools import partial
 from pathlib import Path
 
 from . import report, traceio
-from .config import ConfigError, PipelineConfig, config_echo, load_config
+from .config import (ConfigError, PipelineConfig, config_echo, load_config,
+                     significance_level)
 from .ensemble import (QUALITATIVE_TRENDS_NOTE, build_grid, correlation_tables,
                        group_report, run_sweep, synthesize)
 from .gof_anderson import score_pair
@@ -163,6 +164,7 @@ def cmd_report(run_dir: Path, out_dir: Path) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"no sweep manifest.json with config.alpha in "
                        f"{run_dir}") from exc
+    alpha = significance_level(alpha)
     paths = {comp: run_dir / f"correlations_{comp}.csv" for comp in COMPONENTS}
     grouped_path = run_dir / "grouped_scores.csv"
     for path in (*paths.values(), grouped_path):

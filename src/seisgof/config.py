@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gof_anderson import AndersonConfig, BandSpec, default_bands
+from .gof_anderson import AndersonConfig, BandSpec
 from .gof_tf import TfConfig
 from .imeasures import default_periods
 
@@ -53,6 +53,14 @@ def _number(value, name: str, cast=float):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+def significance_level(value) -> float:
+    """A config's or a sweep manifest's ``alpha``: a number in (0, 1)."""
+    alpha = _number(value, "alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
+
+
 def _object(raw: dict, key: str) -> dict:
     value = raw[key]
     if not isinstance(value, dict):
@@ -87,9 +95,7 @@ def load_config(path) -> PipelineConfig:
     if "workers" in raw:
         cfg.workers = _number(raw["workers"], "workers", int)
     if "alpha" in raw:
-        cfg.alpha = _number(raw["alpha"], "alpha")
-        if not 0.0 < cfg.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {cfg.alpha}")
+        cfg.alpha = significance_level(raw["alpha"])
 
     if "grid" in raw:
         g = _object(raw, "grid")
@@ -107,8 +113,6 @@ def load_config(path) -> PipelineConfig:
                                             for lo, hi in raw["bands"]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bands: {exc}") from exc
-    else:
-        anderson.bands = default_bands()
     if "damping" in raw:
         anderson.damping = _number(raw["damping"], "damping")
         if not 0.0 < anderson.damping < 1.0:

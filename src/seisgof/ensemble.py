@@ -269,7 +269,9 @@ def run_sweep(make_record, grid: SweepGrid, reference: Record3C, out_dir, *,
     if workers == 1:
         done = [_execute_run(chunk, sweep) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+        # Under fork all workers start at once: no more than the chunks.
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+                                 initializer=_start_worker,
                                  initargs=sweep) as pool:
             done = pool.map(_execute_run, chunks)
             # Every chunk is submitted and, under fork, every worker

@@ -10,14 +10,14 @@ cross correlation maps as 10 * max(0, rho).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .imeasures import (IntensityMeasures, cross_correlation,
                         default_periods, intensity_measures)
-from .signal import COMPONENTS, Record3C, TimeSeries, bandpass_bank
+from .signal import (COMPONENTS, Record3C, TimeSeries, Unit, bandpass_bank,
+                     require_same_grid, require_unit)
 
 IMS = ("pga", "pgv", "pgd", "ia", "da", "de", "iv", "sa", "fs", "cstar")
 SCALAR_IMS = ("pga", "pgv", "pgd", "ia", "da", "de", "iv")
@@ -175,103 +175,102 @@ def score_pair(rec: Record3C, sim: Record3C,
 
 @dataclass(frozen=True)
 class AndersonFeatures:
-    """The per-record half of a score: each component's band-filtered
-    traces, keyed by the index of the band in the config's ``bands``, each
-    with its row in ``measures``, their intensity measures.
+    """The per-record half of a score: the record's band-filtered rows on
+    its grid (``t0``, ``dt``) and their intensity measures.
 
-    Bands at or beyond the Nyquist frequency are absent, and ``measures``
-    is None when no band is left. Each trace's Sa holds values only at the
-    periods inside its band, the only ones a score reads, and NaN
+    ``bands`` holds the indices, in the config's ``bands``, of the bands
+    below the Nyquist frequency; the others are not filtered. Row
+    ``c * len(bands) + k`` of ``filtered`` and of ``measures`` is component
+    ``COMPONENTS[c]`` in band ``bands[k]``. Each row's Sa holds values only
+    at the periods inside its band, the only ones a score reads, and NaN
     elsewhere.
     """
 
-    nyquist: float
-    components: dict[str, dict[int, tuple[TimeSeries, int]]]
-    measures: IntensityMeasures | None
+    t0: float
+    dt: float
+    bands: tuple[int, ...]
+    filtered: np.ndarray
+    measures: IntensityMeasures
 
 
 def anderson_features(records,
                       config: AndersonConfig) -> list[AndersonFeatures]:
     """Filter every component x band of a batch of records and measure it.
 
-    The records must share one grid and unit. One
+    The records must be acceleration records on one grid. One
     :func:`~seisgof.signal.bandpass_bank` call filters every component of
     every record, and one :func:`~seisgof.imeasures.intensity_measures`
-    call measures all the filtered traces, with Sa at the in-band periods
-    only. Both give each trace the bits it gets on its own, so a record's
+    call measures all the filtered rows, with Sa at the in-band periods
+    only. Both give each row the bits it gets on its own, so a record's
     features do not depend on its batch. Returns one
     :class:`AndersonFeatures` per record.
     """
     records = list(records)
-    nyquist = 0.5 / records[0].dt
-    in_range = {bi: edge for bi, edge in enumerate(config.bands.edges)
-                if edge[1] < nyquist}
-    filtered = bandpass_bank(
-        [ts for rec in records for _, ts in rec.components()],
-        in_range.values())
+    first = records[0].ew
+    require_unit(first, Unit.ACCELERATION)
+    for rec in records:
+        require_same_grid(first, rec.ew)  # a Record3C is on its ew grid
+    bands = tuple(bi for bi, (_, f_hi) in enumerate(config.bands.edges)
+                  if f_hi < 0.5 / first.dt)
+    edges = [config.bands.edges[bi] for bi in bands]
+    x = np.stack([ts.samples for rec in records for _, ts in rec.components()])
+    filtered = bandpass_bank(x, first.dt, edges)
     freqs = 1.0 / np.asarray(config.periods, dtype=float)
-    in_band = [_in_band(freqs, f_lo, f_hi)
-               for f_lo, f_hi in in_range.values()] * len(filtered)
-    traces = [ts for per_band in filtered for ts in per_band]
-    measures = (intensity_measures(
-        traces, config.damping, config.periods,
+    in_band = np.array([_in_band(freqs, *edge) for edge in edges],
+                       dtype=bool).reshape(len(edges), freqs.size)
+    measures = intensity_measures(
+        filtered, first.t0, first.dt, config.damping, config.periods,
         duration_lo=config.duration_lo, duration_hi=config.duration_hi,
-        where=in_band) if traces else None)
-    size = len(COMPONENTS) * len(in_range)
-    per_trace = iter(filtered)
-    features = []
-    for i in range(len(records)):
-        rows = itertools.count()
-        components = {name: {bi: (ts, next(rows))
-                             for bi, ts in zip(in_range, next(per_trace))}
-                      for name in COMPONENTS}
-        own = (None if measures is None
-               else measures.rows(i * size, (i + 1) * size))
-        features.append(AndersonFeatures(nyquist, components, own))
-    return features
+        where=np.tile(in_band, (len(x), 1)))
+    size = len(COMPONENTS) * len(bands)
+    return [AndersonFeatures(first.t0, first.dt, bands,
+                             filtered[i * size:(i + 1) * size].copy(),
+                             measures.rows(i * size, (i + 1) * size))
+            for i in range(len(records))]
 
 
 def compare_anderson(rec: AndersonFeatures, sim: AndersonFeatures,
                      config: AndersonConfig) -> dict[str, AndersonScores]:
     """Per-component scores from the features of two aligned records."""
-    return {name: _score_component(rec, sim, name, config.bands,
-                                   config.max_lag)
-            for name in rec.components}
+    return {name: _score_component(rec, sim, c, config.bands, config.max_lag)
+            for c, name in enumerate(COMPONENTS)}
 
 
-def _score_component(rec: AndersonFeatures, sim: AndersonFeatures, name: str,
+def _score_component(rec: AndersonFeatures, sim: AndersonFeatures, c: int,
                      bands: BandSpec, max_lag: float) -> AndersonScores:
     scores = np.full((len(IMS), len(bands)), np.nan)
     skipped: list[tuple[str, int, str]] = []
     m_r, m_s = rec.measures, sim.measures
     for bi, (f_lo, f_hi) in enumerate(bands.edges):
-        if bi not in rec.components[name]:
+        if bi not in rec.bands:
             skipped.append(("*", bi, f"band ({f_lo}, {f_hi}) Hz outside "
-                                     f"(0, {rec.nyquist:g}) Hz"))
+                                     f"(0, {0.5 / rec.dt:g}) Hz"))
             continue
-        rec_b, r = rec.components[name][bi]
-        sim_b, s = sim.components[name][bi]
+        # Both records are on one grid, so they share their bands' rows.
+        r = c * len(rec.bands) + rec.bands.index(bi)
 
         # Python floats, as the score's float power needs (score_scalar).
         for im in SCALAR_IMS:
             scores[IMS.index(im), bi] = score_scalar(
-                float(getattr(m_r, im)[r]), float(getattr(m_s, im)[s]))
+                float(getattr(m_r, im)[r]), float(getattr(m_s, im)[r]))
 
-        sa_score = _vector_score(1.0 / m_r.periods, m_r.sa[r], m_s.sa[s],
+        sa_score = _vector_score(1.0 / m_r.periods, m_r.sa[r], m_s.sa[r],
                                  f_lo, f_hi)
         if sa_score is None:
             skipped.append(("sa", bi, "no response-spectrum periods in band"))
         else:
             scores[IMS.index("sa"), bi] = sa_score
 
-        fs_score = _vector_score(m_r.freqs, m_r.fs[r], m_s.fs[s], f_lo, f_hi)
+        fs_score = _vector_score(m_r.freqs, m_r.fs[r], m_s.fs[r], f_lo, f_hi)
         if fs_score is None:
             skipped.append(("fs", bi, "no Fourier samples in band"))
         else:
             scores[IMS.index("fs"), bi] = fs_score
 
         try:
-            rho = cross_correlation(rec_b, sim_b, max_lag)
+            rho = cross_correlation(
+                *(TimeSeries(f.dt, f.t0, f.filtered[r], Unit.ACCELERATION)
+                  for f in (rec, sim)), max_lag)
         except ValueError:
             skipped.append(("cstar", bi, "zero variance in band"))
         else:

@@ -14,16 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signal import (BANK_MAX_VALUES, Spectrum, TimeSeries, Unit, UnitError,
-                     cumulative_trapezoid, detrend, detrend_rows, integrate,
-                     require_same_grid)
+from .signal import (BANK_MAX_VALUES, TimeSeries, Unit, cumulative_trapezoid,
+                     detrend, detrend_rows, integrate, require_same_grid,
+                     require_unit)
 
 G = 9.81  # m/s^2
-
-
-def _require_unit(ts: TimeSeries, unit: Unit) -> None:
-    if ts.unit is not unit:
-        raise UnitError(f"expected a {unit.value} trace, got {ts.unit.value}")
 
 
 def peaks(acc: TimeSeries):
@@ -32,7 +27,7 @@ def peaks(acc: TimeSeries):
     Velocity and displacement come from successive cumulative integrations,
     each followed by a linear detrend.
     """
-    _require_unit(acc, Unit.ACCELERATION)
+    require_unit(acc, Unit.ACCELERATION)
     vel = detrend(integrate(acc))
     disp = detrend(integrate(vel))
     return (float(np.abs(acc.samples).max()),
@@ -42,7 +37,7 @@ def peaks(acc: TimeSeries):
 
 def arias_intensity(acc: TimeSeries) -> float:
     """Ia = pi/(2 g) * integral of a(t)^2 dt, trapezoidal."""
-    _require_unit(acc, Unit.ACCELERATION)
+    require_unit(acc, Unit.ACCELERATION)
     return float(np.pi / (2.0 * G) * np.trapezoid(acc.samples ** 2, dx=acc.dt))
 
 
@@ -65,19 +60,19 @@ def _energy_window(ts: TimeSeries, lo: float, hi: float) -> float:
 
 def arias_duration(acc: TimeSeries, lo: float = 0.05, hi: float = 0.75) -> float:
     """Time between the lo and hi fractions of the cumulative Arias buildup."""
-    _require_unit(acc, Unit.ACCELERATION)
+    require_unit(acc, Unit.ACCELERATION)
     return _energy_window(acc, lo, hi)
 
 
 def energy_integral(vel: TimeSeries) -> float:
     """Iv = integral of v(t)^2 dt."""
-    _require_unit(vel, Unit.VELOCITY)
+    require_unit(vel, Unit.VELOCITY)
     return float(np.trapezoid(vel.samples ** 2, dx=vel.dt))
 
 
 def energy_duration(vel: TimeSeries, lo: float = 0.05, hi: float = 0.75) -> float:
     """Same construction as the Arias duration, applied to v^2."""
-    _require_unit(vel, Unit.VELOCITY)
+    require_unit(vel, Unit.VELOCITY)
     return _energy_window(vel, lo, hi)
 
 
@@ -93,43 +88,36 @@ def response_spectrum(acc: TimeSeries, damping: float = 0.05,
     Returns one value per entry of ``periods`` (default 50 log-spaced points,
     0.02-10 s). Periods at or below 2*dt are skipped (NaN) with a warning.
     """
-    return response_spectra([acc], damping, periods)[0]
+    require_unit(acc, Unit.ACCELERATION)
+    return response_spectra(acc.samples[None], acc.dt, damping, periods)[0]
 
 
-def response_spectra(traces, damping: float = 0.05,
+def response_spectra(ag: np.ndarray, dt: float, damping: float = 0.05,
                      periods: np.ndarray | None = None, *,
                      where=None) -> np.ndarray:
-    """:func:`response_spectrum` of many traces in one pass over the samples.
+    """:func:`response_spectrum` of every row of ``ag``, acceleration
+    samples on one grid of interval ``dt``, in one pass over the samples.
 
-    All traces must be acceleration traces on one shared grid. Returns an
-    array of shape (len(traces), len(periods)) whose rows equal the
+    Returns an array of shape (len(ag), len(periods)) whose rows equal the
     single-trace spectra bit for bit. ``where``, a boolean array of that
     shape, limits the work to its true entries; the others are NaN. Only
     wanted periods at or below 2*dt are warned about.
     """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("at least one trace is required")
-    first = traces[0]
-    for ts in traces:
-        _require_unit(ts, Unit.ACCELERATION)
-        require_same_grid(first, ts)
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping ratio must be in (0, 1), got {damping}")
     if periods is None:
         periods = default_periods()
     periods = np.asarray(periods, dtype=float)
-    sa = np.full((len(traces), periods.size), np.nan)
+    sa = np.full((len(ag), periods.size), np.nan)
     where = np.broadcast_to(True if where is None else where, sa.shape)
-    valid = periods > 2.0 * first.dt
+    valid = periods > 2.0 * dt
     skipped = where.any(axis=0) & ~valid
     if skipped.any():
         warnings.warn(f"{int(skipped.sum())} periods at or below 2*dt "
-                      f"({2 * first.dt:g} s) skipped", stacklevel=2)
+                      f"({2 * dt:g} s) skipped", stacklevel=2)
     rows, cols = np.nonzero(where & valid)
     if rows.size:
-        ag = np.stack([ts.samples for ts in traces])
-        sa[rows, cols] = _newmark_sdof_max(ag, rows, first.dt, periods[cols],
+        sa[rows, cols] = _newmark_sdof_max(ag, rows, dt, periods[cols],
                                            damping)
     return sa
 
@@ -216,61 +204,29 @@ def _kept_lags(xa: np.ndarray, xb: np.ndarray, max_shift: int) -> np.ndarray:
         + [np.correlate(xa[k:], xb[:n - k])[0] for k in range(max_shift + 1)])
 
 
-@dataclass(frozen=True)
-class IntensityVector:
-    """The ten single-trace measures for one (band-filtered) trace.
-
-    Cross correlation is a pair metric and is therefore not a field here.
-    """
-
-    pga: float
-    pgv: float
-    pgd: float
-    ia: float
-    da: float
-    de: float
-    iv: float
-    periods: np.ndarray
-    sa: np.ndarray
-    fs: Spectrum
-
-    def __post_init__(self):
-        for name in ("pga", "pgv", "pgd", "ia", "iv", "da", "de"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        sa = np.asarray(self.sa, dtype=float)
-        if np.any(sa[np.isfinite(sa)] < 0):
-            raise ValueError("sa values must be non-negative")
-        object.__setattr__(self, "sa", sa)
-        object.__setattr__(self, "periods", np.asarray(self.periods, dtype=float))
-
-
 def compute_intensity_vector(acc: TimeSeries, *, damping: float = 0.05,
                              periods: np.ndarray | None = None,
                              duration_lo: float = 0.05,
-                             duration_hi: float = 0.75) -> IntensityVector:
-    """Bundle all single-trace measures for one acceleration trace: the
-    one-row case of :func:`intensity_measures`.
+                             duration_hi: float = 0.75) -> IntensityMeasures:
+    """All single-trace measures of one acceleration trace: the one-row
+    case of :func:`intensity_measures`.
 
     Zero-energy traces get zero durations rather than an error so that a
     silent band scores cleanly against another silent band.
     """
-    m = intensity_measures([acc], damping, periods, duration_lo=duration_lo,
-                           duration_hi=duration_hi)
-    return IntensityVector(pga=float(m.pga[0]), pgv=float(m.pgv[0]),
-                           pgd=float(m.pgd[0]), ia=float(m.ia[0]),
-                           da=float(m.da[0]), de=float(m.de[0]),
-                           iv=float(m.iv[0]), periods=m.periods, sa=m.sa[0],
-                           fs=Spectrum(m.freqs, m.fs[0]))
+    require_unit(acc, Unit.ACCELERATION)
+    return intensity_measures(acc.samples[None], acc.t0, acc.dt, damping,
+                              periods, duration_lo=duration_lo,
+                              duration_hi=duration_hi)
 
 
 @dataclass(frozen=True)
 class IntensityMeasures:
-    """The single-trace measures of a stack of traces on one grid.
+    """The single-trace measures of the rows of a sample array.
 
     Entry ``i`` of each scalar measure, and row ``i`` of ``sa`` (over
     ``periods``) and of the Fourier amplitudes ``fs`` (over ``freqs``),
-    belong to trace ``i``.
+    belong to row ``i``.
     """
 
     pga: np.ndarray
@@ -286,56 +242,55 @@ class IntensityMeasures:
     fs: np.ndarray
 
     def rows(self, start: int, stop: int) -> IntensityMeasures:
-        """The measures of traces ``start`` to ``stop - 1``, copied, so
-        that they do not keep the whole stack's arrays alive."""
+        """The measures of rows ``start`` to ``stop - 1``, copied, so that
+        they do not keep the whole batch's arrays alive."""
         return replace(self, **{
             name: getattr(self, name)[start:stop].copy()
             for name in ("pga", "pgv", "pgd", "ia", "da", "de", "iv", "sa",
                          "fs")})
 
 
-def intensity_measures(traces, damping: float = 0.05,
+def intensity_measures(acc: np.ndarray, t0: float, dt: float,
+                       damping: float = 0.05,
                        periods: np.ndarray | None = None, *,
                        duration_lo: float = 0.05, duration_hi: float = 0.75,
                        where=None) -> IntensityMeasures:
-    """:func:`compute_intensity_vector` of many traces in 2-D passes.
+    """:func:`compute_intensity_vector` of every row of ``acc``,
+    acceleration samples on the grid ``t0 + i * dt``, in 2-D passes.
 
-    All traces must be acceleration traces on one shared grid. Each
-    trace's measures equal, bit for bit, what :func:`peaks`,
+    Each row's measures equal, bit for bit, what :func:`peaks`,
     :func:`arias_intensity`, :func:`arias_duration`,
     :func:`energy_integral`, :func:`energy_duration` and
-    :func:`~seisgof.signal.fourier_amplitude` give it alone, and Sa is one
-    :func:`response_spectra` call with ``where``. Zero-energy traces get
-    zero durations. One pass takes at most
-    :data:`~seisgof.signal.BANK_MAX_VALUES` samples; a bigger stack runs
+    :func:`~seisgof.signal.fourier_amplitude` give its trace alone, and Sa
+    is one :func:`response_spectra` call with ``where``. Zero-energy rows
+    get zero durations. One pass takes at most
+    :data:`~seisgof.signal.BANK_MAX_VALUES` samples; a bigger array runs
     in slices of rows.
     """
     _check_thresholds(duration_lo, duration_hi)
-    traces = list(traces)
     periods = np.asarray(default_periods() if periods is None else periods,
                          dtype=float)
-    sa = response_spectra(traces, damping, periods, where=where)
-    first = traces[0]
-    dt, t = first.dt, first.times
-    scalars = np.empty((7, len(traces)))
-    fs = np.empty((len(traces), first.n // 2 + 1))
-    step = max(1, BANK_MAX_VALUES // first.n)
-    for r in range(0, len(traces), step):
-        # Views of this slice's entries of each scalar measure.
+    sa = response_spectra(acc, dt, damping, periods, where=where)
+    rows, n = acc.shape
+    t = t0 + np.arange(n) * dt
+    scalars = np.empty((7, rows))
+    fs = np.empty((rows, n // 2 + 1))
+    step = max(1, BANK_MAX_VALUES // n)
+    for r in range(0, rows, step):
+        # Views of this slice's rows and of its entries of each measure.
+        part = acc[r:r + step]
         pga, pgv, pgd, ia, da, de, iv = scalars[:, r:r + step]
-        acc = np.stack([ts.samples for ts in traces[r:r + step]])
-        fs[r:r + step] = np.abs(np.fft.rfft(acc, axis=1)) * dt
-        pga[:] = np.abs(acc).max(axis=1)
-        ia[:], da[:] = _energy(acc, np.pi / (2.0 * G), dt, t, duration_lo,
+        fs[r:r + step] = np.abs(np.fft.rfft(part, axis=1)) * dt
+        pga[:] = np.abs(part).max(axis=1)
+        ia[:], da[:] = _energy(part, np.pi / (2.0 * G), dt, t, duration_lo,
                                duration_hi)
-        vel = detrend_rows(cumulative_trapezoid(acc, dt))
-        del acc  # at most four arrays of the slice are held at once
+        vel = detrend_rows(cumulative_trapezoid(part, dt))
         pgv[:] = np.abs(vel).max(axis=1)
         iv[:], de[:] = _energy(vel, 1.0, dt, t, duration_lo, duration_hi)
         pgd[:] = np.abs(detrend_rows(cumulative_trapezoid(vel, dt))).max(
             axis=1)
     return IntensityMeasures(*scalars, periods=periods, sa=sa,
-                             freqs=np.fft.rfftfreq(first.n, dt), fs=fs)
+                             freqs=np.fft.rfftfreq(n, dt), fs=fs)
 
 
 def _energy(x, scale, dt, t, lo, hi):

@@ -126,6 +126,11 @@ class Spectrum:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def require_unit(ts: TimeSeries, unit: Unit) -> None:
+    if ts.unit is not unit:
+        raise UnitError(f"expected a {unit.value} trace, got {ts.unit.value}")
+
+
 def require_same_unit(a: TimeSeries, b: TimeSeries) -> None:
     if a.unit is not b.unit:
         raise UnitError(f"unit mismatch: {a.unit.value} vs {b.unit.value}")
@@ -197,50 +202,45 @@ def tukey_window(n: int, fraction: float) -> np.ndarray:
 def bandpass(ts: TimeSeries, f_lo: float, f_hi: float, order: int = 4,
              zero_phase: bool = True) -> TimeSeries:
     """Butterworth band-pass. Zero-phase runs forward-backward (doubled order)."""
-    return bandpass_bank([ts], [(f_lo, f_hi)], order, zero_phase)[0][0]
+    return ts.with_samples(bandpass_bank(ts.samples[None], ts.dt,
+                                         [(f_lo, f_hi)], order, zero_phase)[0])
 
 
-def bandpass_bank(traces, edges, order: int = 4,
-                  zero_phase: bool = True) -> list[list[TimeSeries]]:
-    """:func:`bandpass` of every trace in every band, in batched passes.
+def bandpass_bank(x: np.ndarray, dt: float, edges, order: int = 4,
+                  zero_phase: bool = True) -> np.ndarray:
+    """:func:`bandpass` of every row of ``x``, samples on one grid of
+    interval ``dt``, in every band, in batched passes.
 
-    All traces must share one grid; a batch may hold the traces of many
-    records. Returns ``out[i][j]``, trace ``i`` filtered in band
-    ``edges[j]``, equal bit for bit to ``scipy.signal.sosfiltfilt`` (or
-    ``sosfilt`` when ``zero_phase`` is false) with
-    ``scipy.signal.butter``'s second-order sections. Every row takes the
-    same arithmetic whatever its batch-mates, so a trace's output does not
-    depend on the batch it is filtered in. One pass takes at most
-    :data:`BANK_MAX_VALUES` samples; a bigger bank runs in slices of rows.
+    A batch may hold the rows of many records. Row ``i * len(edges) + j``
+    of the result is row ``i`` filtered in band ``edges[j]``, equal bit for
+    bit to ``scipy.signal.sosfiltfilt`` (or ``sosfilt`` when ``zero_phase``
+    is false) with ``scipy.signal.butter``'s second-order sections. Every
+    row takes the same arithmetic whatever its batch-mates, so a row's
+    output does not depend on the batch it is filtered in. One pass takes
+    at most :data:`BANK_MAX_VALUES` samples; a bigger bank runs in slices
+    of rows.
     """
-    traces, edges = list(traces), list(edges)
-    if not traces:
-        raise ValueError("at least one trace is required")
-    first = traces[0]
-    for ts in traces:
-        require_same_grid(first, ts)
-    nyquist = 0.5 / first.dt
+    edges = list(edges)
+    nyquist = 0.5 / dt
     for f_lo, f_hi in edges:
         if not 0.0 < f_lo < f_hi < nyquist:
             raise ValueError(f"band [{f_lo}, {f_hi}] Hz outside (0, "
-                             f"{nyquist:g}) Hz for dt={first.dt}")
+                             f"{nyquist:g}) Hz for dt={dt}")
+    rows, n = x.shape
+    out = np.empty((rows * len(edges), n))
     if not edges:
-        return [[] for _ in traces]
-    designs = np.stack([_butter_sos(f_lo, f_hi, first.dt, order)
+        return out
+    designs = np.stack([_butter_sos(f_lo, f_hi, dt, order)
                         for f_lo, f_hi in edges])
     zi = (np.stack([_sosfilt_zi(d) for d in designs]) if zero_phase
           else np.zeros(designs.shape[:2] + (2,)))
     filt = _sosfiltfilt if zero_phase else _sosfilt
-    x = np.stack([ts.samples for ts in traces])
-    # Row r holds trace r // len(edges) in band r % len(edges).
-    pairs = np.arange(x.shape[0] * len(edges))
-    step = max(1, BANK_MAX_VALUES // first.n)
-    y = []
+    pairs = np.arange(out.shape[0])
+    step = max(1, BANK_MAX_VALUES // n)
     for r in range(0, pairs.size, step):
-        trace, band = np.divmod(pairs[r:r + step], len(edges))
-        y.extend(filt(designs[band], x[trace], zi[band]))
-    rows = iter(y)
-    return [[ts.with_samples(next(rows)) for _ in edges] for ts in traces]
+        row, band = np.divmod(pairs[r:r + step], len(edges))
+        out[r:r + step] = filt(designs[band], x[row], zi[band])
+    return out
 
 
 # Most samples (rows x samples) one filter pass takes. A pass holds about

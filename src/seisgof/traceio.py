@@ -92,6 +92,8 @@ def read_record(path) -> Record3C:
     meta_file = meta_path_for(path)
     if meta_file.exists():
         meta = json.loads(meta_file.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_file}: sidecar must be a JSON object")
         units = meta.get("units", Unit.ACCELERATION.value)
         if units != Unit.ACCELERATION.value:
             raise UnitError(f"{meta_file}: units must be "

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -51,6 +52,21 @@ def workspace(tmp_path):
     ref_path = write_record(reference, tmp_path / "recorded.csv")
     config_path = make_config_file(tmp_path, scenario_path, ref_path)
     return tmp_path, config_path
+
+
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory):
+    """The output tree of one sweep at alpha 0.05, for the report tests
+    that edit a copy of it."""
+    tmp_path = tmp_path_factory.mktemp("swept")
+    scenario_path, scenario, _ = make_scenario_file(tmp_path)
+    reference = synth_fullspace(scenario, FocalMechanism(47.0, 57.0, 95.0))
+    ref_path = write_record(reference, tmp_path / "recorded.csv")
+    config_path = make_config_file(tmp_path, scenario_path, ref_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_path), "--out",
+                 str(out)]) == 0
+    return out
 
 
 class TestSynthCommand:
@@ -272,6 +288,36 @@ class TestReportCommand:
                     == (out / name).read_bytes())
         assert "p &#8804; 0.3)" in (out / "correlation_ew.svg").read_text()
 
+    @staticmethod
+    def report_at(swept, tmp_path, alpha):
+        # The sweep's tree with its manifest's alpha replaced, and the
+        # exit code of a report on it.
+        run_dir = tmp_path / "edited"
+        shutil.copytree(swept, run_dir)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["config"]["alpha"] = alpha
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        return main(["report", str(run_dir), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("alpha", [5, 1.0, 0.0, -0.05, "five", None,
+                                       [0.05]])
+    def test_report_rejects_the_alpha_the_config_rejects(
+            self, swept, tmp_path, capsys, alpha):
+        assert self.report_at(swept, tmp_path, alpha) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert "alpha" in err["error"]["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_report_reads_a_numeric_string_alpha_as_the_config_does(
+            self, swept, tmp_path):
+        # load_config reads every number through float(), so "0.05" is
+        # 0.05 in a config file; the report reads its manifest alike.
+        assert self.report_at(swept, tmp_path, "0.05") == 0
+        for path in swept.glob("*.svg"):
+            assert (tmp_path / "out" / path.name).read_bytes() == (
+                path.read_bytes())
+
     def test_report_needs_the_sweep_manifest(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -354,6 +400,18 @@ class TestErrorHandling:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
+
+    def test_sidecar_that_is_not_an_object_gives_json_error(
+            self, workspace, capsys):
+        tmp_path, config_path = workspace
+        (tmp_path / "recorded.meta.json").write_text("[1]")
+        record = str(tmp_path / "recorded.csv")
+        rc = main(["gof", record, record, "--config", str(config_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert "recorded.meta.json" in err["error"]["message"]
 
     def test_bad_trace_gives_json_error(self, workspace, capsys):
         tmp_path, config_path = workspace
@@ -535,12 +593,11 @@ def test_cli_starts_without_scipy():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
 import sys, numpy as np, seisgof.cli
-from seisgof.signal import TimeSeries, Unit, bandpass_bank
+from seisgof.signal import bandpass_bank
 def loaded():
     return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
 def filtered(n):
-    ts = TimeSeries(0.02, 0.0, np.ones(n), Unit.ACCELERATION)
-    bandpass_bank([ts], [(1.0, 2.0)])
+    bandpass_bank(np.ones((1, n)), 0.02, [(1.0, 2.0)])
 print(loaded())
 filtered(601)
 print(loaded())

@@ -282,6 +282,44 @@ class TestChunks:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("workers,started", [(2, 2), (64, 27)])
+    def test_pool_starts_no_more_workers_than_chunks(
+            self, small_sweep_inputs, monkeypatch, tmp_path, workers,
+            started):
+        # Under fork a pool starts all its workers at once: 64 for the 27
+        # one-run chunks of the default grid would leave 37 idle. A
+        # stand-in pool records its size and runs the chunks in this
+        # process, so the test starts none.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        def no_record(angles):
+            raise RuntimeError("no record")
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(ensemble, "_SWEEP", None)
+        _, reference, a_cfg, t_cfg = small_sweep_inputs
+        results = run_sweep(no_record,
+                            build_grid(FocalMechanism(45.0, 55.0, 90.0)),
+                            reference, tmp_path, anderson_config=a_cfg,
+                            tf_config=t_cfg, workers=workers)
+        assert sizes == [started]
+        assert [res.error for res in results] == [
+            "RuntimeError: no record"] * 27
+
     def test_serial_sweep_produces_results(self, small_sweep_inputs,
                                            tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs
@@ -402,9 +440,9 @@ class TestReferenceScorer:
         bank_rows = []
         bank = gof_anderson.bandpass_bank
 
-        def counting_bank(traces, edges, *args):
-            bank_rows.append(len(traces) * len(edges))
-            return bank(traces, edges, *args)
+        def counting_bank(x, dt, edges, *args):
+            bank_rows.append(len(x) * len(edges))
+            return bank(x, dt, edges, *args)
 
         monkeypatch.setattr(gof_anderson, "bandpass_bank", counting_bank)
         count(gof_tf, "cwt")

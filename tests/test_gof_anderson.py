@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from seisgof import (QualityLevel, aggregate, gof_anderson, imeasures,
-                     quality, score_pair, score_scalar)
+from seisgof import (QualityLevel, TimeSeries, Unit, aggregate, gof_anderson,
+                     imeasures, quality, score_pair, score_scalar)
 from seisgof.gof_anderson import (IMS, SCALAR_IMS, AndersonConfig, BandSpec,
                                   default_bands)
 from seisgof.imeasures import compute_intensity_vector, cross_correlation
@@ -181,6 +181,25 @@ class TestScorePair:
         with pytest.raises(ValueError):
             score_pair(burst_record, other, config=_quick_config())
 
+    # anderson_features checks once that a batch is on one grid, before it
+    # stacks the records into one sample array; tests/test_properties.py
+    # draws such batches, and batches with a record that is not
+    # acceleration.
+    @pytest.mark.parametrize("grid", [(0.02, 0.0, 4097), (0.01, 0.5, 4097),
+                                      (0.01, 0.0, 4096)])
+    def test_records_on_different_grids_rejected(self, burst_record, grid):
+        dt, t0, n = grid
+        other = TimeSeries(dt, t0, np.ones(n), Unit.ACCELERATION)
+        with pytest.raises(ValueError, match="common grid"):
+            score_pair(burst_record, Record3C(other, other, other),
+                       config=_quick_config())
+
+    def test_every_band_beyond_nyquist_skipped(self, burst_record):
+        cfg = AndersonConfig(bands=BandSpec(((30.0, 60.0), (60.0, 90.0))))
+        for sc in score_pair(burst_record, burst_record, cfg).values():
+            assert np.all(np.isnan(sc.scores))
+            assert [idx for _, idx, _ in sc.skipped] == [0, 1]
+
 
 def _per_band_scores(rec_ts, sim_ts, cfg):
     # Reference: score each band on its own through the public one-trace
@@ -193,11 +212,11 @@ def _per_band_scores(rec_ts, sim_ts, cfg):
                                                periods=cfg.periods)
                       for ts in (rec_b, sim_b))
         for im in SCALAR_IMS:
-            scores[IMS.index(im), bi] = score_scalar(getattr(iv_r, im),
-                                                     getattr(iv_s, im))
+            scores[IMS.index(im), bi] = score_scalar(
+                float(getattr(iv_r, im)[0]), float(getattr(iv_s, im)[0]))
         for im, freqs, r, s in (
-                ("sa", 1.0 / iv_r.periods, iv_r.sa, iv_s.sa),
-                ("fs", iv_r.fs.freqs, iv_r.fs.amplitudes, iv_s.fs.amplitudes)):
+                ("sa", 1.0 / iv_r.periods, iv_r.sa[0], iv_s.sa[0]),
+                ("fs", iv_r.freqs, iv_r.fs[0], iv_s.fs[0])):
             mask = ((freqs >= f_lo) & (freqs <= f_hi)
                     & np.isfinite(r) & np.isfinite(s))
             scores[IMS.index(im), bi] = np.mean(
@@ -233,9 +252,9 @@ def test_score_pair_runs_one_batched_kernel_per_record(monkeypatch):
     measures = gof_anderson.intensity_measures
     rows = []
 
-    def counting_measures(traces, *args, **kwargs):
-        rows.append(len(traces))
-        return measures(traces, *args, **kwargs)
+    def counting_measures(acc, *args, **kwargs):
+        rows.append(len(acc))
+        return measures(acc, *args, **kwargs)
 
     monkeypatch.setattr(gof_anderson, "intensity_measures", counting_measures)
     cfg = AndersonConfig()

@@ -157,11 +157,10 @@ class TestResponseSpectra:
         dt = 0.02
         rows = rng.standard_normal((5, 401))
         rows[2] = 0.0
-        traces = [TimeSeries(dt, 0.0, x, Unit.ACCELERATION) for x in rows]
         periods = default_periods()
         valid = periods > 2.0 * dt
         with pytest.warns(UserWarning):
-            sa = response_spectra(traces, 0.05, periods)
+            sa = response_spectra(rows, dt, 0.05, periods)
         assert sa.shape == (5, periods.size)
         assert np.all(np.isnan(sa[:, ~valid]))
         for row, ag in zip(sa, rows):
@@ -181,9 +180,8 @@ class TestResponseSpectra:
 
         monkeypatch.setattr(imeasures, "_newmark_sdof_max", recording)
         rows = np.random.default_rng(44).standard_normal((4, 301))
-        traces = [TimeSeries(0.02, 0.0, x, Unit.ACCELERATION) for x in rows]
         periods = np.array([0.1, 0.5, 2.0])
-        sa = response_spectra(traces, 0.05, periods)
+        sa = response_spectra(rows, 0.02, 0.05, periods)
         assert calls == [((4, 301), [3, 3, 3, 3])]
         for row, ag in zip(sa, rows):
             assert np.array_equal(
@@ -191,15 +189,14 @@ class TestResponseSpectra:
 
     def test_where_computes_only_the_wanted_pairs(self):
         rng = np.random.default_rng(42)
-        traces = [TimeSeries(0.02, 0.0, x, Unit.ACCELERATION)
-                  for x in rng.standard_normal((3, 301))]
+        rows = rng.standard_normal((3, 301))
         periods = np.array([0.02, 0.1, 0.5, 2.0, 8.0])
         where = rng.random((3, periods.size)) < 0.5
         where[:, 0] = True  # at 2*dt: skipped even where wanted
         with pytest.warns(UserWarning):
-            full = response_spectra(traces, 0.05, periods)
+            full = response_spectra(rows, 0.02, 0.05, periods)
         with pytest.warns(UserWarning):
-            part = response_spectra(traces, 0.05, periods, where=where)
+            part = response_spectra(rows, 0.02, 0.05, periods, where=where)
         wanted = where & (periods > 0.04)
         assert np.array_equal(part[wanted], full[wanted])
         assert np.all(np.isnan(part[~wanted]))
@@ -207,27 +204,26 @@ class TestResponseSpectra:
     def test_single_trace_spectrum_is_one_row(self):
         ts = burst_series(freq=2.0)
         periods = np.array([0.1, 0.5, 2.0])
-        other = ts.with_samples(0.5 * ts.samples[::-1])
-        batch = response_spectra([other, ts], periods=periods)
+        rows = np.stack([0.5 * ts.samples[::-1], ts.samples])
+        batch = response_spectra(rows, ts.dt, periods=periods)
         assert np.array_equal(response_spectrum(ts, periods=periods), batch[1])
 
-    @pytest.mark.parametrize("other", [
-        TimeSeries(0.02, 0.0, np.ones(101), Unit.ACCELERATION),
-        TimeSeries(0.01, 0.5, np.ones(201), Unit.ACCELERATION),
-        TimeSeries(0.01, 0.0, np.ones(200), Unit.ACCELERATION),
-    ])
-    def test_traces_on_different_grids_rejected(self, other):
-        ts = TimeSeries(0.01, 0.0, np.ones(201), Unit.ACCELERATION)
-        with pytest.raises(ValueError):
-            response_spectra([ts, other], periods=np.array([1.0]))
-
     def test_requires_acceleration_traces(self):
+        # The one-trace functions check the unit; a sample array has none
+        # (anderson_features checks its records').
+        velocity = sine_series(unit=Unit.VELOCITY)
         with pytest.raises(UnitError):
-            response_spectra([sine_series(unit=Unit.VELOCITY)])
+            response_spectrum(velocity)
+        with pytest.raises(UnitError):
+            compute_intensity_vector(velocity)
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            response_spectra([])
+    def test_empty_batch_is_empty(self):
+        # A batch of no rows, as when every band is beyond the Nyquist
+        # frequency (tests/test_gof_anderson.py), has no measures.
+        none = np.empty((0, 301))
+        assert response_spectra(none, 0.02).shape == (0, 50)
+        m = intensity_measures(none, 0.0, 0.02)
+        assert m.pga.shape == (0,) and m.fs.shape == (0, 151)
 
 
 class TestCrossCorrelation:
@@ -349,7 +345,7 @@ class TestIntensityMeasures:
     PERIODS = np.array([0.1, 0.5, 2.0])
 
     @staticmethod
-    def mixed_traces(n, dt=0.02):
+    def mixed_rows(n, dt=0.02):
         # A burst on a drift, seeded noise, a silent row and the burst
         # under noise; both lengths have a large prime factor (601 is
         # prime, 4501 = 7 x 643), so the FFT takes its Bluestein path.
@@ -357,36 +353,38 @@ class TestIntensityMeasures:
         t = np.arange(n) * dt
         burst = (np.sin(2 * np.pi * t) * np.exp(-0.5 * ((t - t[-1] / 2) / 2) ** 2)
                  + 0.01 + 0.002 * t)
-        rows = (burst, rng.standard_normal(n), np.zeros(n),
-                burst + 1e-3 * rng.standard_normal(n))
-        return [TimeSeries(dt, 0.0, x, Unit.ACCELERATION) for x in rows]
+        return np.stack((burst, rng.standard_normal(n), np.zeros(n),
+                         burst + 1e-3 * rng.standard_normal(n)))
 
     @pytest.mark.parametrize("n", [601, 4501])
     def test_rows_equal_the_one_trace_measures_bit_for_bit(self, n):
-        traces = self.mixed_traces(n)
-        batch = intensity_measures(traces, periods=self.PERIODS)
-        for i, acc in enumerate(traces):
+        rows = self.mixed_rows(n)
+        batch = intensity_measures(rows, 0.0, 0.02, periods=self.PERIODS)
+        for i, x in enumerate(rows):
+            acc = TimeSeries(0.02, 0.0, x, Unit.ACCELERATION)
             assert (batch_row(batch, i)
                     == one_trace_measures(acc, self.PERIODS)), i
-        alone = intensity_measures(traces[1:2], periods=self.PERIODS)
+        alone = intensity_measures(rows[1:2], 0.0, 0.02, periods=self.PERIODS)
         assert batch_row(alone, 0) == batch_row(batch, 1)
         assert batch.da[2] == batch.de[2] == 0.0
 
     def test_a_stack_sliced_at_the_cap_keeps_every_bit(self):
-        traces = self.mixed_traces(601)
+        rows = self.mixed_rows(601)
         periods = self.PERIODS[1:2]
-        small = intensity_measures(traces, periods=periods)
+        small = intensity_measures(rows, 0.0, 0.02, periods=periods)
         count = BANK_MAX_VALUES // 601 + 2  # one full slice and a part
-        big = intensity_measures(
-            [traces[i % len(traces)] for i in range(count)], periods=periods)
+        big = intensity_measures(rows[np.arange(count) % len(rows)], 0.0,
+                                 0.02, periods=periods)
         for i in range(count):
-            assert batch_row(big, i) == batch_row(small, i % len(traces)), i
+            assert batch_row(big, i) == batch_row(small, i % len(rows)), i
 
     def test_where_limits_sa_and_thresholds_come_first(self):
-        traces = self.mixed_traces(601)
-        where = np.zeros((len(traces), self.PERIODS.size), dtype=bool)
+        rows = self.mixed_rows(601)
+        where = np.zeros((len(rows), self.PERIODS.size), dtype=bool)
         where[0, 1] = True
-        m = intensity_measures(traces, periods=self.PERIODS, where=where)
+        m = intensity_measures(rows, 0.0, 0.02, periods=self.PERIODS,
+                               where=where)
         assert np.array_equal(np.isfinite(m.sa), where)
         with pytest.raises(ValueError, match="thresholds"):
-            intensity_measures(traces, duration_lo=0.5, duration_hi=0.5)
+            intensity_measures(rows, 0.0, 0.02, duration_lo=0.5,
+                               duration_hi=0.5)

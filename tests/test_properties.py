@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seisgof import FocalMechanism, TimeSeries, Unit, score_pair, signal
-from seisgof.gof_anderson import AndersonConfig, BandSpec, score_scalar
+from seisgof.gof_anderson import (AndersonConfig, BandSpec, anderson_features,
+                                  score_scalar)
 from seisgof.imeasures import (cross_correlation, intensity_measures,
                                response_spectra)
 from seisgof.signal import (Record3C, UnitError, bandpass_bank, integrate,
@@ -52,10 +53,10 @@ def traces_of(rows, dt=0.02):
 @given(batches(), st.booleans())
 def test_bank_row_ignores_its_batch_mates(batch, zero_phase):
     rows, pos = batch
-    alone = bandpass_bank(traces_of(rows[pos:pos + 1]), EDGES, 4, zero_phase)
-    together = bandpass_bank(traces_of(rows), EDGES, 4, zero_phase)
-    for want, got in zip(alone[0], together[pos]):
-        assert np.array_equal(want.samples, got.samples)
+    alone = bandpass_bank(rows[pos:pos + 1], 0.02, EDGES, 4, zero_phase)
+    together = bandpass_bank(rows, 0.02, EDGES, 4, zero_phase)
+    bands = len(EDGES)
+    assert np.array_equal(alone, together[pos * bands:(pos + 1) * bands])
 
 
 @FEW
@@ -63,9 +64,9 @@ def test_bank_row_ignores_its_batch_mates(batch, zero_phase):
 def test_spectra_row_ignores_its_batch_mates(batch, seed):
     rows, pos = batch
     where = np.random.default_rng(seed).random((len(rows), PERIODS.size)) < 0.6
-    alone = response_spectra(traces_of(rows[pos:pos + 1]), 0.05, PERIODS,
+    alone = response_spectra(rows[pos:pos + 1], 0.02, 0.05, PERIODS,
                              where=where[pos:pos + 1])
-    together = response_spectra(traces_of(rows), 0.05, PERIODS, where=where)
+    together = response_spectra(rows, 0.02, 0.05, PERIODS, where=where)
     assert np.array_equal(alone[0], together[pos], equal_nan=True)
 
 
@@ -77,7 +78,7 @@ def test_measures_row_is_the_one_trace_measures(batch, drift):
     # it.
     rows, pos = batch
     rows = rows + drift * np.linspace(0.0, 1.0, rows.shape[1])
-    measures = intensity_measures(traces_of(rows), periods=PERIODS)
+    measures = intensity_measures(rows, 0.0, 0.02, periods=PERIODS)
     for i, acc in enumerate(traces_of(rows)):
         assert batch_row(measures, i) == one_trace_measures(acc, PERIODS)
 
@@ -86,14 +87,11 @@ def test_measures_row_is_the_one_trace_measures(batch, drift):
 @given(batches(), st.integers(0, 3000), st.booleans())
 def test_bank_split_at_the_cap_keeps_every_bit(batch, cap, zero_phase):
     rows, _ = batch
-    traces = traces_of(rows)
-    whole = bandpass_bank(traces, EDGES, 4, zero_phase)
+    whole = bandpass_bank(rows, 0.02, EDGES, 4, zero_phase)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signal, "BANK_MAX_VALUES", cap)
-        sliced = bandpass_bank(traces, EDGES, 4, zero_phase)
-    for want_row, got_row in zip(whole, sliced):
-        for want, got in zip(want_row, got_row):
-            assert np.array_equal(want.samples, got.samples)
+        sliced = bandpass_bank(rows, 0.02, EDGES, 4, zero_phase)
+    assert np.array_equal(whole, sliced)
 
 
 @FEW
@@ -210,14 +208,21 @@ def test_mixed_units_are_not_one_grid(batch, unit_a, unit_b):
             require_same_grid(a, b)
 
 
+def records_of(rows, dt=0.02):
+    return [record_from_arrays(x, x[::-1], -x, dt=dt) for x in rows]
+
+
+# The batched measures take one sample array; anderson_features checks
+# that the records it stacks into one are acceleration on one grid.
 @FEW
 @given(batches(), st.sampled_from([Unit.VELOCITY, Unit.DISPLACEMENT]))
 def test_measures_reject_a_row_that_is_not_acceleration(batch, unit):
     rows, pos = batch
-    traces = traces_of(rows)
-    traces[pos] = traces[pos].with_samples(rows[pos], unit=unit)
+    records = records_of(rows)
+    records[pos] = record_from_arrays(*([rows[pos]] * 3), dt=0.02, unit=unit)
     with pytest.raises(UnitError):
-        intensity_measures(traces, periods=PERIODS)
+        anderson_features(records, AndersonConfig(BandSpec(EDGES),
+                                                  periods=PERIODS))
 
 
 @FEW
@@ -228,5 +233,8 @@ def test_measures_reject_rows_on_different_grids(batch, what):
     other = {"dt": TimeSeries(0.01, 0.0, x, Unit.ACCELERATION),
              "t0": TimeSeries(0.02, 0.02, x, Unit.ACCELERATION),
              "n": TimeSeries(0.02, 0.0, x[:-1], Unit.ACCELERATION)}[what]
+    records = records_of(rows)
+    records.insert(pos, Record3C(ew=other, ns=other, ud=other))
     with pytest.raises(ValueError, match="common grid"):
-        intensity_measures([*traces_of(rows), other], periods=PERIODS)
+        anderson_features(records, AndersonConfig(BandSpec(EDGES),
+                                                  periods=PERIODS))

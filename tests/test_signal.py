@@ -149,39 +149,39 @@ class TestScipyReference:
         rng = np.random.default_rng(order)
         edges = ((0.05, 0.1), (0.5, 1.0), (5.0, 10.0), (2.0, 24.0))
         for n in (3 * (2 * order + 1) + 1, 60, 601):
-            rows = (np.zeros(n), np.full(n, 3.0),
-                    1e-6 * rng.standard_normal(n),
-                    1e5 * rng.standard_normal(n))
-            traces = [TimeSeries(0.02, 0.0, x, Unit.ACCELERATION)
-                      for x in rows]
-            out = bandpass_bank(traces, edges, order, zero_phase)
-            for i, ts in enumerate(traces):
+            rows = np.stack((np.zeros(n), np.full(n, 3.0),
+                             1e-6 * rng.standard_normal(n),
+                             1e5 * rng.standard_normal(n)))
+            out = bandpass_bank(rows, 0.02, edges, order, zero_phase)
+            assert out.shape == (len(rows) * len(edges), n)
+            for i, x in enumerate(rows):
                 for j, (lo, hi) in enumerate(edges):
                     sos = sps.butter(order, [lo, hi], btype="bandpass",
                                      fs=50.0, output="sos")
-                    want = (sps.sosfiltfilt(sos, ts.samples) if zero_phase
-                            else sps.sosfilt(sos, ts.samples))
-                    assert np.array_equal(out[i][j].samples, want)
-                    assert out[i][j].dt == ts.dt and out[i][j].t0 == ts.t0
+                    want = (sps.sosfiltfilt(sos, x) if zero_phase
+                            else sps.sosfilt(sos, x))
+                    assert np.array_equal(out[i * len(edges) + j], want)
 
     def test_bank_bits_do_not_change_at_the_numpy_limit(self):
         # The bank has no length limit: a 300-s record at 100 Hz.
         rng = np.random.default_rng(9)
         edges = ((0.05, 0.1), (5.0, 10.0))
-        traces = [TimeSeries(0.01, 0.0, x, Unit.ACCELERATION)
-                  for x in rng.standard_normal((2, 30_001))]
-        out = bandpass_bank(traces, edges)
-        for i, ts in enumerate(traces):
+        rows = rng.standard_normal((2, 30_001))
+        out = bandpass_bank(rows, 0.01, edges)
+        for i, x in enumerate(rows):
             for j, (lo, hi) in enumerate(edges):
                 sos = sps.butter(4, [lo, hi], btype="bandpass",
                                  fs=100.0, output="sos")
-                assert np.array_equal(out[i][j].samples,
-                                      sps.sosfiltfilt(sos, ts.samples))
+                assert np.array_equal(out[i * len(edges) + j],
+                                      sps.sosfiltfilt(sos, x))
 
     def test_bandpass_is_a_one_row_bank(self):
-        ts = burst_series(freq=1.0, dt=0.01)
-        assert np.array_equal(bandpass(ts, 0.5, 2.0).samples,
-                              bandpass_bank([ts], [(0.5, 2.0)])[0][0].samples)
+        ts = burst_series(freq=1.0, dt=0.01, unit=Unit.VELOCITY)
+        out = bandpass(ts, 0.5, 2.0)
+        assert (out.dt, out.t0, out.unit) == (ts.dt, ts.t0, ts.unit)
+        assert np.array_equal(
+            out.samples, bandpass_bank(ts.samples[None], ts.dt,
+                                       [(0.5, 2.0)])[0])
 
     def test_short_trace_message(self):
         x = np.ones(27)
@@ -195,13 +195,17 @@ class TestScipyReference:
         assert "padlen, which is 27." in str(got.value)
 
     def test_bank_checks_grid_and_every_band(self):
-        a = sine_series(dt=0.01, duration=5.0)
-        with pytest.raises(ValueError, match="common grid"):
-            bandpass_bank([a, sine_series(dt=0.02, duration=5.0)],
-                          [(1.0, 2.0)])
+        # Every band must lie below the Nyquist frequency of the grid's dt;
+        # records on different grids are rejected by anderson_features
+        # (tests/test_gof_anderson.py).
+        x = np.stack([sine_series(dt=0.01, duration=5.0).samples] * 2)
+        assert bandpass_bank(x, 0.01, [(1.0, 30.0)]).shape == (2, x.shape[1])
+        with pytest.raises(ValueError, match=r"band \[1.0, 30.0\] Hz .*"
+                                             r"for dt=0.02"):
+            bandpass_bank(x, 0.02, [(1.0, 2.0), (1.0, 30.0)])
         with pytest.raises(ValueError, match=r"band \[1.0, 60.0\] Hz"):
-            bandpass_bank([a], [(1.0, 2.0), (1.0, 60.0)])
-        assert bandpass_bank([a, a], []) == [[], []]
+            bandpass_bank(x, 0.01, [(1.0, 2.0), (1.0, 60.0)])
+        assert bandpass_bank(x, 0.01, []).shape == (0, x.shape[1])
 
     def test_tukey_window(self):
         for n in (2, 3, 4, 5, 101, 600):

@@ -102,6 +102,14 @@ class TestValidation:
         with pytest.raises(UnitError):
             read_record(path)
 
+    @pytest.mark.parametrize("body", ["[1]", "null", "\"units\""])
+    def test_sidecar_that_is_not_an_object(self, tmp_path, record, body):
+        path = write_record(record, tmp_path / "trace.csv")
+        meta_path_for(path).write_text(body)
+        with pytest.raises(ValueError, match=r"trace\.meta\.json: sidecar "
+                                             r"must be a JSON object"):
+            read_record(path)
+
     def test_non_acceleration_record_rejected(self, tmp_path):
         rec = record_from_arrays(np.ones(10), np.ones(10), np.ones(10))
         vel = Record3C(
