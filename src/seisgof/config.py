@@ -9,6 +9,7 @@ so the manifest's config echo leaves them out (criterion 8).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,11 +47,15 @@ def _resolve(base: Path, value: str) -> Path:
 
 
 def _number(value, name: str, cast=float):
-    # A value of the wrong type is a ConfigError that names its key.
+    # A value of the wrong type, or one that is not finite (JSON's NaN and
+    # Infinity), is a ConfigError that names its key.
     try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: {number} is not finite")
+    return number
 
 
 def significance_level(value) -> float:
@@ -150,6 +155,9 @@ def load_config(path) -> PipelineConfig:
                 setattr(tf, attr, _number(t[key], f"tf.{key}", cast))
         if not 0 < tf.f_min < tf.f_max or tf.n_freqs < 2:
             raise ConfigError("tf grid must satisfy 0 < fmin < fmax, nfreq >= 2")
+        # The Morlet scale is omega0 / (2 pi f); at or below 0 every GOF is NaN.
+        if tf.wavelet_omega0 <= 0:
+            raise ConfigError("tf omega0 must be positive")
         # GOF values must lie in [0, 10]; a higher amplitude fails every pair.
         if not 0 < tf.amplitude <= 10 or tf.decay <= 0:
             raise ConfigError("tf amplitude must be in (0, 10] and decay "

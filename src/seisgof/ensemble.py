@@ -144,7 +144,7 @@ class ReferenceScorer:
         return [{"anderson": anderson_summary(
                     compare_anderson(self._anderson, sim_f, a_cfg)),
                  "tf": {comp: {"EG": gof.eg, "PG": gof.pg} for comp, gof
-                        in compare_tf(self._tf, sim, t_cfg).items()}}
+                        in compare_tf(self._tf, sim).items()}}
                 for sim_f, sim in zip(features, records)]
 
     def run_many(self, angles, make_synthetic, out_dir) -> list[RunResult]:

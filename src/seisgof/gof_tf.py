@@ -102,92 +102,6 @@ def _morlet_spectra(n: int, dt: float, freqs: bytes,
 
 
 @dataclass(frozen=True)
-class TfMisfits:
-    """Envelope/phase misfits: plane (tfem/tfpm), marginals, and globals."""
-
-    times: np.ndarray
-    freqs: np.ndarray
-    tfem: np.ndarray
-    tfpm: np.ndarray
-    tem: np.ndarray
-    tpm: np.ndarray
-    fem: np.ndarray
-    fpm: np.ndarray
-    em: float
-    pm: float
-
-
-def tf_misfits(ref: TimeSeries, sim: TimeSeries,
-               freqs: np.ndarray | None = None, *,
-               wavelet_omega0: float = 6.0) -> TfMisfits:
-    """All eight misfits of ``sim`` against the reference trace."""
-    require_same_grid(ref, sim)  # reported before a silent reference
-    return tf_reference(ref, freqs,
-                        wavelet_omega0=wavelet_omega0).misfits(sim)
-
-
-@dataclass(frozen=True)
-class TfReference:
-    """What the misfits need from one reference trace: its wavelet plane,
-    the envelope of that plane and the envelope's normalizers."""
-
-    trace: TimeSeries
-    freqs: np.ndarray
-    wavelet_omega0: float
-    coefficients: np.ndarray
-    envelope: np.ndarray
-    env_max: float
-    t_norm: float
-    f_norm: float
-    energy: float
-
-    def misfits(self, sim: TimeSeries) -> TfMisfits:
-        """All eight misfits of ``sim``, which must share the trace's grid."""
-        require_same_grid(self.trace, sim)
-        w_ref, env_ref = self.coefficients, self.envelope
-        w_sim = cwt(sim, self.freqs, self.wavelet_omega0)
-        env_diff = np.abs(w_sim) - env_ref
-        # Arg(W_sim * conj(W_ref)) in [-pi, pi], weighted by the reference
-        # envelope. The cross product is assembled from separate array ops
-        # so a real rescaling of the signal cancels exactly (no fused
-        # contraction).
-        re = w_sim.real * w_ref.real + w_sim.imag * w_ref.imag
-        im = w_sim.imag * w_ref.real - w_sim.real * w_ref.imag
-        dphi = np.arctan2(im, re)
-        phase_w = env_ref * dphi / np.pi
-
-        tfem = env_diff / self.env_max
-        tfpm = phase_w / self.env_max
-        tem = env_diff.sum(axis=1) / self.t_norm
-        tpm = phase_w.sum(axis=1) / self.t_norm
-        fem = env_diff.sum(axis=0) / self.f_norm
-        fpm = phase_w.sum(axis=0) / self.f_norm
-        em = float(np.sqrt((env_diff ** 2).sum() / self.energy))
-        pm = float(np.sqrt((phase_w ** 2).sum() / self.energy))
-        return TfMisfits(times=self.trace.times, freqs=self.freqs,
-                         tfem=tfem, tfpm=tfpm, tem=tem, tpm=tpm, fem=fem,
-                         fpm=fpm, em=em, pm=pm)
-
-
-def tf_reference(ref: TimeSeries, freqs: np.ndarray | None = None, *,
-                 wavelet_omega0: float = 6.0) -> TfReference:
-    """Prepare one reference trace for :meth:`TfReference.misfits`."""
-    if not np.any(ref.samples):
-        raise ValueError("reference trace is identically zero; "
-                         "misfit normalization is undefined")
-    if freqs is None:
-        freqs = log_freqs()
-    freqs = np.asarray(freqs, float)
-    w_ref = cwt(ref, freqs, wavelet_omega0)
-    env_ref = np.abs(w_ref)
-    return TfReference(
-        trace=ref, freqs=freqs, wavelet_omega0=wavelet_omega0,
-        coefficients=w_ref, envelope=env_ref,
-        env_max=env_ref.max(), t_norm=env_ref.sum(axis=1).max(),
-        f_norm=env_ref.sum(axis=0).max(), energy=(env_ref ** 2).sum())
-
-
-@dataclass(frozen=True)
 class TfGof:
     """All misfits mapped onto the 0-10 goodness-of-fit scale."""
 
@@ -213,55 +127,92 @@ class TfGof:
                 raise ValueError(f"{name} has values outside [0, 10]")
 
 
-def to_gof(misfits: TfMisfits, amplitude: float = 10.0,
-           decay: float = 1.0) -> TfGof:
-    """Map misfits elementwise with G = A * exp(-k * |M|)."""
-    def g(m):
-        return amplitude * np.exp(-decay * np.abs(m))
+@dataclass(frozen=True)
+class TfReference:
+    """What the GOF needs from one reference trace: the config it was
+    prepared with, its wavelet plane, the envelope of that plane and the
+    envelope's normalizers."""
 
-    return TfGof(times=misfits.times, freqs=misfits.freqs,
-                 eg=float(g(misfits.em)), pg=float(g(misfits.pm)),
-                 teg=g(misfits.tem), tpg=g(misfits.tpm),
-                 feg=g(misfits.fem), fpg=g(misfits.fpm),
-                 tfeg=g(misfits.tfem), tfpg=g(misfits.tfpm))
+    trace: TimeSeries
+    config: TfConfig
+    freqs: np.ndarray
+    coefficients: np.ndarray
+    envelope: np.ndarray
+    env_max: float
+    t_norm: float
+    f_norm: float
+    energy: float
+
+    def gof(self, sim: TimeSeries) -> TfGof:
+        """All eight misfits of ``sim``, which must share the trace's grid,
+        mapped elementwise with G = A * exp(-k * |M|)."""
+        require_same_grid(self.trace, sim)
+        cfg, w_ref, env_ref = self.config, self.coefficients, self.envelope
+        w_sim = cwt(sim, self.freqs, cfg.wavelet_omega0)
+        env_diff = np.abs(w_sim) - env_ref
+        # Arg(W_sim * conj(W_ref)) in [-pi, pi], weighted by the reference
+        # envelope. The cross product is assembled from separate array ops
+        # so a real rescaling of the signal cancels exactly (no fused
+        # contraction).
+        re = w_sim.real * w_ref.real + w_sim.imag * w_ref.imag
+        im = w_sim.imag * w_ref.real - w_sim.real * w_ref.imag
+        phase_w = env_ref * np.arctan2(im, re) / np.pi
+        del w_sim, re, im  # freed before the mapped planes are made
+
+        def g(m):
+            return cfg.amplitude * np.exp(-cfg.decay * np.abs(m))
+
+        return TfGof(
+            times=self.trace.times, freqs=self.freqs,
+            eg=float(g(np.sqrt((env_diff ** 2).sum() / self.energy))),
+            pg=float(g(np.sqrt((phase_w ** 2).sum() / self.energy))),
+            teg=g(env_diff.sum(axis=1) / self.t_norm),
+            tpg=g(phase_w.sum(axis=1) / self.t_norm),
+            feg=g(env_diff.sum(axis=0) / self.f_norm),
+            fpg=g(phase_w.sum(axis=0) / self.f_norm),
+            tfeg=g(env_diff / self.env_max), tfpg=g(phase_w / self.env_max))
+
+
+def tf_reference(ref: TimeSeries, config: TfConfig) -> TfReference:
+    """Prepare one reference trace for :meth:`TfReference.gof`."""
+    if not np.any(ref.samples):
+        raise ValueError("reference trace is identically zero; "
+                         "misfit normalization is undefined")
+    freqs = config.freqs()
+    w_ref = cwt(ref, freqs, config.wavelet_omega0)
+    env_ref = np.abs(w_ref)
+    return TfReference(
+        trace=ref, config=config, freqs=freqs, coefficients=w_ref,
+        envelope=env_ref, env_max=env_ref.max(),
+        t_norm=env_ref.sum(axis=1).max(), f_norm=env_ref.sum(axis=0).max(),
+        energy=(env_ref ** 2).sum())
 
 
 def tf_gof(ref: TimeSeries, sim: TimeSeries,
            config: TfConfig | None = None) -> TfGof:
-    """Misfits plus GOF mapping in one call."""
+    """Goodness-of-fit of ``sim`` against the reference trace."""
+    require_same_grid(ref, sim)  # reported before a silent reference
     cfg = config if config is not None else TfConfig()
-    misfits = tf_misfits(ref, sim, cfg.freqs(),
-                         wavelet_omega0=cfg.wavelet_omega0)
-    return to_gof(misfits, cfg.amplitude, cfg.decay)
+    return tf_reference(ref, cfg).gof(sim)
 
 
 def record_tf_gof(rec: Record3C, sim: Record3C,
                   config: TfConfig | None = None) -> dict[str, TfGof]:
-    """Per-component TF goodness-of-fit of an aligned record pair.
-
-    This is :func:`tf_features` of the reference followed by
-    :func:`compare_tf`.
-    """
-    cfg = config if config is not None else TfConfig()
-    # A Record3C keeps one grid and unit for all its components.
-    require_same_grid(rec.ew, sim.ew)
-    return compare_tf(tf_features(rec, cfg), sim, cfg)
+    """Per-component TF goodness-of-fit of an aligned record pair."""
+    return {name: tf_gof(ts, getattr(sim, name), config)
+            for name, ts in rec.components()}
 
 
 def tf_features(rec: Record3C, config: TfConfig) -> dict[str, TfReference]:
     """:func:`tf_reference` of every component of a reference record."""
-    freqs = config.freqs()
-    return {name: tf_reference(ts, freqs,
-                               wavelet_omega0=config.wavelet_omega0)
-            for name, ts in rec.components()}
+    return {name: tf_reference(ts, config) for name, ts in rec.components()}
 
 
-def compare_tf(features: dict[str, TfReference], sim: Record3C,
-               config: TfConfig) -> dict[str, TfGof]:
+def compare_tf(features: dict[str, TfReference],
+               sim: Record3C) -> dict[str, TfGof]:
     """Per-component TF goodness-of-fit of ``sim`` against prepared
     reference components."""
-    return {name: to_gof(ref.misfits(getattr(sim, name)), config.amplitude,
-                         config.decay)
+    return {name: ref.gof(getattr(sim, name))
             for name, ref in features.items()}
 
 

@@ -10,10 +10,20 @@ import numpy as np
 from .ensemble import PARAMETERS, CorrelationTable, GroupedScores
 
 
+def _rows(path, columns: tuple[str, ...]) -> list[dict]:
+    # A header without one of the columns is a ValueError that names the
+    # file and the missing columns, not a KeyError on the first row.
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        return list(reader)
+
+
 def table_from_csv(path, component: str) -> CorrelationTable:
     """Rebuild a correlation table from ``correlations_<component>.csv``."""
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _rows(path, ("parameter", "metric", "r", "p"))
     metrics = []
     for row in rows:
         if row["metric"] not in metrics:
@@ -45,9 +55,9 @@ def grouped_rows_from_csv(path) -> list[GroupedScores]:
     a single-score distribution so the chart is byte-stable. An empty mean
     cell is replayed as NaN.
     """
-    with Path(path).open(newline="") as fh:
-        return [GroupedScores(component=row["component"],
-                              parameter=row["parameter"],
-                              value=float(row["value"]), metric=row["metric"],
-                              scores=(float(row["mean"] or "nan"),))
-                for row in csv.DictReader(fh)]
+    rows = _rows(path, ("component", "parameter", "value", "metric", "mean"))
+    return [GroupedScores(component=row["component"],
+                          parameter=row["parameter"],
+                          value=float(row["value"]), metric=row["metric"],
+                          scores=(float(row["mean"] or "nan"),))
+            for row in rows]

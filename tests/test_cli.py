@@ -318,6 +318,25 @@ class TestReportCommand:
             assert (tmp_path / "out" / path.name).read_bytes() == (
                 path.read_bytes())
 
+    @pytest.mark.parametrize("name, column", [
+        ("grouped_scores.csv", "value"), ("correlations_ew.csv", "metric")])
+    def test_report_names_a_missing_csv_column(self, swept, tmp_path, capsys,
+                                               name, column):
+        run_dir = tmp_path / "edited"
+        shutil.copytree(swept, run_dir)
+        path = run_dir / name
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        drop = lines[0].index(column)
+        path.write_text("".join(",".join(cells[:drop] + cells[drop + 1:])
+                                + "\n" for cells in lines))
+        rc = main(["report", str(run_dir), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert name in err["error"]["message"]
+        assert repr(column) in err["error"]["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_report_needs_the_sweep_manifest(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -437,6 +456,27 @@ class TestErrorHandling:
         assert err["error"]["type"] == "ConfigError"
         assert next(iter(body)) in err["error"]["message"]
 
+    @pytest.mark.parametrize("body, key", [
+        ({"workers": float("inf")}, "workers"),
+        ({"periods": {"count": float("inf")}}, "periods.count"),
+        ({"tf": {"nfreq": float("inf")}}, "tf.nfreq"),
+        ({"max_lag": float("inf")}, "max_lag"),
+        ({"max_lag": float("nan")}, "max_lag"),
+        ({"grid": {"strike_delta": float("nan")}}, "grid.strike_delta"),
+        ({"tf": {"decay": float("nan")}}, "tf.decay"),
+    ], ids=["workers-inf", "periods-count-inf", "tf-nfreq-inf", "max-lag-inf",
+            "max-lag-nan", "strike-delta-nan", "tf-decay-nan"])
+    def test_number_that_is_not_finite_gives_json_error(self, tmp_path,
+                                                        capsys, body, key):
+        # json.dumps writes these as JSON's Infinity and NaN.
+        scenario_path, _, _ = make_scenario_file(tmp_path)
+        config_path = make_config_file(tmp_path, scenario_path, **body)
+        rc = main(["synth", "--config", str(config_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["message"].startswith(f"{key}: ")
+
     @pytest.mark.parametrize("key", ["hypocenter", "receiver"])
     def test_scenario_without_geometry_gives_json_error(self, tmp_path,
                                                         capsys, key):
@@ -481,6 +521,19 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
         assert "amplitude" in err["error"]["message"]
+
+    @pytest.mark.parametrize("omega0", [0.0, -6.0])
+    def test_tf_omega0_that_is_not_positive_is_rejected(self, tmp_path,
+                                                        capsys, omega0):
+        scenario_path, _, _ = make_scenario_file(tmp_path)
+        config_path = make_config_file(
+            tmp_path, scenario_path,
+            tf={"fmin": 0.5, "fmax": 5.0, "nfreq": 10, "omega0": omega0})
+        rc = main(["synth", "--config", str(config_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "ConfigError",
+                                "message": "tf omega0 must be positive"}
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_flag_below_one_gives_json_error(self, workspace, capsys,

@@ -3,7 +3,7 @@ import pytest
 
 from seisgof import TimeSeries, Unit, tf_gof
 from seisgof.gof_tf import (PLANE_CSV_BLOCK_ROWS, TfConfig, cwt, log_freqs,
-                            tf_misfits, to_gof, write_plane_csv)
+                            write_plane_csv)
 
 from conftest import burst_series, random_series
 
@@ -54,62 +54,30 @@ def ref_trace():
                         width=2.0)
 
 
-FREQS = log_freqs(0.2, 8.0, 24)
+CFG = TfConfig(f_min=0.2, f_max=8.0, n_freqs=24)
 
 
 class TestMisfits:
     def test_self_comparison_all_zero(self, ref_trace):
-        m = tf_misfits(ref_trace, ref_trace, FREQS)
-        assert m.em == 0.0 and m.pm == 0.0
-        for arr in (m.tfem, m.tfpm, m.tem, m.tpm, m.fem, m.fpm):
-            assert np.all(arr == 0.0)
-
-    def test_amplitude_scaling_gives_pure_envelope_misfit(self, ref_trace):
-        sim = ref_trace.with_samples(2.0 * ref_trace.samples)
-        m = tf_misfits(ref_trace, sim, FREQS)
-        assert np.all(m.tfpm == 0.0)
-        assert m.pm == 0.0
-        assert m.em > 0.0
-
-    def test_polarity_flip_gives_pure_phase_misfit(self, ref_trace):
-        sim = ref_trace.with_samples(-ref_trace.samples)
-        m = tf_misfits(ref_trace, sim, FREQS)
-        assert np.all(m.tfem == 0.0)
-        assert m.em == 0.0
-        # phase difference is pi everywhere, weighted by the envelope
-        assert m.pm == 1.0
+        gof = tf_gof(ref_trace, ref_trace, CFG)
+        assert gof.eg == 10.0 and gof.pg == 10.0
+        for arr in (gof.tfeg, gof.tfpg, gof.teg, gof.tpg, gof.feg, gof.fpg):
+            assert np.all(arr == 10.0)
 
     def test_zero_reference_rejected(self, ref_trace):
         zero = ref_trace.with_samples(np.zeros(ref_trace.n))
-        with pytest.raises(ValueError):
-            tf_misfits(zero, ref_trace, FREQS)
+        with pytest.raises(ValueError, match="identically zero"):
+            tf_gof(zero, ref_trace, CFG)
 
     def test_phase_misfit_bounded(self, ref_trace):
         rng = np.random.default_rng(31)
         sim = ref_trace.with_samples(ref_trace.samples
                                      + 0.5 * rng.standard_normal(ref_trace.n))
-        m = tf_misfits(ref_trace, sim, FREQS)
-        assert np.abs(m.tfpm).max() <= 1.0
+        # |TFPM| <= 1 everywhere, so no TFPG falls below 10 * exp(-1).
+        assert tf_gof(ref_trace, sim, CFG).tfpg.min() >= TEN_OVER_E
 
 
 class TestGofMapping:
-    def test_closed_form_points(self):
-        class Stub:
-            times = np.zeros(2)
-            freqs = np.ones(2)
-            tem = np.zeros(2)
-            tpm = np.zeros(2)
-            fem = np.zeros(2)
-            fpm = np.zeros(2)
-            tfem = np.zeros((2, 2))
-            tfpm = np.zeros((2, 2))
-            em = 0.0
-            pm = 1.0
-
-        gof = to_gof(Stub())
-        assert gof.eg == 10.0
-        assert abs(gof.pg - TEN_OVER_E) < 1e-12
-
     def test_strictly_decreasing_in_misfit(self):
         values = [10.0 * np.exp(-m) for m in (0.0, 0.2, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -118,8 +86,7 @@ class TestGofMapping:
 class TestGofInvariances:
     def test_positive_scaling_keeps_pg_at_ten(self, ref_trace):
         sim = ref_trace.with_samples(2.0 * ref_trace.samples)
-        gof = tf_gof(ref_trace, sim, TfConfig(f_min=0.2, f_max=8.0,
-                                              n_freqs=24))
+        gof = tf_gof(ref_trace, sim, CFG)
         assert gof.pg == 10.0
         assert gof.eg < 10.0
         assert np.all(gof.tpg == 10.0)
@@ -127,15 +94,14 @@ class TestGofInvariances:
 
     def test_generic_positive_scaling(self, ref_trace):
         sim = ref_trace.with_samples(1.37 * ref_trace.samples)
-        gof = tf_gof(ref_trace, sim, TfConfig(f_min=0.2, f_max=8.0,
-                                              n_freqs=24))
+        gof = tf_gof(ref_trace, sim, CFG)
         assert gof.pg > 10.0 - 1e-9
 
     def test_polarity_flip_keeps_eg_at_ten(self, ref_trace):
         sim = ref_trace.with_samples(-ref_trace.samples)
-        gof = tf_gof(ref_trace, sim, TfConfig(f_min=0.2, f_max=8.0,
-                                              n_freqs=24))
+        gof = tf_gof(ref_trace, sim, CFG)
         assert gof.eg == 10.0
+        assert np.all(gof.tfeg == 10.0)
         assert abs(gof.pg - TEN_OVER_E) < 1e-12
 
     def test_outputs_in_range_for_random_pairs(self):
