@@ -12,13 +12,15 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import report, traceio
 from .config import (ConfigError, PipelineConfig, config_echo, load_config,
                      significance_level)
 from .ensemble import (QUALITATIVE_TRENDS_NOTE, build_grid, correlation_tables,
                        group_report, run_sweep, synthesize)
 from .gof_anderson import score_pair
-from .gof_tf import record_tf_gof, write_plane_csv
+from .gof_tf import record_tf_gof
 from .signal import COMPONENTS, align_records
 from .source import scenario_from_dict, synth_fullspace
 
@@ -61,7 +63,15 @@ def cmd_synth(cfg: PipelineConfig, out_dir: Path) -> int:
 
 def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
             out_dir: Path, component: str = "all") -> int:
-    """Both GOF frameworks on one recorded/synthetic pair."""
+    """Both GOF frameworks on one recorded/synthetic pair.
+
+    Writes ``anderson_scores.csv``, ``gof_summary.json`` and, per scored
+    component ``c``, the time-frequency planes as ``tf_<c>.npz``: an
+    uncompressed numpy archive of the float64 arrays ``times``
+    (n_times,), ``freqs`` (n_freqs,) and the GOF planes ``tfeg`` and
+    ``tfpg`` (n_times, n_freqs), read with ``np.load(path)``. Every value
+    is stored exactly, and equal planes give equal file bytes.
+    """
     rec, sim = align_records(traceio.read_record(record_path),
                              traceio.read_record(synthetic_path))
     wanted = COMPONENTS if component == "all" else (component,)
@@ -90,10 +100,10 @@ def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
                             + "\n")
     files.append(summary_path.name)
     for comp, gof in tf.items():
-        for name, matrix in (("tfeg", gof.tfeg), ("tfpg", gof.tfpg)):
-            p = write_plane_csv(out_dir / f"{name}_{comp}.csv", gof.times,
-                                gof.freqs, matrix)
-            files.append(p.name)
+        plane_path = out_dir / f"tf_{comp}.npz"
+        np.savez(plane_path, times=gof.times, freqs=gof.freqs,
+                 tfeg=gof.tfeg, tfpg=gof.tfpg)
+        files.append(plane_path.name)
     report.write_manifest(out_dir / "manifest.json", {
         "command": "gof", "config": config_echo(cfg), "files": sorted(files),
     })
@@ -192,7 +202,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--config", required=True)
     p_synth.add_argument("--out", default=None)
 
-    p_gof = sub.add_parser("gof", help="score one recorded/synthetic pair")
+    p_gof = sub.add_parser(
+        "gof", help="score one recorded/synthetic pair",
+        description="Score one recorded/synthetic pair with both GOF "
+                    "frameworks. Writes anderson_scores.csv, "
+                    "gof_summary.json and, per component c, tf_<c>.npz: "
+                    "the float64 arrays times, freqs, tfeg and tfpg "
+                    "(planes of shape (n_times, n_freqs)), read with "
+                    "numpy.load(path).")
     p_gof.add_argument("record")
     p_gof.add_argument("synthetic")
     p_gof.add_argument("--config", default=None)

@@ -114,8 +114,11 @@ def load_config(path) -> PipelineConfig:
     anderson = AndersonConfig()
     if "bands" in raw:
         try:
-            anderson.bands = BandSpec(tuple((float(lo), float(hi))
-                                            for lo, hi in raw["bands"]))
+            anderson.bands = BandSpec(tuple(
+                (_number(lo, f"bands[{i}]"), _number(hi, f"bands[{i}]"))
+                for i, (lo, hi) in enumerate(raw["bands"])))
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bands: {exc}") from exc
     if "damping" in raw:

@@ -11,14 +11,21 @@ from .ensemble import PARAMETERS, CorrelationTable, GroupedScores
 
 
 def _rows(path, columns: tuple[str, ...]) -> list[dict]:
-    # A header without one of the columns is a ValueError that names the
-    # file and the missing columns, not a KeyError on the first row.
+    # A header without one of the columns, or a row with fewer cells than
+    # the header (which DictReader fills with None), is a ValueError that
+    # names the file, not a KeyError or TypeError further on.
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} has "
+                                 f"fewer cells than the header")
+            rows.append(row)
+        return rows
 
 
 def table_from_csv(path, component: str) -> CorrelationTable:

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import seisgof
-from seisgof import (FocalMechanism, build_grid, default_scenario, ensemble,
-                     synth_fullspace)
+from seisgof import (FocalMechanism, build_grid, cli, default_scenario,
+                     ensemble, synth_fullspace)
 from seisgof.cli import main
 from seisgof.config import config_echo, load_config
+from seisgof.gof_tf import record_tf_gof, write_plane_csv
 from seisgof.source import scenario_from_dict, scenario_to_dict
 from seisgof.traceio import read_record, write_record
 
@@ -98,8 +99,8 @@ class TestGofCommand:
                 assert entry["quality"] == "excellent"
         csv_lines = (out / "anderson_scores.csv").read_text().splitlines()
         assert csv_lines[0] == "component,im,band_lo,band_hi,score"
-        assert (out / "tfeg_ew.csv").exists()
-        assert (out / "tfpg_ud.csv").exists()
+        assert (out / "tf_ew.npz").exists()
+        assert (out / "tf_ud.npz").exists()
 
     def test_component_filter(self, workspace):
         tmp_path, config_path = workspace
@@ -109,7 +110,11 @@ class TestGofCommand:
                      "--out", str(out), "--component", "ew"]) == 0
         summary = json.loads((out / "gof_summary.json").read_text())
         assert set(summary["tf"]) == {"ew"}
-        assert not (out / "tfeg_ns.csv").exists()
+        written = ["anderson_scores.csv", "gof_summary.json", "tf_ew.npz"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*written, "manifest.json"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == written
 
     def test_long_pair_warns_of_nothing(self, tmp_path):
         # 180 s at 25 Hz, the default bands and periods: 11 periods fall
@@ -124,6 +129,85 @@ class TestGofCommand:
             assert main(["gof", *map(str, paths), "--out",
                          str(tmp_path / "out"), "--component", "ud"]) == 0
         assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+
+
+# Written into the GOF planes before they are saved: values a GOF plane
+# never holds, but which the archive must keep bit for bit all the same.
+SPECIAL_VALUES = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310,
+                  np.finfo(float).tiny]
+
+
+def _parsed_plane_csv(path, n_times, n_freqs):
+    """times, freqs and values of a write_plane_csv file, read back with
+    float()."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,f,value"
+    cells = np.array([[float(c) for c in line.split(",")]
+                      for line in lines[1:]]).reshape(n_times, n_freqs, 3)
+    return cells[:, 0, 0], cells[0, :, 1], cells[:, :, 2]
+
+
+def _same_bits(a, b):
+    # Compares NaNs and signed zeros too.
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+class TestPlaneArchive:
+    @pytest.fixture
+    def pair(self, workspace):
+        tmp_path, config_path = workspace
+        assert main(["synth", "--config", str(config_path), "--out",
+                     str(tmp_path / "synth")]) == 0
+        return (tmp_path, config_path, tmp_path / "recorded.csv",
+                tmp_path / "synth" / "synthetic.csv")
+
+    def test_archive_holds_the_plane_csv_values_bit_for_bit(
+            self, pair, monkeypatch):
+        tmp_path, config_path, ref, sim = pair
+        k = len(SPECIAL_VALUES)
+        saved = {}
+
+        def planes_with_special_values(rec, sim, config):
+            gofs = record_tf_gof(rec, sim, config)
+            for comp, gof in gofs.items():
+                for plane in (gof.tfeg, gof.tfpg):
+                    plane[0, :k] = SPECIAL_VALUES
+                    plane[-1, -k:] = SPECIAL_VALUES[::-1]
+            saved.update(gofs)
+            return gofs
+
+        monkeypatch.setattr(cli, "record_tf_gof", planes_with_special_values)
+        out = tmp_path / "gof_out"
+        assert main(["gof", str(ref), str(sim), "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        assert set(saved) == {"ew", "ns", "ud"}
+        for comp, gof in saved.items():
+            n_times, n_freqs = gof.tfeg.shape
+            with np.load(out / f"tf_{comp}.npz", allow_pickle=False) as npz:
+                assert npz.files == ["times", "freqs", "tfeg", "tfpg"]
+                arrays = {name: npz[name] for name in npz.files}
+            for name in ("tfeg", "tfpg"):
+                csv_path = tmp_path / f"{name}_{comp}.csv"
+                write_plane_csv(csv_path, gof.times, gof.freqs,
+                                getattr(gof, name))
+                times, freqs, values = _parsed_plane_csv(csv_path, n_times,
+                                                         n_freqs)
+                assert _same_bits(arrays["times"], times)
+                assert _same_bits(arrays["freqs"], freqs)
+                assert _same_bits(arrays[name], values)
+                assert np.isnan(values[0, 0])
+                assert np.signbit(values[0, 2])
+
+    def test_two_writes_give_identical_bytes(self, pair):
+        tmp_path, config_path, ref, sim = pair
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert main(["gof", str(ref), str(sim), "--config",
+                         str(config_path), "--out", str(out)]) == 0
+        trees = [_tree(out) for out in outs]
+        assert {"tf_ew.npz", "tf_ns.npz", "tf_ud.npz"} <= set(trees[0])
+        assert trees[0] == trees[1]
 
 
 class TestSweepCommand:
@@ -337,6 +421,20 @@ class TestReportCommand:
         assert repr(column) in err["error"]["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_report_names_a_truncated_csv_row(self, swept, tmp_path, capsys):
+        run_dir = tmp_path / "edited"
+        shutil.copytree(swept, run_dir)
+        path = run_dir / "grouped_scores.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "ew,strike\n"
+        path.write_text("".join(lines))
+        rc = main(["report", str(run_dir), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert "grouped_scores.csv: line 2 " in err["error"]["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_report_needs_the_sweep_manifest(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -464,8 +562,11 @@ class TestErrorHandling:
         ({"max_lag": float("nan")}, "max_lag"),
         ({"grid": {"strike_delta": float("nan")}}, "grid.strike_delta"),
         ({"tf": {"decay": float("nan")}}, "tf.decay"),
+        ({"bands": [[0.5, float("inf")]]}, "bands[0]"),
+        ({"bands": [[0.5, 1.0], [float("nan"), 2.0]]}, "bands[1]"),
     ], ids=["workers-inf", "periods-count-inf", "tf-nfreq-inf", "max-lag-inf",
-            "max-lag-nan", "strike-delta-nan", "tf-decay-nan"])
+            "max-lag-nan", "strike-delta-nan", "tf-decay-nan", "band-edge-inf",
+            "band-edge-nan"])
     def test_number_that_is_not_finite_gives_json_error(self, tmp_path,
                                                         capsys, body, key):
         # json.dumps writes these as JSON's Infinity and NaN.
