@@ -158,10 +158,11 @@ def load_config(path) -> PipelineConfig:
                 setattr(tf, attr, _number(t[key], f"tf.{key}", cast))
         if not 0 < tf.f_min < tf.f_max or tf.n_freqs < 2:
             raise ConfigError("tf grid must satisfy 0 < fmin < fmax, nfreq >= 2")
-        # The Morlet scale is omega0 / (2 pi f); at or below 0 every GOF is NaN.
+        # tf_reference rejects these ranges too, but only once a pair is
+        # scored. The Morlet scale is omega0 / (2 pi f).
         if tf.wavelet_omega0 <= 0:
             raise ConfigError("tf omega0 must be positive")
-        # GOF values must lie in [0, 10]; a higher amplitude fails every pair.
+        # GOF values must lie in [0, 10].
         if not 0 < tf.amplitude <= 10 or tf.decay <= 0:
             raise ConfigError("tf amplitude must be in (0, 10] and decay "
                               "positive")

@@ -43,14 +43,19 @@ class TfConfig:
         return log_freqs(self.f_min, self.f_max, self.n_freqs)
 
 
+# Complex values per inverse-FFT block of cwt (1 MB): 32 frequency rows of a
+# 2,048-point FFT, 4 rows of a 16,384-point one.
+CWT_BLOCK_VALUES = 2 ** 16
+
+
 def cwt(ts: TimeSeries, freqs: np.ndarray, wavelet_omega0: float = 6.0,
         taper_fraction: float = 0.05) -> np.ndarray:
     """Continuous wavelet transform with the analytic Morlet wavelet.
 
-    Returns the complex coefficients as an (n_times, n_freqs) array, one
-    column per frequency of ``freqs``, which must be strictly increasing.
-    Scales are L2-normalized (1/sqrt(a)); the signal is cosine-tapered and
-    zero-padded before the FFT-based convolution.
+    Returns the complex coefficients as a C-contiguous (n_times, n_freqs)
+    array, one column per frequency of ``freqs``, which must be strictly
+    increasing. Scales are L2-normalized (1/sqrt(a)); the signal is
+    cosine-tapered and zero-padded before the FFT-based convolution.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size == 0:
@@ -71,11 +76,20 @@ def cwt(ts: TimeSeries, freqs: np.ndarray, wavelet_omega0: float = 6.0,
     t_mid = (n - 1) * dt / 2.0
     i0 = int(t_mid / dt)
 
+    # One inverse FFT per block of frequency rows, written into a
+    # C-contiguous plane. The values match one ifft per frequency bit for
+    # bit, but the plane must stay C-ordered: an F-ordered one changes the
+    # pairwise summation order of the sums behind EG and PG.
+    nfft = spectra.shape[1]
+    rows = max(1, min(freqs.size, CWT_BLOCK_VALUES // nfft))
+    buffer = np.empty((rows, nfft), dtype=complex)
     coeff = np.empty((n, freqs.size), dtype=complex)
-    for j, kernel_f in enumerate(spectra):
-        # One inverse FFT per frequency: a batched one changes the last
-        # digits of the coefficients.
-        coeff[:, j] = np.fft.ifft(kernel_f * xf)[i0:i0 + n] * dt
+    for j0 in range(0, freqs.size, rows):
+        k = min(rows, freqs.size - j0)
+        block = buffer[:k]
+        np.multiply(spectra[j0:j0 + k], xf, out=block)
+        np.fft.ifft(block, axis=1, out=block)
+        np.multiply(block[:, i0:i0 + n], dt, out=coeff[:, j0:j0 + k].T)
     return coeff
 
 
@@ -101,30 +115,65 @@ def _morlet_spectra(n: int, dt: float, freqs: bytes,
     return spectra
 
 
+def _mapped(config: TfConfig, misfit):
+    # G = A * exp(-k * |M|); in [0, A] for every finite misfit.
+    return config.amplitude * np.exp(-config.decay * np.abs(misfit))
+
+
 @dataclass(frozen=True)
 class TfGof:
-    """All misfits mapped onto the 0-10 goodness-of-fit scale."""
+    """All misfits mapped onto the 0-10 goodness-of-fit scale.
+
+    ``eg`` and ``pg`` are computed with the misfits, and a value outside
+    [0, 10] (NaN included) is rejected. The marginal GOFs ``teg``,
+    ``tpg`` (per time) and ``feg``, ``fpg`` (per frequency) and the plane
+    GOFs ``tfeg`` and ``tfpg`` are mapped from the two misfit planes each
+    time they are read, as a new array; a sweep reads only EG and PG.
+    :func:`tf_reference` bounds the amplitude to (0, 10], so every finite
+    misfit maps into [0, 10].
+    """
 
     times: np.ndarray
     freqs: np.ndarray
     eg: float
     pg: float
-    teg: np.ndarray
-    tpg: np.ndarray
-    feg: np.ndarray
-    fpg: np.ndarray
-    tfeg: np.ndarray
-    tfpg: np.ndarray
+    env_diff: np.ndarray  # |W_sim| - |W_ref|
+    phase_w: np.ndarray   # |W_ref| * Arg(W_sim * conj(W_ref)) / pi
+    # The reference's config and envelope normalizers (TfReference).
+    config: TfConfig
+    env_max: float
+    t_norm: float
+    f_norm: float
 
     def __post_init__(self):
         for name in ("eg", "pg"):
             v = getattr(self, name)
             if not 0.0 <= v <= 10.0:
                 raise ValueError(f"{name}={v} outside [0, 10]")
-        for name in ("teg", "tpg", "feg", "fpg", "tfeg", "tfpg"):
-            arr = np.asarray(getattr(self, name))
-            if arr.size and (arr.min() < 0.0 or arr.max() > 10.0):
-                raise ValueError(f"{name} has values outside [0, 10]")
+
+    @property
+    def teg(self) -> np.ndarray:
+        return _mapped(self.config, self.env_diff.sum(axis=1) / self.t_norm)
+
+    @property
+    def tpg(self) -> np.ndarray:
+        return _mapped(self.config, self.phase_w.sum(axis=1) / self.t_norm)
+
+    @property
+    def feg(self) -> np.ndarray:
+        return _mapped(self.config, self.env_diff.sum(axis=0) / self.f_norm)
+
+    @property
+    def fpg(self) -> np.ndarray:
+        return _mapped(self.config, self.phase_w.sum(axis=0) / self.f_norm)
+
+    @property
+    def tfeg(self) -> np.ndarray:
+        return _mapped(self.config, self.env_diff / self.env_max)
+
+    @property
+    def tfpg(self) -> np.ndarray:
+        return _mapped(self.config, self.phase_w / self.env_max)
 
 
 @dataclass(frozen=True)
@@ -144,8 +193,9 @@ class TfReference:
     energy: float
 
     def gof(self, sim: TimeSeries) -> TfGof:
-        """All eight misfits of ``sim``, which must share the trace's grid,
-        mapped elementwise with G = A * exp(-k * |M|)."""
+        """The TF goodness-of-fit of ``sim``, which must share the trace's
+        grid: EG and PG, and the two misfit planes that the other six GOFs
+        are mapped from when read, all with G = A * exp(-k * |M|)."""
         require_same_grid(self.trace, sim)
         cfg, w_ref, env_ref = self.config, self.coefficients, self.envelope
         w_sim = cwt(sim, self.freqs, cfg.wavelet_omega0)
@@ -157,24 +207,26 @@ class TfReference:
         re = w_sim.real * w_ref.real + w_sim.imag * w_ref.imag
         im = w_sim.imag * w_ref.real - w_sim.real * w_ref.imag
         phase_w = env_ref * np.arctan2(im, re) / np.pi
-        del w_sim, re, im  # freed before the mapped planes are made
-
-        def g(m):
-            return cfg.amplitude * np.exp(-cfg.decay * np.abs(m))
-
+        del w_sim, re, im  # freed before EG and PG are summed
         return TfGof(
             times=self.trace.times, freqs=self.freqs,
-            eg=float(g(np.sqrt((env_diff ** 2).sum() / self.energy))),
-            pg=float(g(np.sqrt((phase_w ** 2).sum() / self.energy))),
-            teg=g(env_diff.sum(axis=1) / self.t_norm),
-            tpg=g(phase_w.sum(axis=1) / self.t_norm),
-            feg=g(env_diff.sum(axis=0) / self.f_norm),
-            fpg=g(phase_w.sum(axis=0) / self.f_norm),
-            tfeg=g(env_diff / self.env_max), tfpg=g(phase_w / self.env_max))
+            eg=float(_mapped(cfg, np.sqrt((env_diff ** 2).sum()
+                                          / self.energy))),
+            pg=float(_mapped(cfg, np.sqrt((phase_w ** 2).sum()
+                                          / self.energy))),
+            env_diff=env_diff, phase_w=phase_w, config=cfg,
+            env_max=self.env_max, t_norm=self.t_norm, f_norm=self.f_norm)
 
 
 def tf_reference(ref: TimeSeries, config: TfConfig) -> TfReference:
     """Prepare one reference trace for :meth:`TfReference.gof`."""
+    # With these, every mapped GOF of a finite misfit lies in [0, 10].
+    if not 0 < config.amplitude <= 10:
+        raise ValueError(f"amplitude={config.amplitude} outside (0, 10]")
+    for name in ("decay", "wavelet_omega0"):
+        value = getattr(config, name)
+        if not value > 0:
+            raise ValueError(f"{name}={value} must be positive")
     if not np.any(ref.samples):
         raise ValueError("reference trace is identically zero; "
                          "misfit normalization is undefined")

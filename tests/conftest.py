@@ -4,8 +4,10 @@ import pytest
 from seisgof import (FocalMechanism, TimeSeries, Unit, arias_duration,
                      arias_intensity, default_scenario, response_spectrum,
                      synth_fullspace)
+from seisgof.gof_tf import _morlet_spectra
 from seisgof.imeasures import energy_duration, energy_integral, peaks
-from seisgof.signal import Record3C, detrend, fourier_amplitude, integrate
+from seisgof.signal import (Record3C, detrend, fourier_amplitude, integrate,
+                            tukey_window)
 
 
 def sine_series(freq=1.0, dt=0.005, duration=10.0, amplitude=1.0, t0=0.0,
@@ -48,6 +50,23 @@ def full_mode_cross_correlation(a, b, max_lag):
     max_shift = int(np.floor(max_lag / a.dt + 1e-9))
     rho = float(full_mode_lags(xa, xb, max_shift).max() / den)
     return min(1.0, max(-1.0, rho))
+
+
+def cwt_per_frequency(ts, freqs, wavelet_omega0=6.0, taper_fraction=0.05):
+    """cwt through one inverse FFT per frequency, the oracle of its
+    blocked inverse FFTs."""
+    freqs = np.asarray(freqs, dtype=float)
+    x = ts.samples
+    if taper_fraction > 0:
+        x = x * tukey_window(ts.n, taper_fraction)
+    n, dt = x.size, ts.dt
+    spectra = _morlet_spectra(n, dt, freqs.tobytes(), wavelet_omega0)
+    xf = np.fft.fft(x, n=spectra.shape[1])
+    i0 = int((n - 1) * dt / 2.0 / dt)
+    coeff = np.empty((n, freqs.size), dtype=complex)
+    for j, kernel_f in enumerate(spectra):
+        coeff[:, j] = np.fft.ifft(kernel_f * xf)[i0:i0 + n] * dt
+    return coeff
 
 
 def one_trace_measures(acc, periods):

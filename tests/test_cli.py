@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,8 +170,14 @@ class TestPlaneArchive:
         saved = {}
 
         def planes_with_special_values(rec, sim, config):
-            gofs = record_tf_gof(rec, sim, config)
-            for comp, gof in gofs.items():
+            # TfGof maps its planes anew on every read, so each one is
+            # replaced by a snapshot of the fields that cmd_gof reads.
+            gofs = {comp: SimpleNamespace(**{
+                name: getattr(gof, name) for name in (
+                    "times", "freqs", "eg", "pg", "teg", "tpg", "feg", "fpg",
+                    "tfeg", "tfpg")})
+                for comp, gof in record_tf_gof(rec, sim, config).items()}
+            for gof in gofs.values():
                 for plane in (gof.tfeg, gof.tfpg):
                     plane[0, :k] = SPECIAL_VALUES
                     plane[-1, -k:] = SPECIAL_VALUES[::-1]

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from seisgof import TimeSeries, Unit, tf_gof
+from seisgof import TimeSeries, Unit, gof_tf, tf_gof
 from seisgof.gof_tf import (PLANE_CSV_BLOCK_ROWS, TfConfig, cwt, log_freqs,
-                            write_plane_csv)
+                            tf_reference, write_plane_csv)
 
-from conftest import burst_series, random_series
+from conftest import burst_series, cwt_per_frequency, random_series
 
 TEN_OVER_E = 10.0 * np.exp(-1.0)
 
@@ -48,6 +50,69 @@ class TestCwt:
             cwt(ts, np.array([2.0, 1.0]))
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+# (samples, dt, frequencies): the benchmark's 601- and 4,501-sample grids
+# and the 2,401-sample criterion-8 grid, an even length, frequency counts
+# that are not a multiple of a block's rows, and a one-frequency grid.
+ORACLE_GRIDS = [
+    (601, 0.02, log_freqs(0.05, 10.0, 40)),    # 2,048-point FFT: 32 + 8 rows
+    (601, 0.02, np.array([1.0])),
+    (2401, 0.005, log_freqs(0.05, 10.0, 37)),  # 8,192 points: 4 x 8 + 5
+    (2400, 0.005, log_freqs(0.2, 20.0, 12)),
+    (4501, 0.04, log_freqs(0.05, 10.0, 39)),   # 16,384 points: 9 x 4 + 3
+]
+
+
+class TestCwtBlocks:
+    @pytest.mark.parametrize("n, dt, freqs", ORACLE_GRIDS,
+                             ids=[f"{n}x{f.size}" for n, _, f in ORACLE_GRIDS])
+    def test_equals_one_ifft_per_frequency_bit_for_bit(self, n, dt, freqs):
+        rng = np.random.default_rng(n + freqs.size)
+        for _ in range(3):
+            ts = random_series(rng, n=n, dt=dt)
+            coeff = cwt(ts, freqs)
+            assert coeff.flags.c_contiguous
+            assert _same_bits(coeff, cwt_per_frequency(ts, freqs))
+
+    def test_other_wavelets_and_no_taper_bit_for_bit(self):
+        ts = burst_series(freq=3.0, dt=0.005, duration=12.0, center=6.0)
+        freqs = log_freqs(0.3, 30.0, 21)
+        for omega0, taper in ((8.0, 0.05), (6.0, 0.0), (4.5, 0.2)):
+            assert _same_bits(cwt(ts, freqs, omega0, taper),
+                              cwt_per_frequency(ts, freqs, omega0, taper))
+
+    @pytest.mark.parametrize("block_values", [1, 3 * 2048, 2 ** 30])
+    def test_same_bits_at_any_block_size(self, monkeypatch, block_values):
+        # One row per block, three rows per block, and every row at once.
+        ts = random_series(np.random.default_rng(5), n=601, dt=0.02)
+        freqs = log_freqs(0.05, 10.0, 40)
+        expected = cwt(ts, freqs)
+        monkeypatch.setattr(gof_tf, "CWT_BLOCK_VALUES", block_values)
+        coeff = cwt(ts, freqs)
+        assert coeff.flags.c_contiguous
+        assert _same_bits(coeff, expected)
+
+    def test_memory_is_the_plane_and_one_block(self):
+        ts = random_series(np.random.default_rng(6), n=4501, dt=0.04)
+        freqs = log_freqs(0.05, 10.0, 40)
+        cwt(ts, freqs)  # fills the kernel spectra cache (10.5 MB)
+        tracemalloc.start()
+        try:
+            coeff = cwt(ts, freqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 2 ** 20  # 1 MB: 2**16 complex values
+        # The slack holds the tapered trace and its 16,384-point FFT. One
+        # batch of all 40 rows (10.5 MB) does not fit.
+        assert peak < coeff.nbytes + 2 * block + 2 ** 19
+
+
 @pytest.fixture(scope="module")
 def ref_trace():
     return burst_series(freq=1.5, dt=0.01, duration=20.0, center=10.0,
@@ -75,6 +140,91 @@ class TestMisfits:
                                      + 0.5 * rng.standard_normal(ref_trace.n))
         # |TFPM| <= 1 everywhere, so no TFPG falls below 10 * exp(-1).
         assert tf_gof(ref_trace, sim, CFG).tfpg.min() >= TEN_OVER_E
+
+
+def eager_tf_gof(ref, sim, cfg):
+    """Every TfGof field by the formulas that mapped all eight misfits on
+    construction, on the per-frequency CWT planes."""
+    freqs = cfg.freqs()
+    w_ref = cwt_per_frequency(ref, freqs, cfg.wavelet_omega0)
+    w_sim = cwt_per_frequency(sim, freqs, cfg.wavelet_omega0)
+    env_ref = np.abs(w_ref)
+    env_max = env_ref.max()
+    t_norm = env_ref.sum(axis=1).max()
+    f_norm = env_ref.sum(axis=0).max()
+    energy = (env_ref ** 2).sum()
+    env_diff = np.abs(w_sim) - env_ref
+    re = w_sim.real * w_ref.real + w_sim.imag * w_ref.imag
+    im = w_sim.imag * w_ref.real - w_sim.real * w_ref.imag
+    phase_w = env_ref * np.arctan2(im, re) / np.pi
+
+    def g(m):
+        return cfg.amplitude * np.exp(-cfg.decay * np.abs(m))
+
+    return {"times": ref.times, "freqs": freqs,
+            "eg": float(g(np.sqrt((env_diff ** 2).sum() / energy))),
+            "pg": float(g(np.sqrt((phase_w ** 2).sum() / energy))),
+            "teg": g(env_diff.sum(axis=1) / t_norm),
+            "tpg": g(phase_w.sum(axis=1) / t_norm),
+            "feg": g(env_diff.sum(axis=0) / f_norm),
+            "fpg": g(phase_w.sum(axis=0) / f_norm),
+            "tfeg": g(env_diff / env_max), "tfpg": g(phase_w / env_max)}
+
+
+class TestEagerOracle:
+    @pytest.mark.parametrize("cfg", [
+        CFG, TfConfig(), TfConfig(f_min=0.1, f_max=12.0, n_freqs=33,
+                                  wavelet_omega0=7.0, amplitude=7.5,
+                                  decay=1.7)])
+    def test_every_field_equals_the_eager_formula_bit_for_bit(
+            self, ref_trace, cfg):
+        rng = np.random.default_rng(41)
+        sims = [ref_trace.with_samples(
+                    ref_trace.samples
+                    + 0.3 * rng.standard_normal(ref_trace.n)),
+                ref_trace.with_samples(-0.7 * ref_trace.samples[::-1])]
+        reference = tf_reference(ref_trace, cfg)
+        for sim in sims:
+            gof = reference.gof(sim)
+            for name, value in eager_tf_gof(ref_trace, sim, cfg).items():
+                assert _same_bits(getattr(gof, name), value), name
+
+    def test_sweep_grid_pair_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        ref, sim = (random_series(rng, n=601, dt=0.02) for _ in range(2))
+        gof = tf_gof(ref, sim, TfConfig())
+        for name, value in eager_tf_gof(ref, sim, TfConfig()).items():
+            assert _same_bits(getattr(gof, name), value), name
+
+
+class TestConfigRange:
+    """tf_reference enforces the ranges that load_config checks, so a
+    TfConfig built in code cannot map a misfit outside [0, 10]."""
+
+    @pytest.mark.parametrize("amplitude", [12.0, 10.5, 0.0, -1.0, np.nan])
+    def test_amplitude_outside_the_gof_scale_is_rejected(self, ref_trace,
+                                                         amplitude):
+        with pytest.raises(ValueError, match=r"^amplitude=.* outside"):
+            tf_gof(ref_trace, ref_trace, TfConfig(amplitude=amplitude))
+
+    @pytest.mark.parametrize("decay", [0.0, -1.0, np.nan])
+    def test_decay_that_is_not_positive_is_rejected(self, ref_trace, decay):
+        with pytest.raises(ValueError, match=r"^decay=.* must be positive"):
+            tf_reference(ref_trace, TfConfig(decay=decay))
+
+    @pytest.mark.parametrize("omega0", [0.0, -6.0, np.nan])
+    def test_wavelet_omega0_that_is_not_positive_is_rejected(self, ref_trace,
+                                                             omega0):
+        with pytest.raises(ValueError,
+                           match=r"^wavelet_omega0=.* must be positive"):
+            tf_reference(ref_trace, TfConfig(wavelet_omega0=omega0))
+
+    def test_range_edges_are_accepted(self, ref_trace):
+        sim = ref_trace.with_samples(-ref_trace.samples)
+        gof = tf_gof(ref_trace, sim, TfConfig(f_min=0.2, f_max=8.0,
+                                              n_freqs=8, amplitude=10.0,
+                                              decay=1e-300))
+        assert gof.eg == 10.0 and gof.pg == 10.0
 
 
 class TestGofMapping:
