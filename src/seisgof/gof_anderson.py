@@ -122,9 +122,6 @@ class AndersonScores:
             raise ValueError("scores must lie in [0, 10]")
         object.__setattr__(self, "scores", scores)
 
-    def row(self, im: str) -> np.ndarray:
-        return self.scores[self.ims.index(im)]
-
 
 def aggregate(scores: AndersonScores) -> dict[str, tuple[float, float, float]]:
     """(max, mean, min) per measure across non-skipped bands."""

@@ -15,30 +15,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .signal import (BANK_MAX_VALUES, TimeSeries, Unit, cumulative_trapezoid,
-                     detrend, detrend_rows, integrate, require_same_grid,
-                     require_unit)
+                     detrend_rows, require_same_grid, require_unit)
 
 G = 9.81  # m/s^2
-
-
-def peaks(acc: TimeSeries):
-    """(PGA, PGV, PGD) from an acceleration trace.
-
-    Velocity and displacement come from successive cumulative integrations,
-    each followed by a linear detrend.
-    """
-    require_unit(acc, Unit.ACCELERATION)
-    vel = detrend(integrate(acc))
-    disp = detrend(integrate(vel))
-    return (float(np.abs(acc.samples).max()),
-            float(np.abs(vel.samples).max()),
-            float(np.abs(disp.samples).max()))
 
 
 def arias_intensity(acc: TimeSeries) -> float:
     """Ia = pi/(2 g) * integral of a(t)^2 dt, trapezoidal."""
     require_unit(acc, Unit.ACCELERATION)
-    return float(np.pi / (2.0 * G) * np.trapezoid(acc.samples ** 2, dx=acc.dt))
+    return float(_energy(acc.samples[None], np.pi / (2.0 * G), acc.dt,
+                         acc.times, 0.05, 0.75)[0][0])
 
 
 def _check_thresholds(lo: float, hi: float) -> None:
@@ -47,33 +33,15 @@ def _check_thresholds(lo: float, hi: float) -> None:
                          f"({lo}, {hi})")
 
 
-def _energy_window(ts: TimeSeries, lo: float, hi: float) -> float:
-    _check_thresholds(lo, hi)
-    cum = cumulative_trapezoid(ts.samples ** 2, ts.dt)
-    total = cum[-1]
-    if total <= 0.0:
-        raise ValueError("zero-energy trace has no duration")
-    frac = cum / total
-    t = ts.times
-    return float(np.interp(hi, frac, t) - np.interp(lo, frac, t))
-
-
 def arias_duration(acc: TimeSeries, lo: float = 0.05, hi: float = 0.75) -> float:
     """Time between the lo and hi fractions of the cumulative Arias buildup."""
     require_unit(acc, Unit.ACCELERATION)
-    return _energy_window(acc, lo, hi)
-
-
-def energy_integral(vel: TimeSeries) -> float:
-    """Iv = integral of v(t)^2 dt."""
-    require_unit(vel, Unit.VELOCITY)
-    return float(np.trapezoid(vel.samples ** 2, dx=vel.dt))
-
-
-def energy_duration(vel: TimeSeries, lo: float = 0.05, hi: float = 0.75) -> float:
-    """Same construction as the Arias duration, applied to v^2."""
-    require_unit(vel, Unit.VELOCITY)
-    return _energy_window(vel, lo, hi)
+    _check_thresholds(lo, hi)
+    energy, window = _energy(acc.samples[None], 1.0, acc.dt, acc.times, lo,
+                             hi)
+    if not energy[0] > 0:
+        raise ValueError("zero-energy trace has no duration")
+    return float(window[0])
 
 
 def default_periods(n: int = 50, t_min: float = 0.02, t_max: float = 10.0) -> np.ndarray:
@@ -258,14 +226,13 @@ def intensity_measures(acc: np.ndarray, t0: float, dt: float,
     """:func:`compute_intensity_vector` of every row of ``acc``,
     acceleration samples on the grid ``t0 + i * dt``, in 2-D passes.
 
-    Each row's measures equal, bit for bit, what :func:`peaks`,
-    :func:`arias_intensity`, :func:`arias_duration`,
-    :func:`energy_integral`, :func:`energy_duration` and
-    :func:`~seisgof.signal.fourier_amplitude` give its trace alone, and Sa
-    is one :func:`response_spectra` call with ``where``. Zero-energy rows
-    get zero durations. One pass takes at most
-    :data:`~seisgof.signal.BANK_MAX_VALUES` samples; a bigger array runs
-    in slices of rows.
+    PGV and PGD are the peaks of the detrended running integrals. Each
+    row's measures equal, bit for bit, what the test oracle
+    ``tests/conftest.py::one_trace_measures`` computes for its trace alone
+    with numpy's own routines, and Sa is one :func:`response_spectra`
+    call with ``where``. Zero-energy rows get zero durations. One pass
+    takes at most :data:`~seisgof.signal.BANK_MAX_VALUES` samples; a
+    bigger array runs in slices of rows.
     """
     _check_thresholds(duration_lo, duration_hi)
     periods = np.asarray(default_periods() if periods is None else periods,
@@ -295,9 +262,9 @@ def intensity_measures(acc: np.ndarray, t0: float, dt: float,
 
 def _energy(x, scale, dt, t, lo, hi):
     # Per row: scale times the trapezoid integral of x^2, and where that is
-    # positive the lo-hi window of its buildup (_energy_window), 0.0
-    # elsewhere. The trapezoid steps dt * (y[1:] + y[:-1]) / 2.0 are
-    # summed as np.trapezoid sums them, then accumulated in place into the
+    # positive the lo-hi window of its buildup, 0.0 elsewhere. The
+    # trapezoid steps dt * (y[1:] + y[:-1]) / 2.0 are summed as
+    # np.trapezoid sums them, then accumulated in place into the
     # buildup (cumulative_trapezoid), so no temporary array is made;
     # np.interp takes one row at a time.
     sq = x ** 2

@@ -14,18 +14,15 @@ import numpy as np
 
 
 class Unit(enum.Enum):
-    """Physical unit of a trace. Integration promotes, differentiation demotes."""
+    """Physical unit of a trace."""
 
     ACCELERATION = "m/s2"
     VELOCITY = "m/s"
     DISPLACEMENT = "m"
 
 
-_PROMOTE = {Unit.ACCELERATION: Unit.VELOCITY, Unit.VELOCITY: Unit.DISPLACEMENT}
-
-
 class UnitError(ValueError):
-    """Operands carry incompatible units, or the unit chain has no successor."""
+    """Operands carry incompatible units."""
 
 
 @dataclass(frozen=True)
@@ -65,10 +62,9 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n) * self.dt
 
-    def with_samples(self, samples, unit: Unit | None = None) -> "TimeSeries":
-        """New series on the same grid; optionally with a different unit."""
-        return TimeSeries(self.dt, self.t0, samples,
-                          self.unit if unit is None else unit)
+    def with_samples(self, samples) -> "TimeSeries":
+        """New series on the same grid and in the same unit."""
+        return TimeSeries(self.dt, self.t0, samples, self.unit)
 
 
 COMPONENTS = ("ew", "ns", "ud")
@@ -106,26 +102,6 @@ class Record3C:
             yield name, getattr(self, name)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided amplitude spectrum on an ascending frequency grid."""
-
-    freqs: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=float)
-        if freqs.shape != amps.shape or freqs.ndim != 1:
-            raise ValueError("freqs and amplitudes must be 1-D arrays of equal length")
-        if freqs.size and np.any(np.diff(freqs) <= 0):
-            raise ValueError("freqs must be strictly increasing")
-        if np.any(amps < 0):
-            raise ValueError("amplitudes must be non-negative")
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "amplitudes", amps)
-
-
 def require_unit(ts: TimeSeries, unit: Unit) -> None:
     if ts.unit is not unit:
         raise UnitError(f"expected a {unit.value} trace, got {ts.unit.value}")
@@ -142,18 +118,11 @@ def require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
         raise ValueError("traces are not on a common grid; align() them first")
 
 
-def detrend(ts: TimeSeries) -> TimeSeries:
-    """Remove the least-squares line, bit for bit as ``np.polyfit(t, x, 1)``
-    over the sample indices ``t`` fits it: the same scaled Vandermonde
-    matrix, ``rcond`` and ``lstsq`` call, with the matrix kept per length.
-    """
-    return ts.with_samples(detrend_rows(ts.samples[None])[0])
-
-
 def detrend_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`detrend` of every row of a 2-D array.
-
-    The line of each row is fitted by its own ``lstsq`` call, since a
+    """Every row of a 2-D array less its least-squares line, bit for bit as
+    ``np.polyfit(t, x, 1)`` over the sample indices ``t`` fits it: the same
+    scaled Vandermonde matrix, ``rcond`` and ``lstsq`` call, with the
+    matrix kept per length. Each row has its own ``lstsq`` call, since a
     batched fit does not give the same bits; the lines are removed in one
     pass.
     """
@@ -409,14 +378,6 @@ def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
 _SOSFILT_BLOCK = 256
 
 
-def integrate(ts: TimeSeries) -> TimeSeries:
-    """Cumulative trapezoidal integral starting at 0; promotes the unit."""
-    if ts.unit not in _PROMOTE:
-        raise UnitError("cannot integrate a displacement trace (no unit above)")
-    return ts.with_samples(cumulative_trapezoid(ts.samples, ts.dt),
-                           unit=_PROMOTE[ts.unit])
-
-
 def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     """Running trapezoidal integral of ``y`` from 0 along its last axis, one
     value per sample;
@@ -430,12 +391,6 @@ def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     steps /= 2.0
     np.cumsum(steps, axis=-1, out=steps)
     return out
-
-
-def fourier_amplitude(ts: TimeSeries) -> Spectrum:
-    """One-sided Fourier amplitude |X(f)|*dt, unsmoothed."""
-    return Spectrum(np.fft.rfftfreq(ts.n, ts.dt),
-                    np.abs(np.fft.rfft(ts.samples)) * ts.dt)
 
 
 def align(a: TimeSeries, b: TimeSeries) -> tuple[TimeSeries, TimeSeries]:

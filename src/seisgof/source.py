@@ -22,12 +22,19 @@ from .earthmodel import default_crustal_model
 from .signal import Record3C, TimeSeries, Unit
 
 
+def _check_finite(**fields) -> None:
+    # json.loads reads NaN and Infinity; every comparison with NaN is false.
+    for name, value in fields.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FocalMechanism:
     """Strike/dip/rake in degrees.
 
     Strike and rake are periodic and get normalized into [0, 360) and
-    (-180, 180]; a dip outside [0, 90] is an error.
+    (-180, 180]; a non-finite angle or a dip outside [0, 90] is an error.
     """
 
     strike: float
@@ -35,6 +42,7 @@ class FocalMechanism:
     rake: float
 
     def __post_init__(self):
+        _check_finite(strike=self.strike, dip=self.dip, rake=self.rake)
         if not 0.0 <= self.dip <= 90.0:
             raise ValueError(f"dip must be in [0, 90], got {self.dip}")
         # A tiny negative strike rounds to 360 under the modulo.
@@ -142,6 +150,7 @@ class SourceTimeFunction:
 
 
 def _stf_grid(rise_time: float, dt: float) -> np.ndarray:
+    _check_finite(rise_time=rise_time, dt=dt)
     if dt > rise_time / 20.0:
         raise ValueError(f"dt={dt} too coarse for rise_time={rise_time}; "
                          f"need dt <= rise_time/20")
@@ -181,6 +190,7 @@ class Medium:
     vs: float   # m/s
 
     def __post_init__(self):
+        _check_finite(rho=self.rho, vp=self.vp, vs=self.vs)
         if not self.vp > self.vs > 0:
             raise ValueError("must satisfy vp > vs > 0")
         if self.rho <= 0:
@@ -212,6 +222,8 @@ class PointSourceScenario:
     def __post_init__(self):
         hx, hy, hz = (float(v) for v in self.hypocenter)
         rx, ry = (float(v) for v in self.receiver)
+        _check_finite(hypocenter=(hx, hy, hz), receiver=(rx, ry), m0=self.m0,
+                      duration=self.duration, dt=self.dt)
         if hz <= 0:
             raise ValueError(f"hypocenter depth must be positive, got {hz}")
         if self.m0 <= 0 or self.duration <= 0 or self.dt <= 0:

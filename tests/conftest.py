@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from seisgof import (FocalMechanism, TimeSeries, Unit, arias_duration,
-                     arias_intensity, default_scenario, response_spectrum,
+from seisgof import (FocalMechanism, TimeSeries, Unit, default_scenario,
                      synth_fullspace)
 from seisgof.gof_tf import _morlet_spectra
-from seisgof.imeasures import energy_duration, energy_integral, peaks
-from seisgof.signal import (Record3C, detrend, fourier_amplitude, integrate,
-                            tukey_window)
+from seisgof.imeasures import G
+from seisgof.signal import Record3C, tukey_window
 
 
 def sine_series(freq=1.0, dt=0.005, duration=10.0, amplitude=1.0, t0=0.0,
@@ -69,17 +67,68 @@ def cwt_per_frequency(ts, freqs, wavelet_omega0=6.0, taper_fraction=0.05):
     return coeff
 
 
+def newmark_one_trace(ag, dt, periods, zeta):
+    """Sa of one trace: the Newmark loop over its samples, vectorized over
+    periods only."""
+    wn = 2.0 * np.pi / periods
+    k = wn ** 2
+    c = 2.0 * zeta * wn
+    keff = k + 2.0 * c / dt + 4.0 / dt ** 2
+    u = np.zeros_like(wn)
+    v = np.zeros_like(wn)
+    a = np.full_like(wn, -ag[0])
+    umax = np.zeros_like(wn)
+    for i in range(1, ag.size):
+        dp = -(ag[i] - ag[i - 1])
+        dpe = dp + (4.0 / dt + 2.0 * c) * v + 2.0 * a
+        du = dpe / keff
+        dv = 2.0 / dt * du - 2.0 * v
+        da = 4.0 / dt ** 2 * du - 4.0 / dt * v - 2.0 * a
+        u += du
+        v += dv
+        a += da
+        np.maximum(umax, np.abs(u), out=umax)
+    return k * umax
+
+
+def running_integral(y, dt):
+    """Trapezoidal integral of ``y`` from its first sample to each sample."""
+    return np.concatenate(([0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)))
+
+
+def polyfit_detrend(y):
+    """``y`` less the line ``np.polyfit`` fits it over the sample indices."""
+    t = np.arange(y.size, dtype=float)
+    slope, intercept = np.polyfit(t, y, 1)
+    return y - (slope * t + intercept)
+
+
+def energy_window(y, dt, t, lo=0.05, hi=0.75):
+    """Time between the lo and hi fractions of the buildup of y^2."""
+    cum = running_integral(y ** 2, dt)
+    frac = cum / cum[-1]
+    return np.interp(hi, frac, t) - np.interp(lo, frac, t)
+
+
 def one_trace_measures(acc, periods):
-    """Bytes of every measure of one trace from the public one-trace
-    functions, the oracle of the batched measures (:func:`batch_row`)."""
-    vel = detrend(integrate(acc))
-    ia, iv = arias_intensity(acc), energy_integral(vel)
-    fs = fourier_amplitude(acc)
-    scalars = [*peaks(acc), ia, arias_duration(acc) if ia > 0 else 0.0,
-               energy_duration(vel) if iv > 0 else 0.0, iv]
-    return (np.array(scalars).tobytes(),
-            response_spectrum(acc, 0.05, periods).tobytes(),
-            fs.freqs.tobytes(), fs.amplitudes.tobytes())
+    """Bytes of every measure of one acceleration trace, computed alone
+    with numpy's own routines: the oracle of the batched measures
+    (:func:`batch_row`), sharing no helper with them."""
+    x, dt, t = acc.samples, acc.dt, acc.times
+    vel = polyfit_detrend(running_integral(x, dt))
+    disp = polyfit_detrend(running_integral(vel, dt))
+    ia = np.pi / (2.0 * G) * np.trapezoid(x ** 2, dx=dt)
+    iv = np.trapezoid(vel ** 2, dx=dt)
+    scalars = [np.abs(x).max(), np.abs(vel).max(), np.abs(disp).max(), ia,
+               energy_window(x, dt, t) if ia > 0 else 0.0,
+               energy_window(vel, dt, t) if iv > 0 else 0.0, iv]
+    periods = np.asarray(periods, dtype=float)
+    valid = periods > 2.0 * dt
+    sa = np.full(periods.size, np.nan)
+    sa[valid] = newmark_one_trace(x, dt, periods[valid], 0.05)
+    return (np.array(scalars).tobytes(), sa.tobytes(),
+            np.fft.rfftfreq(acc.n, dt).tobytes(),
+            (np.abs(np.fft.rfft(x)) * dt).tobytes())
 
 
 def batch_row(m, i):

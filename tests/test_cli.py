@@ -617,6 +617,35 @@ class TestErrorHandling:
         assert "scenario.json" in err["error"]["message"]
         assert key in err["error"]["message"]
 
+    @pytest.mark.parametrize("edit,field", [
+        (lambda s: s["mechanism"].update(strike=float("nan")), "strike"),
+        (lambda s: s["mechanism"].update(rake=float("inf")), "rake"),
+        (lambda s: s.update(duration=float("inf")), "duration"),
+        (lambda s: s.update(dt=float("nan")), "dt"),
+        (lambda s: s.update(m0=float("inf")), "m0"),
+        (lambda s: s["hypocenter"].__setitem__(0, float("nan")),
+         "hypocenter"),
+        (lambda s: s["receiver"].__setitem__(1, float("-inf")), "receiver"),
+        (lambda s: s["medium"].update(vp=float("inf")), "vp"),
+        (lambda s: s["stf"].update(rise_time=float("inf")), "rise_time"),
+    ], ids=["strike-nan", "rake-inf", "duration-inf", "dt-nan", "m0-inf",
+            "hypocenter-nan", "receiver-inf", "vp-inf", "rise-time-inf"])
+    def test_scenario_number_that_is_not_finite_gives_json_error(
+            self, tmp_path, capsys, edit, field):
+        # json.loads reads NaN and Infinity. A NaN strike used to become
+        # 0.0 and an infinite duration an OverflowError traceback.
+        scenario_path, _, _ = make_scenario_file(tmp_path)
+        scenario = json.loads(scenario_path.read_text())
+        edit(scenario)
+        scenario_path.write_text(json.dumps(scenario))
+        config_path = make_config_file(tmp_path, scenario_path)
+        rc = main(["synth", "--config", str(config_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert err["error"]["message"].startswith(f"{field} must be finite")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("amplitude", [12.0, 10.5, 0.0, -1.0])
     def test_tf_amplitude_outside_the_gof_scale_is_rejected(
             self, tmp_path, capsys, amplitude):

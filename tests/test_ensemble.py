@@ -17,7 +17,8 @@ from seisgof.ensemble import (METRICS, PARAMETERS, CorrelationTable,
 from seisgof.gof_anderson import (IMS, AndersonConfig, AndersonScores,
                                   BandSpec, anderson_summary, default_bands)
 from seisgof.gof_tf import TfConfig
-from seisgof.signal import COMPONENTS, Record3C, Unit, align_records
+from seisgof.signal import (COMPONENTS, Record3C, TimeSeries, Unit,
+                            align_records)
 from seisgof.traceio import meta_path_for, write_record
 
 
@@ -500,10 +501,10 @@ class TestBatchFailures:
         other_grid = default_scenario(duration=10.0, dt=0.02)
         synth = ensemble.synth_fullspace
 
-        def scaled(record, scale, unit=None):
-            return Record3C(**{name: ts.with_samples(
-                ts.samples / np.abs(ts.samples).max() * scale, unit)
-                for name, ts in record.components()})
+        def scaled(record, scale, unit=Unit.ACCELERATION):
+            return Record3C(**{name: TimeSeries(
+                ts.dt, ts.t0, ts.samples / np.abs(ts.samples).max() * scale,
+                unit) for name, ts in record.components()})
 
         def fake_synth(scn, fm, stf=None):
             # The first chunk holds one run of each kind of failure, one

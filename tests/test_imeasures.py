@@ -6,18 +6,34 @@ import pytest
 from seisgof import (TimeSeries, Unit, arias_duration, arias_intensity,
                      imeasures, response_spectrum)
 from seisgof.imeasures import (G, compute_intensity_vector, cross_correlation,
-                               default_periods, energy_duration,
-                               energy_integral, intensity_measures, peaks,
+                               default_periods, intensity_measures,
                                response_spectra)
-from seisgof.signal import BANK_MAX_VALUES, UnitError, detrend, integrate
+from seisgof.signal import (BANK_MAX_VALUES, UnitError, cumulative_trapezoid,
+                            detrend_rows)
 
-from conftest import (batch_row, burst_series, full_mode_cross_correlation,
-                      full_mode_lags, one_trace_measures, sine_series)
+from conftest import (batch_row, burst_series, energy_window,
+                      full_mode_cross_correlation, full_mode_lags,
+                      newmark_one_trace, one_trace_measures, running_integral,
+                      sine_series)
 
 
 def constant(value, dt=0.001, duration=1.0, unit=Unit.ACCELERATION):
     n = int(round(duration / dt)) + 1
     return TimeSeries(dt, 0.0, np.full(n, float(value)), unit)
+
+
+def peaks(ts):
+    """(PGA, PGV, PGD) of one acceleration trace."""
+    m = compute_intensity_vector(ts, periods=np.array([1.0]))
+    return m.pga[0], m.pgv[0], m.pgd[0]
+
+
+def sine_velocity(freq=2.0, dt=0.001, duration=5.0):
+    """a = -w sin(w t) over whole cycles: its velocity, cos(w t) - 1, is
+    cos(w t) once detrended."""
+    w = 2.0 * np.pi * freq
+    t = np.arange(int(round(duration / dt)) + 1) * dt
+    return TimeSeries(dt, 0.0, -w * np.sin(w * t), Unit.ACCELERATION)
 
 
 class TestPeaks:
@@ -39,7 +55,11 @@ class TestPeaks:
 
     def test_requires_acceleration(self):
         with pytest.raises(UnitError):
-            peaks(sine_series(unit=Unit.VELOCITY))
+            compute_intensity_vector(sine_series(unit=Unit.VELOCITY))
+
+    def test_unit_sine_pgv(self):
+        _, pgv, _ = peaks(sine_velocity())
+        assert abs(pgv - 1.0) < 1e-3
 
 
 class TestArias:
@@ -84,14 +104,55 @@ class TestDurations:
             arias_duration(constant(1.0), 0.8, 0.2)
 
 
+def test_arias_wrappers_equal_the_oracle_bit_for_bit():
+    # Lengths from 2 samples, amplitudes from 1e-170, whose squares
+    # underflow to zero, and all-zero traces: Ia is the trapezoid integral
+    # and Da the window of the buildup, or a ValueError without energy.
+    rng = np.random.default_rng(61)
+    zero_energy = 0
+    for k in range(1200):
+        n = int(rng.integers(2, 300))
+        dt = float(rng.choice([0.001, 0.005, 0.01, 0.02]))
+        x = 10.0 ** rng.uniform(-170, 100) * rng.standard_normal(n)
+        if k % 10 == 0:
+            x[:] = 0.0
+        acc = TimeSeries(dt, float(rng.uniform(-5.0, 5.0)), x,
+                         Unit.ACCELERATION)
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+        assert (arias_intensity(acc)
+                == np.pi / (2.0 * G) * np.trapezoid(x ** 2, dx=dt))
+        if running_integral(x ** 2, dt)[-1] > 0:
+            assert (arias_duration(acc, lo, hi)
+                    == energy_window(x, dt, acc.times, lo, hi))
+        else:
+            zero_energy += 1
+            with pytest.raises(ValueError, match="zero-energy"):
+                arias_duration(acc, lo, hi)
+    assert zero_energy > 120
+    # A buildup so small that pi/(2 g) times it underflows: Ia is zero,
+    # but the trace has energy and so a duration.
+    x = np.zeros(50)
+    x[20] = 3.2e-162
+    acc = TimeSeries(1.0, 0.0, x, Unit.ACCELERATION)
+    assert arias_intensity(acc) == 0.0
+    assert arias_duration(acc) == energy_window(x, 1.0, acc.times)
+
+
 class TestEnergyPair:
-    def test_constant_velocity(self):
-        vel = constant(1.0, unit=Unit.VELOCITY)
-        assert abs(energy_integral(vel) - 1.0) < 1e-12
+    def test_unit_sine_velocity(self):
+        ts = sine_velocity()
+        m = compute_intensity_vector(ts, periods=np.array([1.0]))
+        assert abs(m.iv[0] - ts.duration / 2.0) < 1e-4 * ts.duration / 2.0
 
     def test_duration_mirrors_arias(self):
-        vel = constant(1.0, dt=0.01, duration=2.0, unit=Unit.VELOCITY)
-        assert abs(energy_duration(vel) - 0.70 * vel.duration) <= vel.dt
+        # De is Da's construction applied to the detrended velocity; a
+        # steady velocity builds up evenly.
+        for ts in (burst_series(freq=1.5, dt=0.01), sine_velocity()):
+            m = compute_intensity_vector(ts, periods=np.array([1.0]))
+            vel = detrend_rows(cumulative_trapezoid(ts.samples[None],
+                                                    ts.dt))[0]
+            assert m.de[0] == arias_duration(ts.with_samples(vel))
+        assert abs(m.de[0] - 0.70 * ts.duration) <= ts.dt
 
 
 class TestResponseSpectrum:
@@ -127,30 +188,6 @@ class TestResponseSpectrum:
         assert np.all(sa >= 0.0)
 
 
-def _newmark_one_trace(ag, dt, periods, zeta):
-    # Reference oracle: the Newmark loop for one trace, vectorized over
-    # periods only.
-    wn = 2.0 * np.pi / periods
-    k = wn ** 2
-    c = 2.0 * zeta * wn
-    keff = k + 2.0 * c / dt + 4.0 / dt ** 2
-    u = np.zeros_like(wn)
-    v = np.zeros_like(wn)
-    a = np.full_like(wn, -ag[0])
-    umax = np.zeros_like(wn)
-    for i in range(1, ag.size):
-        dp = -(ag[i] - ag[i - 1])
-        dpe = dp + (4.0 / dt + 2.0 * c) * v + 2.0 * a
-        du = dpe / keff
-        dv = 2.0 / dt * du - 2.0 * v
-        da = 4.0 / dt ** 2 * du - 4.0 / dt * v - 2.0 * a
-        u += du
-        v += dv
-        a += da
-        np.maximum(umax, np.abs(u), out=umax)
-    return k * umax
-
-
 class TestResponseSpectra:
     def test_rows_equal_the_one_trace_loop_bit_for_bit(self):
         rng = np.random.default_rng(41)
@@ -164,7 +201,7 @@ class TestResponseSpectra:
         assert sa.shape == (5, periods.size)
         assert np.all(np.isnan(sa[:, ~valid]))
         for row, ag in zip(sa, rows):
-            expected = _newmark_one_trace(ag, dt, periods[valid], 0.05)
+            expected = newmark_one_trace(ag, dt, periods[valid], 0.05)
             assert np.array_equal(row[valid], expected)
         assert np.all(sa[2, valid] == 0.0)
 
@@ -185,7 +222,7 @@ class TestResponseSpectra:
         assert calls == [((4, 301), [3, 3, 3, 3])]
         for row, ag in zip(sa, rows):
             assert np.array_equal(
-                row, _newmark_one_trace(ag, 0.02, periods, 0.05))
+                row, newmark_one_trace(ag, 0.02, periods, 0.05))
 
     def test_where_computes_only_the_wanted_pairs(self):
         rng = np.random.default_rng(42)
@@ -328,11 +365,9 @@ class TestInvariances:
 def test_intensity_vector_integrates_velocity_once_with_peaks_bits():
     ts = burst_series(freq=1.5, dt=0.01)
     ts = ts.with_samples(ts.samples + 0.01)  # a drift for the detrend
-    iv = compute_intensity_vector(ts)
-    assert (iv.pga, iv.pgv, iv.pgd) == peaks(ts)
-    vel = detrend(integrate(ts))
-    assert iv.iv == energy_integral(vel)
-    assert iv.de == energy_duration(vel)
+    periods = np.array([0.1, 0.5, 2.0])
+    iv = compute_intensity_vector(ts, periods=periods)
+    assert batch_row(iv, 0) == one_trace_measures(ts, periods)
 
 
 def test_intensity_vector_checks_thresholds_on_a_zero_trace():

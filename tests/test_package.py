@@ -1,4 +1,12 @@
+import ast
+from pathlib import Path
+
 import seisgof
+
+from test_bench_targets import TARGETS
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "seisgof"
 
 
 def test_every_name_in_all_resolves():
@@ -6,3 +14,51 @@ def test_every_name_in_all_resolves():
     assert [name for name in seisgof.__all__
             if not hasattr(seisgof, name)] == []
     assert len(set(seisgof.__all__)) == len(seisgof.__all__)
+
+
+def _definitions():
+    """(module, name) of every module-level function and class."""
+    return [(path.stem, stmt.name) for path in sorted(SRC.glob("*.py"))
+            for stmt in ast.parse(path.read_text()).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _references():
+    """{name: {(module, top-level statement name)}} of every name or
+    attribute read in ``src/``; docstrings are strings, not references."""
+    refs = {}
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = (path.stem, getattr(stmt, "name", None))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    refs.setdefault(node.attr, set()).add(owner)
+    return refs
+
+
+def _benchmark_names():
+    """(module, name) that the benchmark traces or imports."""
+    names = {(module.rpartition(".")[2], name) for module, name in TARGETS}
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("seisgof.")):
+                module = node.module.rpartition(".")[2]
+                names.update((module, alias.name) for alias in node.names)
+    return names
+
+
+def test_every_function_and_class_has_a_user():
+    # Code that only tests call is a second copy to keep in step. A
+    # definition counts as used when src/ code other than its own body
+    # reads it, when the package exports it, or when the benchmark looks
+    # it up.
+    refs = _references()
+    kept = _benchmark_names()
+    unused = [f"{module}.{name}" for module, name in _definitions()
+              if not refs.get(name, set()) - {(module, name)}
+              and name not in seisgof.__all__
+              and (module, name) not in kept]
+    assert unused == []

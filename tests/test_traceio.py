@@ -111,11 +111,8 @@ class TestValidation:
             read_record(path)
 
     def test_non_acceleration_record_rejected(self, tmp_path):
-        rec = record_from_arrays(np.ones(10), np.ones(10), np.ones(10))
-        vel = Record3C(
-            ew=rec.ew.with_samples(rec.ew.samples, unit=Unit.VELOCITY),
-            ns=rec.ns.with_samples(rec.ns.samples, unit=Unit.VELOCITY),
-            ud=rec.ud.with_samples(rec.ud.samples, unit=Unit.VELOCITY))
+        vel = record_from_arrays(np.ones(10), np.ones(10), np.ones(10),
+                                 unit=Unit.VELOCITY)
         with pytest.raises(UnitError):
             write_record(vel, tmp_path / "trace.csv")
 
