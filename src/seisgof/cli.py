@@ -163,8 +163,6 @@ def cmd_sweep(cfg: PipelineConfig, out_dir: Path,
 def cmd_report(run_dir: Path, out_dir: Path) -> int:
     """Re-render SVG charts and the manifest from a sweep output directory,
     at the significance level the sweep's manifest records."""
-    from .renderdata import (grouped_rows_from_csv, table_from_csv)
-
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise CliError(f"run directory not found: {run_dir}")
@@ -180,8 +178,9 @@ def cmd_report(run_dir: Path, out_dir: Path) -> int:
     for path in (*paths.values(), grouped_path):
         if not path.exists():
             raise CliError(f"missing {path.name} in {run_dir}")
-    tables = {comp: table_from_csv(path, comp) for comp, path in paths.items()}
-    grouped = grouped_rows_from_csv(grouped_path)
+    tables = {comp: report.table_from_csv(path, comp)
+              for comp, path in paths.items()}
+    grouped = report.grouped_rows_from_csv(grouped_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = report.write_charts(out_dir, tables, grouped, alpha)
     report.write_manifest(out_dir / "manifest.json", {

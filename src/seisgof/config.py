@@ -1,4 +1,5 @@
-"""Pipeline configuration: one JSON file, validated at load time.
+"""Pipeline configuration: one JSON file. Each config type checks its own
+fields; :func:`load_config` maps and type-checks the JSON.
 
 Environment overrides exist only for the worker count (``SEISGOF_WORKERS``)
 and the output directory (``SEISGOF_OUTPUT_DIR``). Both are runtime-only
@@ -73,8 +74,22 @@ def _object(raw: dict, key: str) -> dict:
     return value
 
 
+# The "tf" block: (JSON key, TfConfig field, cast), read by load_config and
+# written back by config_echo.
+_TF_KEYS = (("fmin", "f_min", float), ("fmax", "f_max", float),
+           ("nfreq", "n_freqs", int), ("omega0", "wavelet_omega0", float),
+           ("amplitude", "amplitude", float), ("decay", "decay", float))
+
+
+def _built(config_type, fields: dict, prefix: str = ""):
+    try:
+        return config_type(**fields)
+    except ValueError as exc:  # a field outside the type's own range
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def load_config(path) -> PipelineConfig:
-    """Parse and validate a config JSON file; apply environment overrides."""
+    """Parse a config JSON file; apply environment overrides."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -111,32 +126,25 @@ def load_config(path) -> PipelineConfig:
         if any(d < 0 for d in cfg.grid_deltas):
             raise ConfigError("grid deltas must be non-negative")
 
-    anderson = AndersonConfig()
+    anderson = {}
     if "bands" in raw:
         try:
-            anderson.bands = BandSpec(tuple(
+            anderson["bands"] = BandSpec(tuple(
                 (_number(lo, f"bands[{i}]"), _number(hi, f"bands[{i}]"))
                 for i, (lo, hi) in enumerate(raw["bands"])))
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid bands: {exc}") from exc
-    if "damping" in raw:
-        anderson.damping = _number(raw["damping"], "damping")
-        if not 0.0 < anderson.damping < 1.0:
-            raise ConfigError("damping must be in (0, 1)")
+    for key in ("damping", "max_lag"):
+        if key in raw:
+            anderson[key] = _number(raw[key], key)
     if "duration_thresholds" in raw:
         pair = raw["duration_thresholds"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError("duration_thresholds must be a list [lo, hi]")
-        lo, hi = (_number(v, "duration_thresholds") for v in pair)
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ConfigError("duration thresholds must satisfy 0 <= lo < hi <= 1")
-        anderson.duration_lo, anderson.duration_hi = lo, hi
-    if "max_lag" in raw:
-        anderson.max_lag = _number(raw["max_lag"], "max_lag")
-        if anderson.max_lag < 0:
-            raise ConfigError("max_lag must be non-negative")
+        anderson["duration_lo"], anderson["duration_hi"] = (
+            _number(v, "duration_thresholds") for v in pair)
     if "periods" in raw:
         p = _object(raw, "periods")
         t_min = _number(p.get("min", 0.02), "periods.min")
@@ -144,29 +152,13 @@ def load_config(path) -> PipelineConfig:
         count = _number(p.get("count", 50), "periods.count", int)
         if not 0 < t_min < t_max or count < 1:
             raise ConfigError("periods must satisfy 0 < min < max, count >= 1")
-        anderson.periods = default_periods(count, t_min, t_max)
-    cfg.anderson = anderson
+        anderson["periods"] = default_periods(count, t_min, t_max)
+    cfg.anderson = _built(AndersonConfig, anderson)
 
-    tf = TfConfig()
-    if "tf" in raw:
-        t = _object(raw, "tf")
-        for key, attr, cast in (
-                ("fmin", "f_min", float), ("fmax", "f_max", float),
-                ("nfreq", "n_freqs", int), ("omega0", "wavelet_omega0", float),
-                ("amplitude", "amplitude", float), ("decay", "decay", float)):
-            if key in t:
-                setattr(tf, attr, _number(t[key], f"tf.{key}", cast))
-        if not 0 < tf.f_min < tf.f_max or tf.n_freqs < 2:
-            raise ConfigError("tf grid must satisfy 0 < fmin < fmax, nfreq >= 2")
-        # tf_reference rejects these ranges too, but only once a pair is
-        # scored. The Morlet scale is omega0 / (2 pi f).
-        if tf.wavelet_omega0 <= 0:
-            raise ConfigError("tf omega0 must be positive")
-        # GOF values must lie in [0, 10].
-        if not 0 < tf.amplitude <= 10 or tf.decay <= 0:
-            raise ConfigError("tf amplitude must be in (0, 10] and decay "
-                              "positive")
-    cfg.tf = tf
+    t = _object(raw, "tf") if "tf" in raw else {}
+    cfg.tf = _built(TfConfig, {attr: _number(t[key], f"tf.{key}", cast)
+                               for key, attr, cast in _TF_KEYS if key in t},
+                    "tf: ")
 
     if ENV_WORKERS in os.environ:
         cfg.workers = _number(os.environ[ENV_WORKERS], ENV_WORKERS, int)
@@ -199,9 +191,7 @@ def config_echo(cfg: PipelineConfig) -> dict:
         "periods": {"min": float(np.min(cfg.anderson.periods)),
                     "max": float(np.max(cfg.anderson.periods)),
                     "count": int(np.size(cfg.anderson.periods))},
-        "tf": {"fmin": cfg.tf.f_min, "fmax": cfg.tf.f_max,
-               "nfreq": cfg.tf.n_freqs, "omega0": cfg.tf.wavelet_omega0,
-               "amplitude": cfg.tf.amplitude, "decay": cfg.tf.decay},
+        "tf": {key: getattr(cfg.tf, attr) for key, attr, _ in _TF_KEYS},
     }
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imeasures import (IntensityMeasures, cross_correlation,
-                        default_periods, intensity_measures)
+from .imeasures import (IntensityMeasures, _check_thresholds,
+                        cross_correlation, default_periods,
+                        intensity_measures)
 from .signal import (COMPONENTS, Record3C, TimeSeries, Unit, bandpass_bank,
                      require_same_grid, require_unit)
 
@@ -90,7 +91,7 @@ def score_scalar(p1: float, p2: float) -> float:
         return 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class AndersonConfig:
     bands: BandSpec = field(default_factory=default_bands)
     damping: float = 0.05
@@ -98,6 +99,13 @@ class AndersonConfig:
     duration_lo: float = 0.05
     duration_hi: float = 0.75
     max_lag: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 < self.damping < 1.0:
+            raise ValueError(f"damping={self.damping} outside (0, 1)")
+        _check_thresholds(self.duration_lo, self.duration_hi)
+        if not self.max_lag >= 0:
+            raise ValueError(f"max_lag={self.max_lag} must be non-negative")
 
 
 @dataclass(frozen=True)

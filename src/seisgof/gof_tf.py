@@ -23,14 +23,16 @@ import numpy as np
 from .signal import Record3C, TimeSeries, require_same_grid, tukey_window
 
 
-def log_freqs(f_min: float = 0.05, f_max: float = 10.0, n: int = 40) -> np.ndarray:
+def log_freqs(f_min: float = 0.05, f_max: float = 10.0,
+              n_freqs: int = 40) -> np.ndarray:
     """Log-spaced analysis frequency grid."""
-    if not 0 < f_min < f_max or n < 2:
-        raise ValueError("need 0 < f_min < f_max and n >= 2")
-    return np.logspace(np.log10(f_min), np.log10(f_max), n)
+    if not 0 < f_min < f_max or n_freqs < 2:
+        raise ValueError(f"need 0 < f_min < f_max and n_freqs >= 2, got "
+                         f"{f_min}, {f_max}, {n_freqs}")
+    return np.logspace(np.log10(f_min), np.log10(f_max), n_freqs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TfConfig:
     f_min: float = 0.05
     f_max: float = 10.0
@@ -38,6 +40,16 @@ class TfConfig:
     wavelet_omega0: float = 6.0
     amplitude: float = 10.0  # GOF for perfect agreement
     decay: float = 1.0       # sensitivity of GOF to the misfit
+
+    def __post_init__(self):
+        self.freqs()
+        # With these, every mapped GOF of a finite misfit lies in [0, 10].
+        if not 0 < self.amplitude <= 10:
+            raise ValueError(f"amplitude={self.amplitude} outside (0, 10]")
+        for name in ("decay", "wavelet_omega0"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name}={value} must be positive")
 
     def freqs(self) -> np.ndarray:
         return log_freqs(self.f_min, self.f_max, self.n_freqs)
@@ -129,7 +141,7 @@ class TfGof:
     ``tpg`` (per time) and ``feg``, ``fpg`` (per frequency) and the plane
     GOFs ``tfeg`` and ``tfpg`` are mapped from the two misfit planes each
     time they are read, as a new array; a sweep reads only EG and PG.
-    :func:`tf_reference` bounds the amplitude to (0, 10], so every finite
+    :class:`TfConfig` bounds the amplitude to (0, 10], so every finite
     misfit maps into [0, 10].
     """
 
@@ -220,13 +232,6 @@ class TfReference:
 
 def tf_reference(ref: TimeSeries, config: TfConfig) -> TfReference:
     """Prepare one reference trace for :meth:`TfReference.gof`."""
-    # With these, every mapped GOF of a finite misfit lies in [0, 10].
-    if not 0 < config.amplitude <= 10:
-        raise ValueError(f"amplitude={config.amplitude} outside (0, 10]")
-    for name in ("decay", "wavelet_omega0"):
-        value = getattr(config, name)
-        if not value > 0:
-            raise ValueError(f"{name}={value} must be positive")
     if not np.any(ref.samples):
         raise ValueError("reference trace is identically zero; "
                          "misfit normalization is undefined")

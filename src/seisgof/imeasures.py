@@ -29,8 +29,8 @@ def arias_intensity(acc: TimeSeries) -> float:
 
 def _check_thresholds(lo: float, hi: float) -> None:
     if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"thresholds must satisfy 0 <= lo < hi <= 1, got "
-                         f"({lo}, {hi})")
+        raise ValueError(f"duration thresholds must satisfy 0 <= lo < hi "
+                         f"<= 1, got ({lo}, {hi})")
 
 
 def arias_duration(acc: TimeSeries, lo: float = 0.05, hi: float = 0.75) -> float:

@@ -1,4 +1,6 @@
-"""Deterministic report emission: CSV tables, SVG charts and the manifest.
+"""Deterministic report emission: CSV tables, SVG charts and the manifest,
+and the readers that load a sweep's correlation and grouped-score tables
+back for ``seisgof report``.
 
 SVGs are assembled from strings with no plotting dependency, so identical
 inputs produce identical bytes. Grouped-score cells use three color classes
@@ -18,9 +20,9 @@ import numpy as np
 # anderson_summary, run_dir_name and write_run_gof_json are kept in this
 # module's namespace: the benchmark's spans look them up as report.<name>,
 # and the CLI calls the first two from here.
-from .ensemble import (QUALITATIVE_TRENDS_NOTE, CorrelationTable,
-                       GroupedScores, run_dir_name, significant,
-                       write_run_gof_json)
+from .ensemble import (PARAMETERS, QUALITATIVE_TRENDS_NOTE,
+                       CorrelationTable, GroupedScores, run_dir_name,
+                       significant, write_run_gof_json)
 from .gof_anderson import (AndersonScores, QualityLevel, anderson_summary,
                            quality)
 
@@ -96,6 +98,62 @@ def write_grouped_csv(path, rows: list[GroupedScores]) -> Path:
             f"{_csv_number(row.min)},{_csv_number(row.max)},{level}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _rows(path, columns: tuple[str, ...]) -> list[dict]:
+    import csv  # here, so that the CLI starts without it
+
+    # A header without one of the columns, or a row with fewer cells than
+    # the header (which DictReader fills with None), is a ValueError that
+    # names the file, not a KeyError or TypeError further on.
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        rows = []
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} has "
+                                 f"fewer cells than the header")
+            rows.append(row)
+        return rows
+
+
+def table_from_csv(path, component: str) -> CorrelationTable:
+    """Rebuild a correlation table from ``correlations_<component>.csv``."""
+    rows = _rows(path, ("parameter", "metric", "r", "p"))
+    metrics = list(dict.fromkeys(row["metric"] for row in rows))
+    params = list(dict.fromkeys(row["parameter"] for row in rows))
+    if tuple(params) != PARAMETERS:
+        raise ValueError(f"{path}: unexpected parameter rows {params}")
+    r = np.full((len(params), len(metrics)), np.nan)
+    p = np.full_like(r, np.nan)
+    for row in rows:
+        i = params.index(row["parameter"])
+        j = metrics.index(row["metric"])
+        if row["r"]:
+            r[i, j] = float(row["r"])
+        if row["p"]:
+            p[i, j] = float(row["p"])
+    n = int(rows[0]["n"]) if rows and rows[0].get("n") else 0
+    return CorrelationTable(component=component, parameters=PARAMETERS,
+                            metrics=tuple(metrics), r=r, p=p, n=n)
+
+
+def grouped_rows_from_csv(path) -> list[GroupedScores]:
+    """Rebuild grouped-score rows from ``grouped_scores.csv``.
+
+    Only the mean is needed for rendering; the persisted mean is replayed as
+    a single-score distribution so the chart is byte-stable. An empty mean
+    cell is replayed as NaN.
+    """
+    rows = _rows(path, ("component", "parameter", "value", "metric", "mean"))
+    return [GroupedScores(component=row["component"],
+                          parameter=row["parameter"],
+                          value=float(row["value"]), metric=row["metric"],
+                          scores=(float(row["mean"] or "nan"),))
+            for row in rows]
 
 
 CELL_W, CELL_H = 64, 30   # one heatmap or grouped-score cell

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -121,10 +120,9 @@ def require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
 def detrend_rows(x: np.ndarray) -> np.ndarray:
     """Every row of a 2-D array less its least-squares line, bit for bit as
     ``np.polyfit(t, x, 1)`` over the sample indices ``t`` fits it: the same
-    scaled Vandermonde matrix, ``rcond`` and ``lstsq`` call, with the
-    matrix kept per length. Each row has its own ``lstsq`` call, since a
-    batched fit does not give the same bits; the lines are removed in one
-    pass.
+    scaled Vandermonde matrix, ``rcond`` and ``lstsq`` call. Each row has
+    its own ``lstsq`` call, since a batched fit does not give the same
+    bits; the lines are removed in one pass.
     """
     t, lhs, scale, rcond = _line_fit(x.shape[1])
     co = np.array([np.linalg.lstsq(lhs, row + 0.0, rcond)[0]
@@ -134,7 +132,6 @@ def detrend_rows(x: np.ndarray) -> np.ndarray:
     return np.subtract(x, line, out=line)
 
 
-@lru_cache(maxsize=8)
 def _line_fit(n: int):
     # np.polyfit's set-up for degree 1 on t = 0, 1, ..., n - 1: the
     # Vandermonde matrix with its columns scaled to unit norm.
@@ -142,8 +139,6 @@ def _line_fit(n: int):
     lhs = np.vander(t, 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
-    for array in (t, lhs, scale):
-        array.flags.writeable = False
     return t, lhs, scale, n * np.finfo(float).eps
 
 
@@ -218,7 +213,6 @@ def bandpass_bank(x: np.ndarray, dt: float, edges, order: int = 4,
 BANK_MAX_VALUES = 2 ** 21
 
 
-@lru_cache(maxsize=64)
 def _butter_sos(f_lo: float, f_hi: float, dt: float, order: int) -> np.ndarray:
     """``scipy.signal.butter(order, [f_lo, f_hi], btype="bandpass",
     fs=1/dt, output="sos")``, bit for bit.
@@ -228,8 +222,7 @@ def _butter_sos(f_lo: float, f_hi: float, dt: float, order: int) -> np.ndarray:
     transforms, and "nearest" pairing into sections. Only the branches a
     band-pass design reaches are ported: every zero lies at +1 or -1, and
     the poles are conjugate pairs plus, for odd orders with wide bands,
-    two real poles. A sweep filters every record in the same handful of
-    bands, so designs are cached.
+    two real poles.
     """
     if int(order) != order or order < 1:
         raise ValueError(f"filter order must be a positive integer, "
@@ -283,7 +276,6 @@ def _butter_sos(f_lo: float, f_hi: float, dt: float, order: int) -> np.ndarray:
         sos[si, :3] = _poly(np.asarray(pair))
         sos[si, 3:] = np.real(_poly(np.asarray([p1, p2])))
     sos[0][:3] *= k
-    sos.flags.writeable = False
     return sos
 
 

@@ -14,7 +14,7 @@ import seisgof
 from seisgof import (FocalMechanism, build_grid, cli, default_scenario,
                      ensemble, synth_fullspace)
 from seisgof.cli import main
-from seisgof.config import config_echo, load_config
+from seisgof.config import PipelineConfig, config_echo, load_config
 from seisgof.gof_tf import record_tf_gof, write_plane_csv
 from seisgof.source import scenario_from_dict, scenario_to_dict
 from seisgof.traceio import read_record, write_record
@@ -669,8 +669,9 @@ class TestErrorHandling:
         rc = main(["synth", "--config", str(config_path)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == {"type": "ConfigError",
-                                "message": "tf omega0 must be positive"}
+        assert err["error"] == {
+            "type": "ConfigError",
+            "message": f"tf: wavelet_omega0={omega0} must be positive"}
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_flag_below_one_gives_json_error(self, workspace, capsys,
@@ -772,6 +773,28 @@ class TestEnvironmentOverrides:
         assert echoes[0] == echoes[1]
         assert echoes[0]["scenario"] == "scenario.json"
         assert echoes[0]["reference"] == "recorded.csv"
+
+    def test_echo_loads_back_to_itself(self, workspace):
+        # Every echoed key off its default. The echo names the grid
+        # "grid_deltas", so it is written back as the config's "grid".
+        _, config_path = workspace
+        body = json.loads(config_path.read_text())
+        body.update(
+            grid={"strike_delta": 2.5, "dip_delta": 7.5, "rake_delta": 15.0},
+            alpha=0.1, bands=[[0.3, 0.9], [0.9, 2.7]], damping=0.07,
+            duration_thresholds=[0.1, 0.9], max_lag=0.25,
+            periods={"min": 0.1, "max": 5.0, "count": 12},
+            tf={"fmin": 0.3, "fmax": 6.0, "nfreq": 14, "omega0": 5.5,
+                "amplitude": 9.0, "decay": 1.5})
+        config_path.write_text(json.dumps(body))
+        echo = config_echo(load_config(config_path))
+        default = config_echo(PipelineConfig())
+        assert [key for key in echo if echo[key] == default[key]] == []
+        assert echo["tf"] == body["tf"]
+        config_path.write_text(json.dumps(dict(echo, grid=dict(zip(
+            ("strike_delta", "dip_delta", "rake_delta"),
+            echo["grid_deltas"])))))
+        assert config_echo(load_config(config_path)) == echo
 
 
 def test_cli_starts_without_scipy():

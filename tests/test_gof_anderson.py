@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,44 @@ class TestBandSpec:
             BandSpec(((1.0, 0.5),))
         with pytest.raises(ValueError):
             BandSpec(((1.0, 2.0), (0.5, 3.0)))
+
+
+class TestAndersonConfig:
+    """AndersonConfig checks its own fields when it is built, so a config
+    built in code is held to the ranges that load_config's is."""
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"damping": 0.0}, "damping"), ({"damping": 1.0}, "damping"),
+        ({"damping": 2.0}, "damping"), ({"damping": np.nan}, "damping"),
+        ({"duration_lo": -0.1}, "duration"),
+        ({"duration_hi": 1.5}, "duration"),
+        ({"duration_lo": 0.8}, "duration"),
+        ({"duration_lo": np.nan}, "duration"),
+        ({"duration_hi": np.nan}, "duration"),
+        ({"max_lag": -0.1}, "max_lag"), ({"max_lag": np.nan}, "max_lag"),
+    ])
+    def test_field_out_of_range_is_rejected_when_built(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            AndersonConfig(**fields)
+
+    def test_range_edges_are_accepted(self):
+        cfg = AndersonConfig(damping=0.999, duration_lo=0.0, duration_hi=1.0,
+                             max_lag=0.0)
+        assert (cfg.duration_lo, cfg.duration_hi, cfg.max_lag) == (0, 1, 0)
+
+    def test_built_config_is_frozen(self):
+        cfg = AndersonConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.max_lag = -0.1
+        assert cfg.max_lag == 0.5
+
+    def test_negative_max_lag_is_not_scored(self, burst_record):
+        # Scoring catches cross_correlation's own ValueError per band, so
+        # the config must fail first: otherwise every cstar cell would be
+        # skipped as "zero variance in band".
+        with pytest.raises(ValueError, match=r"^max_lag=-0.1 must be"):
+            score_pair(burst_record, burst_record,
+                       AndersonConfig(max_lag=-0.1))
 
 
 def _quick_config():

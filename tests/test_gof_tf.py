@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -198,8 +199,9 @@ class TestEagerOracle:
 
 
 class TestConfigRange:
-    """tf_reference enforces the ranges that load_config checks, so a
-    TfConfig built in code cannot map a misfit outside [0, 10]."""
+    """TfConfig checks its own ranges when it is built, so a config built
+    in code, like one load_config reads, cannot map a misfit outside
+    [0, 10]."""
 
     @pytest.mark.parametrize("amplitude", [12.0, 10.5, 0.0, -1.0, np.nan])
     def test_amplitude_outside_the_gof_scale_is_rejected(self, ref_trace,
@@ -225,6 +227,26 @@ class TestConfigRange:
                                               n_freqs=8, amplitude=10.0,
                                               decay=1e-300))
         assert gof.eg == 10.0 and gof.pg == 10.0
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"amplitude": 12.0}, "amplitude"),
+        ({"amplitude": np.nan}, "amplitude"),
+        ({"decay": -1.0}, "decay"), ({"decay": np.nan}, "decay"),
+        ({"wavelet_omega0": 0.0}, "wavelet_omega0"),
+        ({"wavelet_omega0": np.nan}, "wavelet_omega0"),
+        ({"f_min": 0.0}, "f_min"), ({"f_min": np.nan}, "f_min"),
+        ({"f_max": 0.01}, "f_max"), ({"f_max": np.nan}, "f_max"),
+        ({"n_freqs": 1}, "n_freqs"),
+    ])
+    def test_field_out_of_range_is_rejected_when_built(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            TfConfig(**fields)
+
+    def test_built_config_is_frozen(self):
+        cfg = TfConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.amplitude = 12.0
+        assert cfg.amplitude == 10.0
 
 
 class TestGofMapping:

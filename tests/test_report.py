@@ -7,10 +7,10 @@ import pytest
 from seisgof.ensemble import (METRICS, PARAMETERS, CorrelationTable,
                               GroupedScores)
 from seisgof.gof_anderson import QualityLevel
-from seisgof.report import (QUALITY_COLORS, render_correlation_svg,
-                            render_grouped_svg, write_correlations_csv,
+from seisgof.report import (QUALITY_COLORS, grouped_rows_from_csv,
+                            render_correlation_svg, render_grouped_svg,
+                            table_from_csv, write_correlations_csv,
                             write_grouped_csv, write_manifest)
-from seisgof.renderdata import grouped_rows_from_csv, table_from_csv
 
 DATA = Path(__file__).parent / "data"
 

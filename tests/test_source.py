@@ -147,6 +147,23 @@ class TestScenario:
         assert fm2 == fm
         assert stf2.rise_time == 1.0
 
+    @pytest.mark.parametrize("azimuth", [0.0, 37.5, 135.0, 290.0])
+    @pytest.mark.parametrize("medium, rise", [
+        (None, 1.0), (Medium(rho=2400.0, vp=4200.0, vs=2350.0), 0.6)],
+        ids=["default-medium", "custom-medium"])
+    def test_to_dict_writes_the_schema_from_dict_reads(self, azimuth, medium,
+                                                       rise):
+        scn = default_scenario(azimuth_deg=azimuth, m0=1.3e15,
+                               duration=9.0, dt=0.01, medium=medium)
+        fm = FocalMechanism(120.0, 35.0, -60.0)
+        body = json.loads(json.dumps(scenario_to_dict(scn, fm, rise)))
+        scn2, fm2, stf2 = scenario_from_dict(body)
+        assert scn2 == scn  # geometry, medium, m0, duration and dt
+        assert fm2 == fm
+        expected = liu_stf(rise, scn.dt)
+        assert (stf2.rise_time, stf2.dt) == (rise, scn.dt)
+        assert stf2.samples.tobytes() == expected.samples.tobytes()
+
 
 def _s_window_peak(record, scenario, pad_before=0.2, pad_after=2.0):
     t_s = scenario.hypocentral_distance / scenario.medium.vs
