@@ -19,7 +19,7 @@ import numpy as np
 
 from .gof_anderson import AndersonConfig, BandSpec
 from .gof_tf import TfConfig
-from .imeasures import default_periods
+from .imeasures import DEFAULT_PERIOD_RANGE, default_periods
 
 ENV_WORKERS = "SEISGOF_WORKERS"
 ENV_OUTPUT_DIR = "SEISGOF_OUTPUT_DIR"
@@ -40,6 +40,9 @@ class PipelineConfig:
     anderson: AndersonConfig = field(default_factory=AndersonConfig)
     tf: TfConfig = field(default_factory=TfConfig)
     base_dir: Path = Path(".")
+    # periods.min and periods.max as read. config_echo gives them while
+    # they generate anderson.periods, whose ends can differ by an ulp.
+    period_range: tuple[float, float] = DEFAULT_PERIOD_RANGE
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -147,12 +150,13 @@ def load_config(path) -> PipelineConfig:
             _number(v, "duration_thresholds") for v in pair)
     if "periods" in raw:
         p = _object(raw, "periods")
-        t_min = _number(p.get("min", 0.02), "periods.min")
-        t_max = _number(p.get("max", 10.0), "periods.max")
+        t_min = _number(p.get("min", cfg.period_range[0]), "periods.min")
+        t_max = _number(p.get("max", cfg.period_range[1]), "periods.max")
         count = _number(p.get("count", 50), "periods.count", int)
         if not 0 < t_min < t_max or count < 1:
             raise ConfigError("periods must satisfy 0 < min < max, count >= 1")
         anderson["periods"] = default_periods(count, t_min, t_max)
+        cfg.period_range = (t_min, t_max)
     cfg.anderson = _built(AndersonConfig, anderson)
 
     t = _object(raw, "tf") if "tf" in raw else {}
@@ -167,6 +171,17 @@ def load_config(path) -> PipelineConfig:
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     return cfg
+
+
+def _echoed_periods(cfg: PipelineConfig) -> dict:
+    # The range as read where it generates the scored grid; otherwise, as
+    # for a grid set in code, the grid's own ends.
+    periods = np.asarray(cfg.anderson.periods, dtype=float)
+    t_min, t_max = cfg.period_range
+    if not np.array_equal(default_periods(periods.size, t_min, t_max),
+                          periods):
+        t_min, t_max = float(periods.min()), float(periods.max())
+    return {"min": t_min, "max": t_max, "count": int(periods.size)}
 
 
 def config_echo(cfg: PipelineConfig) -> dict:
@@ -188,9 +203,7 @@ def config_echo(cfg: PipelineConfig) -> dict:
         "duration_thresholds": [cfg.anderson.duration_lo,
                                 cfg.anderson.duration_hi],
         "max_lag": cfg.anderson.max_lag,
-        "periods": {"min": float(np.min(cfg.anderson.periods)),
-                    "max": float(np.max(cfg.anderson.periods)),
-                    "count": int(np.size(cfg.anderson.periods))},
+        "periods": _echoed_periods(cfg),
         "tf": {key: getattr(cfg.tf, attr) for key, attr, _ in _TF_KEYS},
     }
 

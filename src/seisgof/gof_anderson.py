@@ -106,6 +106,13 @@ class AndersonConfig:
         _check_thresholds(self.duration_lo, self.duration_hi)
         if not self.max_lag >= 0:
             raise ValueError(f"max_lag={self.max_lag} must be non-negative")
+        # Sa is scored at the periods whose frequency lies in the band; a
+        # band that a record cannot resolve is skipped per record instead.
+        freqs = 1.0 / np.asarray(self.periods, dtype=float)
+        if not any(_in_band(freqs, *edge).any() for edge in self.bands.edges):
+            raise ValueError(
+                f"no Sa period lies in a band: {freqs.min():g}-"
+                f"{freqs.max():g} Hz, so Sa could never be scored")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,12 @@ def arias_duration(acc: TimeSeries, lo: float = 0.05, hi: float = 0.75) -> float
     return float(window[0])
 
 
-def default_periods(n: int = 50, t_min: float = 0.02, t_max: float = 10.0) -> np.ndarray:
+# The shortest and the longest Sa period of the default grid, in s
+DEFAULT_PERIOD_RANGE = (0.02, 10.0)
+
+
+def default_periods(n: int = 50, t_min: float = DEFAULT_PERIOD_RANGE[0],
+                    t_max: float = DEFAULT_PERIOD_RANGE[1]) -> np.ndarray:
     return np.logspace(np.log10(t_min), np.log10(t_max), n)
 
 

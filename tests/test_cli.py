@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -14,7 +15,8 @@ import seisgof
 from seisgof import (FocalMechanism, build_grid, cli, default_scenario,
                      ensemble, synth_fullspace)
 from seisgof.cli import main
-from seisgof.config import PipelineConfig, config_echo, load_config
+from seisgof.config import (ConfigError, PipelineConfig, config_echo,
+                             load_config)
 from seisgof.gof_tf import record_tf_gof, write_plane_csv
 from seisgof.source import scenario_from_dict, scenario_to_dict
 from seisgof.traceio import read_record, write_record
@@ -462,14 +464,17 @@ def _strict_json(path: Path):
 
 
 class TestMeasureWithNoScoredBand:
-    # Sa periods of 30-100 s fall in neither 0.5-1 nor 1-2 Hz band, so no
-    # run has an Sa score and every Sa aggregate is non-finite.
+    # Sa periods of 15-16 ms lie only in the 60-70 Hz band, above the
+    # 50-Hz Nyquist frequency of the 100-Hz records, which is skipped per
+    # record. So no run has an Sa score and every Sa aggregate is
+    # non-finite. (Periods in no band at all are a ConfigError.)
     @pytest.fixture
     def config_path(self, workspace):
         tmp_path, _ = workspace
         return make_config_file(tmp_path, tmp_path / "scenario.json",
                                 tmp_path / "recorded.csv",
-                                periods={"min": 30.0, "max": 100.0,
+                                bands=[[0.5, 1.0], [1.0, 2.0], [60.0, 70.0]],
+                                periods={"min": 0.015, "max": 0.016,
                                          "count": 8})
 
     def test_gof_summary_is_valid_json_with_null_aggregates(
@@ -646,6 +651,35 @@ class TestErrorHandling:
         assert err["error"]["message"].startswith(f"{field} must be finite")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("periods", [
+        {"min": 30.0, "max": 100.0, "count": 8},
+        {"min": 2.0 * (1 + 1e-15), "max": 5.0, "count": 3},
+        {"min": 0.1, "max": 0.5 * (1 - 1e-15), "count": 3}])
+    def test_sa_periods_in_no_band_are_rejected(self, tmp_path, capsys,
+                                                periods):
+        # The bands span 0.5-2 Hz, so periods 0.5-2 s; each config misses
+        # them, the last two by an ulp.
+        scenario_path, _, _ = make_scenario_file(tmp_path)
+        config_path = make_config_file(tmp_path, scenario_path,
+                                       periods=periods)
+        with pytest.raises(ConfigError, match="no Sa period lies in a band"):
+            load_config(config_path)
+        assert main(["synth", "--config", str(config_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["message"].startswith("no Sa period")
+
+    @pytest.mark.parametrize("periods", [
+        {"min": 2.0, "max": 5.0, "count": 3},
+        {"min": 0.1, "max": 0.5, "count": 3}])
+    def test_sa_period_on_a_band_edge_is_kept(self, tmp_path, periods):
+        # The scorer's band test includes both edges, and so does the
+        # config's.
+        scenario_path, _, _ = make_scenario_file(tmp_path)
+        config_path = make_config_file(tmp_path, scenario_path,
+                                       periods=periods)
+        assert load_config(config_path).anderson.periods.size == 3
+
     @pytest.mark.parametrize("amplitude", [12.0, 10.5, 0.0, -1.0])
     def test_tf_amplitude_outside_the_gof_scale_is_rejected(
             self, tmp_path, capsys, amplitude):
@@ -796,11 +830,50 @@ class TestEnvironmentOverrides:
             echo["grid_deltas"])))))
         assert config_echo(load_config(config_path)) == echo
 
+    @pytest.mark.parametrize("periods", [
+        {"min": 0.02, "max": 5.0, "count": 7},
+        {"min": 0.03, "max": 0.7, "count": 9}])
+    def test_echo_gives_the_period_range_as_read(self, workspace, periods):
+        # The ends of the log-spaced grid can differ from the config's
+        # numbers by an ulp; the echo must not.
+        _, config_path = workspace
+        body = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps(dict(body, periods=periods)))
+        cfg = load_config(config_path)
+        assert config_echo(cfg)["periods"] == periods
+        assert cfg.anderson.periods.size == periods["count"]
 
-def test_cli_starts_without_scipy():
-    # scipy's signal stack takes most of the CLI's start-up. A report's
-    # p-values load scipy.special when they are computed; filtering, even
-    # of a long record, loads no scipy module.
+    def test_echo_gives_a_grid_set_in_code_by_its_ends(self, workspace):
+        # A grid that the range read no longer generates is echoed as it is
+        # scored, by its own ends.
+        _, config_path = workspace
+        cfg = load_config(config_path)
+        periods = np.logspace(-1.0, 0.5, 7)
+        cfg.anderson = dataclasses.replace(cfg.anderson, periods=periods)
+        assert config_echo(cfg)["periods"] == {
+            "min": float(periods[0]), "max": float(periods[-1]), "count": 7}
+
+    def test_default_and_fixture_configs_load(self, tmp_path):
+        # The default config and the committed fixture's echoed one pass
+        # every config check, Sa's band check included, and echo alike.
+        echo = json.loads((DATA / "fixture_run" / "manifest.json")
+                          .read_text())["config"]
+        assert config_echo(PipelineConfig()) == echo
+        body = {key: value for key, value in echo.items()
+                if value is not None and key != "grid_deltas"}
+        body["grid"] = dict(zip(("strike_delta", "dip_delta", "rake_delta"),
+                                echo["grid_deltas"]))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(body))
+        assert config_echo(load_config(path)) == echo
+
+
+def test_cli_starts_without_scipy(workspace):
+    # scipy's signal stack takes most of the CLI's start-up. The program
+    # runs no scipy at all: neither filtering, even of a long record, nor
+    # a pooled sweep and its report, whose p-values are computed in the
+    # parent, loads a scipy module.
+    tmp_path, config_path = workspace
     src = str(Path(seisgof.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -816,8 +889,14 @@ filtered(601)
 print(loaded())
 filtered(30_001)
 print(loaded())
+config, out = sys.argv[1:]
+assert seisgof.cli.main(["sweep", "--config", config, "--out", out,
+                         "--workers", "2"]) == 0
+assert seisgof.cli.main(["report", out, "--out", out + "_report"]) == 0
+print(loaded())
 """
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=60)
-    assert out.stdout.split("\n")[:3] == ["[]", "[]", "[]"]
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(config_path), str(tmp_path / "s")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split("\n")[:4] == ["[]", "[]", "[]", "[]"]
+    assert (tmp_path / "s_report" / "correlation_ud.svg").is_file()

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import math
 import pickle
+import struct
+import sys
 from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seisgof import (FocalMechanism, build_grid, default_scenario, ensemble,
                      gof_anderson, gof_tf, p_value, pearson, record_tf_gof,
@@ -20,6 +25,11 @@ from seisgof.gof_tf import TfConfig
 from seisgof.signal import (COMPONENTS, Record3C, TimeSeries, Unit,
                             align_records)
 from seisgof.traceio import meta_path_for, write_record
+
+# The stated tolerance of p_value: relative to the exact value at the
+# given r, for the 3 to 27 samples a sweep has, tested up to 200. No other
+# output of a sweep may change a byte.
+P_VALUE_REL_TOL = 1e-12
 
 
 class TestBuildGrid:
@@ -86,12 +96,66 @@ class TestPearson:
             pearson(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
 
     def test_p_value_matches_scipy_t_distribution(self):
+        # Within the stated tolerance, not bit for bit: p_value is not
+        # scipy's code. t is formed from (1 - r)(1 + r), as p_value forms
+        # 1 - r^2; near |r| = 1, 1 - r * r would round the oracle's input.
         from scipy import stats
 
         for n in (3, 4, 10, 27, 200):
             for r in (-0.999, -0.5, -1e-3, 0.0, 0.2, 0.7, 0.9999):
-                t = r * np.sqrt((n - 2) / (1.0 - r * r))
-                assert p_value(r, n) == 2.0 * stats.t.sf(abs(t), n - 2)
+                t = r * math.sqrt((n - 2) / ((1.0 - r) * (1.0 + r)))
+                expected = 2.0 * stats.t.sf(abs(t), n - 2)
+                assert p_value(r, n) == pytest.approx(
+                    expected, rel=P_VALUE_REL_TOL, abs=0.0)
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 10, 27, 28, 50, 200))
+    def test_p_value_is_the_exact_incomplete_beta(self, n):
+        # The exact two-sided p at the given r is I_{1-r^2}(nu/2, 1/2),
+        # here at 80 digits. r near +-1 and near 0, where 1 - r^2 and r^2
+        # lose digits to each other; around the 5 % threshold, where the
+        # continued fraction's terms cancel; and uniform r.
+        import mpmath
+
+        rng = np.random.default_rng(n)
+        rs = np.concatenate([
+            [1.0 - 1e-15, -(1.0 - 1e-15), 1e-12, -1e-12, 0.5],
+            1.0 - 10.0 ** rng.uniform(-15.5, -1.0, 40),
+            10.0 ** rng.uniform(-12.0, -1.0, 40),
+            np.minimum(rng.uniform(0.0, 8.0, 60) / math.sqrt(n), 1.0),
+            rng.uniform(-1.0, 1.0, 60)])
+        for r in rs:
+            r = float(r)
+            with mpmath.workdps(80):
+                exact = mpmath.betainc((n - 2) / 2, 0.5, 0,
+                                       1 - mpmath.mpf(r) ** 2,
+                                       regularized=True)
+            p = p_value(r, n)
+            if float(exact) < sys.float_info.min:
+                # below the normal floats: 0.0 where it underflows
+                assert abs(p - float(exact)) <= (P_VALUE_REL_TOL
+                                                 * sys.float_info.min), r
+            else:
+                assert abs(p - exact) <= P_VALUE_REL_TOL * exact, r
+
+    @pytest.mark.parametrize("n", (3, 4, 27, 200))
+    def test_p_value_ends(self, n):
+        assert p_value(0.0, n) == 1.0
+        assert p_value(-0.0, n) == 1.0
+        assert p_value(1.0, n) == 0.0
+        assert p_value(-1.0, n) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.integers(3, 200))
+    def test_p_value_is_even_in_r(self, r, n):
+        assert (struct.pack("<d", p_value(-r, n))
+                == struct.pack("<d", p_value(r, n)))
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 10, 27, 200))
+    def test_p_value_falls_with_abs_r_inside_the_unit_interval(self, n):
+        p = np.array([p_value(float(r), n)
+                      for r in np.linspace(0.0, 1.0, 2001)])
+        assert ((0.0 <= p) & (p <= 1.0)).all()
+        assert (np.diff(p) <= 0.0).all()
 
     def test_p_value_against_permutation_oracle(self):
         # light version of the acceptance oracle: 2e4 shuffles, 0.03 window

@@ -94,6 +94,9 @@ class TestAndersonConfig:
         ({"duration_lo": np.nan}, "duration"),
         ({"duration_hi": np.nan}, "duration"),
         ({"max_lag": -0.1}, "max_lag"), ({"max_lag": np.nan}, "max_lag"),
+        ({"periods": np.array([30.0, 100.0])}, "no Sa period lies in a band"),
+        ({"periods": np.array([0.02, 0.05]),
+          "bands": BandSpec(((0.05, 0.1), (0.1, 0.25)))}, "no Sa period"),
     ])
     def test_field_out_of_range_is_rejected_when_built(self, fields, name):
         with pytest.raises(ValueError, match=name):

@@ -62,3 +62,20 @@ def test_every_function_and_class_has_a_user():
               and name not in seisgof.__all__
               and (module, name) not in kept]
     assert unused == []
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test oracle, not a dependency: no import of it, at module
+    # level or inside a function.
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] == "scipy"]
+    assert imports == []
