@@ -9,14 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import report, traceio
-from .config import (ConfigError, PipelineConfig, config_echo, load_config,
-                     significance_level)
+from .config import (ENV_OUTPUT_DIR, ENV_WORKERS, ConfigError, PipelineConfig,
+                     config_echo, load_config, significance_level)
 from .ensemble import (QUALITATIVE_TRENDS_NOTE, build_grid, correlation_tables,
                        group_report, run_sweep, synthesize)
 from .gof_anderson import score_pair
@@ -82,9 +83,8 @@ def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
     tf = {comp: tf[comp] for comp in wanted}
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    files.append(report.write_anderson_csv(out_dir / "anderson_scores.csv",
-                                           anderson).name)
+    files = [report.write_anderson_csv(out_dir / "anderson_scores.csv",
+                                       anderson).name]
     summary = {
         "record": str(record_path),
         "synthetic": str(synthetic_path),
@@ -95,10 +95,8 @@ def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
                       "freqs": gof.freqs.tolist()}
                for comp, gof in tf.items()},
     }
-    summary_path = out_dir / "gof_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True)
-                            + "\n")
-    files.append(summary_path.name)
+    files.append(traceio.write_json(out_dir / "gof_summary.json",
+                                    summary).name)
     for comp, gof in tf.items():
         plane_path = out_dir / f"tf_{comp}.npz"
         np.savez(plane_path, times=gof.times, freqs=gof.freqs,
@@ -163,7 +161,6 @@ def cmd_sweep(cfg: PipelineConfig, out_dir: Path,
 def cmd_report(run_dir: Path, out_dir: Path) -> int:
     """Re-render SVG charts and the manifest from a sweep output directory,
     at the significance level the sweep's manifest records."""
-    run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise CliError(f"run directory not found: {run_dir}")
     try:
@@ -194,7 +191,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seisgof",
         description="Synthesize point-source seismograms and score them "
-                    "against recorded motions.")
+                    "against recorded motions.",
+        epilog=f"Every command reads {ENV_WORKERS} (pool processes) and "
+               f"{ENV_OUTPUT_DIR} (output directory); a flag overrides them, "
+               f"and they override the config file.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="synthesize one record")
@@ -232,13 +232,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = (load_config(args.config)
-               if getattr(args, "config", None) is not None
-               else PipelineConfig())
+        cfg = load_config(getattr(args, "config", None))
         if getattr(args, "workers", None) is not None:
-            if args.workers < 1:
-                raise ConfigError(f"workers must be >= 1, got {args.workers}")
-            cfg.workers = args.workers
+            cfg = replace(cfg, workers=args.workers)
         out_dir = Path(args.out) if args.out is not None else cfg.output_dir
 
         if args.command == "synth":
@@ -250,9 +246,7 @@ def main(argv=None) -> int:
             external = (Path(args.external_runs)
                         if args.external_runs is not None else None)
             return cmd_sweep(cfg, out_dir, external)
-        if args.command == "report":
-            return cmd_report(Path(args.run_dir), out_dir)
-        raise CliError(f"unknown command {args.command!r}")
+        return cmd_report(Path(args.run_dir), out_dir)  # the one left: report
     except (CliError, ConfigError, ValueError, OSError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)

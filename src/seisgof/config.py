@@ -1,6 +1,10 @@
 """Pipeline configuration: one JSON file. Each config type checks its own
 fields; :func:`load_config` maps and type-checks the JSON.
 
+Every command resolves its settings through :func:`load_config`, with or
+without a config file. A setting is taken from the first of: the command's
+flag, the environment, the config file, the default.
+
 Environment overrides exist only for the worker count (``SEISGOF_WORKERS``)
 and the output directory (``SEISGOF_OUTPUT_DIR``). Both are runtime-only
 settings: they decide how and where a run is written, not its output bytes,
@@ -17,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ensemble import DEFAULT_GRID_DELTAS
 from .gof_anderson import AndersonConfig, BandSpec
 from .gof_tf import TfConfig
 from .imeasures import DEFAULT_PERIOD_RANGE, default_periods
@@ -29,13 +34,13 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     scenario_path: Path | None = None
     reference_path: Path | None = None
     output_dir: Path = Path("out")
     workers: int = 1
-    grid_deltas: tuple[float, float, float] = (5.0, 5.0, 10.0)
+    grid_deltas: tuple[float, float, float] = DEFAULT_GRID_DELTAS
     alpha: float = 0.05
     anderson: AndersonConfig = field(default_factory=AndersonConfig)
     tf: TfConfig = field(default_factory=TfConfig)
@@ -43,6 +48,13 @@ class PipelineConfig:
     # periods.min and periods.max as read. config_echo gives them while
     # they generate anderson.periods, whose ends can differ by an ulp.
     period_range: tuple[float, float] = DEFAULT_PERIOD_RANGE
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        significance_level(self.alpha)
+        if any(d < 0 for d in self.grid_deltas):
+            raise ConfigError("grid deltas must be non-negative")
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -91,9 +103,9 @@ def _built(config_type, fields: dict, prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse a config JSON file; apply environment overrides."""
-    path = Path(path)
+def _file_fields(path: Path) -> dict:
+    # The fields a config file sets, type-checked; ranges are checked by
+    # the config types.
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -103,7 +115,7 @@ def load_config(path) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     base = path.parent
-    cfg = PipelineConfig(base_dir=base)
+    fields = {"base_dir": base}
 
     for key, attr in (("scenario", "scenario_path"),
                       ("reference", "reference_path")):
@@ -111,23 +123,21 @@ def load_config(path) -> PipelineConfig:
             p = _resolve(base, str(raw[key]))
             if not p.exists():
                 raise ConfigError(f"{key} file not found: {p}")
-            setattr(cfg, attr, p)
+            fields[attr] = p
 
     if "output_dir" in raw:
-        cfg.output_dir = _resolve(base, str(raw["output_dir"]))
+        fields["output_dir"] = _resolve(base, str(raw["output_dir"]))
     if "workers" in raw:
-        cfg.workers = _number(raw["workers"], "workers", int)
+        fields["workers"] = _number(raw["workers"], "workers", int)
     if "alpha" in raw:
-        cfg.alpha = significance_level(raw["alpha"])
+        fields["alpha"] = _number(raw["alpha"], "alpha")
 
     if "grid" in raw:
         g = _object(raw, "grid")
-        cfg.grid_deltas = tuple(
+        fields["grid_deltas"] = tuple(
             _number(g.get(key, default), f"grid.{key}")
-            for key, default in (("strike_delta", 5.0), ("dip_delta", 5.0),
-                                 ("rake_delta", 10.0)))
-        if any(d < 0 for d in cfg.grid_deltas):
-            raise ConfigError("grid deltas must be non-negative")
+            for key, default in zip(("strike_delta", "dip_delta",
+                                     "rake_delta"), DEFAULT_GRID_DELTAS))
 
     anderson = {}
     if "bands" in raw:
@@ -150,27 +160,31 @@ def load_config(path) -> PipelineConfig:
             _number(v, "duration_thresholds") for v in pair)
     if "periods" in raw:
         p = _object(raw, "periods")
-        t_min = _number(p.get("min", cfg.period_range[0]), "periods.min")
-        t_max = _number(p.get("max", cfg.period_range[1]), "periods.max")
+        t_min = _number(p.get("min", DEFAULT_PERIOD_RANGE[0]), "periods.min")
+        t_max = _number(p.get("max", DEFAULT_PERIOD_RANGE[1]), "periods.max")
         count = _number(p.get("count", 50), "periods.count", int)
         if not 0 < t_min < t_max or count < 1:
             raise ConfigError("periods must satisfy 0 < min < max, count >= 1")
         anderson["periods"] = default_periods(count, t_min, t_max)
-        cfg.period_range = (t_min, t_max)
-    cfg.anderson = _built(AndersonConfig, anderson)
+        fields["period_range"] = (t_min, t_max)
+    fields["anderson"] = _built(AndersonConfig, anderson)
 
     t = _object(raw, "tf") if "tf" in raw else {}
-    cfg.tf = _built(TfConfig, {attr: _number(t[key], f"tf.{key}", cast)
-                               for key, attr, cast in _TF_KEYS if key in t},
-                    "tf: ")
+    fields["tf"] = _built(TfConfig, {
+        attr: _number(t[key], f"tf.{key}", cast)
+        for key, attr, cast in _TF_KEYS if key in t}, "tf: ")
+    return fields
 
+
+def load_config(path=None) -> PipelineConfig:
+    """The run settings: the defaults, overridden by the config file at
+    ``path`` if one is given, and both by the environment."""
+    fields = _file_fields(Path(path)) if path is not None else {}
     if ENV_WORKERS in os.environ:
-        cfg.workers = _number(os.environ[ENV_WORKERS], ENV_WORKERS, int)
+        fields["workers"] = _number(os.environ[ENV_WORKERS], ENV_WORKERS, int)
     if ENV_OUTPUT_DIR in os.environ:
-        cfg.output_dir = Path(os.environ[ENV_OUTPUT_DIR])
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
-    return cfg
+        fields["output_dir"] = Path(os.environ[ENV_OUTPUT_DIR])
+    return PipelineConfig(**fields)
 
 
 def _echoed_periods(cfg: PipelineConfig) -> dict:

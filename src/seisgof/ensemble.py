@@ -8,7 +8,6 @@ correlations are qualitative trends, and every report marks them as such.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -61,8 +60,13 @@ class SweepGrid:
                             sorted(self.rakes)))
 
 
+# The sweep's (strike, dip, rake) steps when none are configured.
+DEFAULT_GRID_DELTAS = (5.0, 5.0, 10.0)
+
+
 def build_grid(center: FocalMechanism,
-               deltas: tuple[float, float, float] = (5.0, 5.0, 10.0)) -> SweepGrid:
+               deltas: tuple[float, float, float] = DEFAULT_GRID_DELTAS,
+               ) -> SweepGrid:
     """3 values per angle: center - delta, center, center + delta.
 
     A zero delta degenerates that angle to a single value. Strike and rake
@@ -104,9 +108,7 @@ def write_run_gof_json(path, result: RunResult) -> Path:
     }
     if result.error is None:
         payload.update(result.summary)
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return traceio.write_json(path, payload)
 
 
 class ReferenceScorer:
@@ -265,7 +267,6 @@ def run_sweep(make_record, grid: SweepGrid, reference: Record3C, out_dir, *,
     a_cfg = anderson_config if anderson_config is not None else AndersonConfig()
     t_cfg = tf_config if tf_config is not None else TfConfig()
     sweep = (make_record, ReferenceScorer(reference, a_cfg, t_cfg), out_dir)
-    workers = max(1, workers)
     chunks = _chunks(grid.angles(), workers)
     if workers == 1:
         done = [_execute_run(chunk, sweep) for chunk in chunks]
@@ -355,25 +356,18 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     d = 1.0 / d
     h = d
     for m in range(1, _BETA_FRACTION_MAX_STEPS + 1):
-        term = m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m))
-        d = 1.0 + term * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + term / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))
-        d = 1.0 + term * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + term / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
+        for term in (m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x
+                     / ((a + 2 * m) * (a + 1.0 + 2 * m))):
+            d = 1.0 + term * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + term / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
         if abs(step - 1.0) < sys.float_info.epsilon:
             return h
     raise ArithmeticError(f"incomplete beta fraction did not converge for "

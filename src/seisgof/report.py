@@ -11,7 +11,6 @@ with a non-finite mean blank.
 
 from __future__ import annotations
 
-import json
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .ensemble import (PARAMETERS, QUALITATIVE_TRENDS_NOTE,
                        significant, write_run_gof_json)
 from .gof_anderson import (AndersonScores, QualityLevel, anderson_summary,
                            quality)
+from .traceio import write_json
 
 QUALITY_COLORS = {
     QualityLevel.POOR: "#d73027",
@@ -278,8 +278,5 @@ def write_charts(out_dir, tables: dict[str, CorrelationTable],
 
 def write_manifest(path, payload: dict) -> Path:
     """Single JSON manifest; the timestamp is isolated in ``generated_at``."""
-    body = dict(payload)
-    body["generated_at"] = datetime.now(timezone.utc).isoformat()
-    path = Path(path)
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(path, {
+        **payload, "generated_at": datetime.now(timezone.utc).isoformat()})

@@ -68,9 +68,6 @@ class MomentTensor:
             raise ValueError("moment tensor must be symmetric")
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
 
-    @property
-    def mzz(self): return float(self.matrix[2, 2])
-
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues sorted ascending; a double couple gives {-M0, 0, +M0}."""
         return np.linalg.eigvalsh(self.matrix)
@@ -143,10 +140,6 @@ class SourceTimeFunction:
         if abs(area - 1.0) > 1e-6:
             raise ValueError(f"samples must integrate to 1, got {area}")
         object.__setattr__(self, "samples", s)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.dt
 
 
 def _stf_grid(rise_time: float, dt: float) -> np.ndarray:
@@ -408,14 +401,15 @@ def scenario_from_dict(cfg: dict):
         if not isinstance(value, dict):
             raise TypeError(f"{key!r} must be an object, got {value!r}")
     med, mech, stf_cfg = sections.values()
-    medium = (Medium(rho=float(med["rho"]), vp=float(med["vp"]),
-                     vs=float(med["vs"])) if med else default_medium())
+    # What the JSON leaves out takes PointSourceScenario's default.
+    given = {key: float(cfg[key]) for key in ("m0", "duration", "dt")
+             if key in cfg}
+    if med:
+        given["medium"] = Medium(rho=float(med["rho"]), vp=float(med["vp"]),
+                                 vs=float(med["vs"]))
     scenario = PointSourceScenario(
         hypocenter=tuple(float(v) for v in cfg["hypocenter"]),
-        receiver=tuple(float(v) for v in cfg["receiver"][:2]),
-        medium=medium, m0=float(cfg.get("m0", 2.81e16)),
-        duration=float(cfg.get("duration", 12.0)),
-        dt=float(cfg.get("dt", 0.005)))
+        receiver=tuple(float(v) for v in cfg["receiver"][:2]), **given)
     fm = FocalMechanism(strike=float(mech.get("strike", 45.0)),
                         dip=float(mech.get("dip", 55.0)),
                         rake=float(mech.get("rake", 90.0)))

@@ -24,6 +24,13 @@ def meta_path_for(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+def write_json(path, payload) -> Path:
+    """Write ``payload`` as indented JSON with sorted keys; return the path."""
+    path = Path(path)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def write_record(record: Record3C, path) -> Path:
     """Write a record as trace CSV plus JSON sidecar; returns the CSV path.
 
@@ -39,12 +46,11 @@ def write_record(record: Record3C, path) -> Path:
                                record.ns.samples, record.ud.samples])
     rows = ("%r,%r,%r,%r\n" * record.ew.n) % tuple(columns.ravel().tolist())
     path.write_text(f"{HEADER}\n{rows}")
-    meta = {
+    write_json(meta_path_for(path), {
         "station_id": record.station_id,
         "units": Unit.ACCELERATION.value,
         "epicentral_distance": record.epicentral_distance,
-    }
-    meta_path_for(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    })
     return path
 
 

@@ -770,7 +770,79 @@ class TestErrorHandling:
         assert "reference" in err["error"]["message"]
 
 
+class TestPipelineConfig:
+    # PipelineConfig checks its own fields, so a value set in code, by
+    # load_config or by a flag through dataclasses.replace meets one check.
+    @pytest.mark.parametrize("fields, message", [
+        ({"workers": 0}, "workers must be >= 1, got 0"),
+        ({"workers": -2}, "workers must be >= 1, got -2"),
+        ({"alpha": 1.0}, "alpha must be in (0, 1), got 1.0"),
+        ({"alpha": 0.0}, "alpha must be in (0, 1), got 0.0"),
+        ({"grid_deltas": (5.0, -1.0, 10.0)},
+         "grid deltas must be non-negative"),
+    ])
+    def test_a_field_out_of_range_is_a_config_error(self, fields, message):
+        with pytest.raises(ConfigError) as built:
+            PipelineConfig(**fields)
+        with pytest.raises(ConfigError) as replaced:
+            dataclasses.replace(PipelineConfig(), **fields)
+        assert str(built.value) == str(replaced.value) == message
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = PipelineConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.workers = 2
+        assert cfg.workers == 1
+
+    def test_defaults_without_a_config_file(self, monkeypatch):
+        monkeypatch.delenv("SEISGOF_WORKERS", raising=False)
+        monkeypatch.delenv("SEISGOF_OUTPUT_DIR", raising=False)
+        cfg, default = load_config(), PipelineConfig()
+        assert config_echo(cfg) == config_echo(default)
+        assert ((cfg.workers, cfg.output_dir, cfg.base_dir)
+                == (default.workers, default.output_dir, default.base_dir))
+
+
 class TestEnvironmentOverrides:
+    def test_apply_without_a_config_file(self, monkeypatch):
+        monkeypatch.setenv("SEISGOF_WORKERS", "3")
+        monkeypatch.setenv("SEISGOF_OUTPUT_DIR", "env_out")
+        cfg = load_config()
+        assert (cfg.workers, cfg.output_dir) == (3, Path("env_out"))
+        monkeypatch.setenv("SEISGOF_WORKERS", "0")
+        with pytest.raises(ConfigError) as raised:
+            load_config()
+        assert str(raised.value) == "workers must be >= 1, got 0"
+
+    def test_gof_without_a_config_writes_into_the_env_output_dir(
+            self, workspace, monkeypatch):
+        tmp_path, _ = workspace
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SEISGOF_OUTPUT_DIR", "env_out")
+        assert main(["gof", "recorded.csv", "recorded.csv",
+                     "--component", "ud"]) == 0
+        assert (tmp_path / "env_out" / "gof_summary.json").exists()
+        assert not (tmp_path / "out").exists()
+        # An explicit --out still wins over the environment.
+        assert main(["gof", "recorded.csv", "recorded.csv",
+                     "--component", "ud", "--out", "flag_out"]) == 0
+        assert (tmp_path / "flag_out" / "gof_summary.json").exists()
+
+    def test_report_writes_into_the_env_output_dir(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SEISGOF_OUTPUT_DIR", "env_out")
+        assert main(["report", str(DATA / "fixture_run")]) == 0
+        assert (tmp_path / "env_out" / "correlation_ew.svg").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_help_names_the_environment_overrides(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "SEISGOF_WORKERS" in text
+        assert "SEISGOF_OUTPUT_DIR" in text
+
     def test_workers_and_output_dir(self, workspace, monkeypatch):
         tmp_path, config_path = workspace
         env_out = tmp_path / "env_out"
@@ -849,7 +921,8 @@ class TestEnvironmentOverrides:
         _, config_path = workspace
         cfg = load_config(config_path)
         periods = np.logspace(-1.0, 0.5, 7)
-        cfg.anderson = dataclasses.replace(cfg.anderson, periods=periods)
+        cfg = dataclasses.replace(cfg, anderson=dataclasses.replace(
+            cfg.anderson, periods=periods))
         assert config_echo(cfg)["periods"] == {
             "min": float(periods[0]), "max": float(periods[-1]), "count": 7}
 

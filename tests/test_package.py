@@ -64,6 +64,24 @@ def test_every_function_and_class_has_a_user():
     assert unused == []
 
 
+def test_every_indented_json_is_written_by_write_json():
+    # One encoder: outside traceio.write_json no json.dumps call passes
+    # indent, so every JSON file the program writes has one layout.
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if (path.stem, getattr(stmt, "name", None)) == ("traceio",
+                                                             "write_json"):
+                continue
+            calls += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(stmt)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "dumps"
+                      and any(k.arg == "indent" for k in node.keywords)]
+    assert calls == []
+
+
 def test_no_module_imports_scipy():
     # scipy is a test oracle, not a dependency: no import of it, at module
     # level or inside a function.

@@ -48,7 +48,7 @@ class TestMomentTensor:
     def test_benchmark_mechanism_mzz(self):
         mt = moment_tensor(FocalMechanism(45.0, 55.0, 90.0), M0)
         expected = M0 * np.sin(np.radians(110.0))
-        assert abs(mt.mzz - expected) < 1e-6 * abs(expected)
+        assert abs(mt.matrix[2, 2] - expected) < 1e-6 * abs(expected)
 
     def test_grid_eigenvalues_are_double_couple(self):
         grid = build_grid(FocalMechanism(45.0, 55.0, 90.0))
@@ -108,7 +108,7 @@ class TestSourceTimeFunctions:
     def test_liu_peak_position(self):
         # regression fixture: the shape peaks at 0.13 * rise_time
         stf = liu_stf(1.0, 1e-3)
-        t_peak = stf.times[np.argmax(stf.samples)]
+        t_peak = np.argmax(stf.samples) * stf.dt
         assert t_peak < 0.5
         assert abs(t_peak - 0.13) <= stf.dt
 
@@ -163,6 +163,17 @@ class TestScenario:
         expected = liu_stf(rise, scn.dt)
         assert (stf2.rise_time, stf2.dt) == (rise, scn.dt)
         assert stf2.samples.tobytes() == expected.samples.tobytes()
+
+    @pytest.mark.parametrize("medium", [None, {}])
+    def test_what_the_json_leaves_out_takes_the_scenario_default(self,
+                                                                 medium):
+        body = {"hypocenter": [0.0, 0.0, 1000.0], "receiver": [5000.0, 0.0]}
+        if medium is not None:
+            body["medium"] = medium
+        scn, _, stf = scenario_from_dict(body)
+        assert scn == PointSourceScenario(hypocenter=(0.0, 0.0, 1000.0),
+                                          receiver=(5000.0, 0.0))
+        assert stf.dt == scn.dt
 
 
 def _s_window_peak(record, scenario, pad_before=0.2, pad_after=2.0):
