@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -66,12 +65,17 @@ def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
             out_dir: Path, component: str = "all") -> int:
     """Both GOF frameworks on one recorded/synthetic pair.
 
-    Writes ``anderson_scores.csv``, ``gof_summary.json`` and, per scored
-    component ``c``, the time-frequency planes as ``tf_<c>.npz``: an
-    uncompressed numpy archive of the float64 arrays ``times``
-    (n_times,), ``freqs`` (n_freqs,) and the GOF planes ``tfeg`` and
-    ``tfpg`` (n_times, n_freqs), read with ``np.load(path)``. Every value
-    is stored exactly, and equal planes give equal file bytes.
+    Writes ``anderson_scores.csv``, ``gof_summary.json`` (the two input
+    paths, the Anderson block and EG and PG per scored component) and, per
+    scored component ``c``, ``tf_<c>.npz``: an uncompressed numpy archive
+    of eight float64 arrays, read with ``np.load(path)``:
+
+    - ``times`` (n_times,) and ``freqs`` (n_freqs,), the plane axes
+    - the marginals ``teg`` and ``tpg`` (n_times,), ``feg`` and ``fpg``
+      (n_freqs,)
+    - the GOF planes ``tfeg`` and ``tfpg`` (n_times, n_freqs)
+
+    Every value is stored exactly, and equal values give equal file bytes.
     """
     rec, sim = align_records(traceio.read_record(record_path),
                              traceio.read_record(synthetic_path))
@@ -89,18 +93,15 @@ def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
         "record": str(record_path),
         "synthetic": str(synthetic_path),
         "anderson": report.anderson_summary(anderson),
-        "tf": {comp: {"EG": gof.eg, "PG": gof.pg,
-                      "TEG": gof.teg.tolist(), "TPG": gof.tpg.tolist(),
-                      "FEG": gof.feg.tolist(), "FPG": gof.fpg.tolist(),
-                      "freqs": gof.freqs.tolist()}
-               for comp, gof in tf.items()},
+        "tf": {comp: {"EG": gof.eg, "PG": gof.pg} for comp, gof in tf.items()},
     }
     files.append(traceio.write_json(out_dir / "gof_summary.json",
                                     summary).name)
     for comp, gof in tf.items():
         plane_path = out_dir / f"tf_{comp}.npz"
-        np.savez(plane_path, times=gof.times, freqs=gof.freqs,
-                 tfeg=gof.tfeg, tfpg=gof.tfpg)
+        np.savez(plane_path, times=gof.times, freqs=gof.freqs, teg=gof.teg,
+                 tpg=gof.tpg, feg=gof.feg, fpg=gof.fpg, tfeg=gof.tfeg,
+                 tfpg=gof.tfpg)
         files.append(plane_path.name)
     report.write_manifest(out_dir / "manifest.json", {
         "command": "gof", "config": config_echo(cfg), "files": sorted(files),
@@ -205,9 +206,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "gof", help="score one recorded/synthetic pair",
         description="Score one recorded/synthetic pair with both GOF "
                     "frameworks. Writes anderson_scores.csv, "
-                    "gof_summary.json and, per component c, tf_<c>.npz: "
-                    "the float64 arrays times, freqs, tfeg and tfpg "
-                    "(planes of shape (n_times, n_freqs)), read with "
+                    "gof_summary.json (the Anderson scores and EG and PG "
+                    "per component) and, per component c, tf_<c>.npz: the "
+                    "float64 arrays times, freqs, the marginals teg, tpg "
+                    "(n_times,) and feg, fpg (n_freqs,), and the planes "
+                    "tfeg and tfpg (n_times, n_freqs), read with "
                     "numpy.load(path).")
     p_gof.add_argument("record")
     p_gof.add_argument("synthetic")
@@ -232,10 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(getattr(args, "config", None))
-        if getattr(args, "workers", None) is not None:
-            cfg = replace(cfg, workers=args.workers)
-        out_dir = Path(args.out) if args.out is not None else cfg.output_dir
+        cfg = load_config(getattr(args, "config", None),
+                          workers=getattr(args, "workers", None),
+                          output_dir=args.out)
+        out_dir = cfg.output_dir
 
         if args.command == "synth":
             return cmd_synth(cfg, out_dir)

@@ -176,13 +176,21 @@ def _file_fields(path: Path) -> dict:
     return fields
 
 
-def load_config(path=None) -> PipelineConfig:
+def load_config(path=None, *, workers: int | None = None,
+                output_dir: str | Path | None = None) -> PipelineConfig:
     """The run settings: the defaults, overridden by the config file at
-    ``path`` if one is given, and both by the environment."""
+    ``path`` if one is given, those by the environment, and those by a
+    command's flags ``workers`` and ``output_dir`` where they are not None.
+    The config is built, and checked, once from the winning values, so an
+    environment value a flag replaces is never read."""
     fields = _file_fields(Path(path)) if path is not None else {}
-    if ENV_WORKERS in os.environ:
+    if workers is not None:
+        fields["workers"] = workers
+    elif ENV_WORKERS in os.environ:
         fields["workers"] = _number(os.environ[ENV_WORKERS], ENV_WORKERS, int)
-    if ENV_OUTPUT_DIR in os.environ:
+    if output_dir is not None:
+        fields["output_dir"] = Path(output_dir)
+    elif ENV_OUTPUT_DIR in os.environ:
         fields["output_dir"] = Path(os.environ[ENV_OUTPUT_DIR])
     return PipelineConfig(**fields)
 

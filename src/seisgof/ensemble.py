@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -231,6 +230,18 @@ def synthesize(scenario: PointSourceScenario, stf, angles) -> Record3C:
     return synth_fullspace(scenario, FocalMechanism(*angles), stf)
 
 
+def __getattr__(name: str):
+    # PEP 562: ``ProcessPoolExecutor`` is imported on first use, because
+    # only a pooled sweep needs it and loading multiprocessing costs every
+    # other command 12-20 ms. It is then kept as a module attribute, which
+    # a caller may replace by name.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures.process import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 # (make_record, scorer, out_dir) of the sweep a pool worker serves; set
 # once per worker by the pool initializer, so that tasks carry only angles.
 _SWEEP = None
@@ -271,10 +282,13 @@ def run_sweep(make_record, grid: SweepGrid, reference: Record3C, out_dir, *,
     if workers == 1:
         done = [_execute_run(chunk, sweep) for chunk in chunks]
     else:
+        # A name lookup inside the module does not fall back to the module's
+        # __getattr__, so the first pooled sweep calls it.
+        pool_type = (globals().get("ProcessPoolExecutor")
+                     or __getattr__("ProcessPoolExecutor"))
         # Under fork all workers start at once: no more than the chunks.
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
-                                 initializer=_start_worker,
-                                 initargs=sweep) as pool:
+        with pool_type(max_workers=min(workers, len(chunks)),
+                       initializer=_start_worker, initargs=sweep) as pool:
             done = list(pool.map(_execute_run, chunks))
     return [res for results in done for res in results]
 

@@ -101,7 +101,10 @@ def _newmark_sdof_max(ag, trace, dt, periods, zeta):
     # periods[j] is driven by row trace[j] of ag; ground forcing p = -ag.
     # Every state element sees the operations of the one-trace loop in
     # the same order, so batching changes no bit. The samples stay per
-    # trace and each step gathers its pairs' values.
+    # trace and each step gathers its pairs' values. Each step writes
+    # into preallocated buffers: the state (u, v, a) and its increment
+    # (du, dv, da) are (3, pairs) arrays, and the du and v terms of dv and
+    # da are each one multiply by a column of two coefficients.
     wn = 2.0 * np.pi / periods
     k = wn ** 2
     c = 2.0 * zeta * wn
@@ -109,19 +112,32 @@ def _newmark_sdof_max(ag, trace, dt, periods, zeta):
     cv = 4.0 / dt + 2.0 * c
     ag = np.ascontiguousarray(ag.T)  # ag[i] is sample i of every trace
     dp = -(ag[1:] - ag[:-1])  # dp[i - 1] is the load step into sample i
-    u = np.zeros(wn.size)
-    v = np.zeros_like(u)
-    a = -ag[0][trace]
-    umax = np.zeros_like(u)
+    by_du = np.array([[2.0 / dt], [4.0 / dt ** 2]])
+    by_v = np.array([[2.0], [4.0 / dt]])
+    state = np.zeros((3, wn.size))
+    step = np.empty_like(state)
+    du_terms = np.empty((2, wn.size))
+    v_terms = np.empty_like(du_terms)
+    two_a = np.empty(wn.size)
+    umax = np.zeros(wn.size)
+    u, v, a = state
+    du, dv, da = step
+    np.negative(ag[0][trace], out=a)
     for i in range(1, ag.shape[0]):
-        dpe = dp[i - 1][trace] + cv * v + 2.0 * a
-        du = dpe / keff
-        dv = 2.0 / dt * du - 2.0 * v
-        da = 4.0 / dt ** 2 * du - 4.0 / dt * v - 2.0 * a
-        u += du
-        v += dv
-        a += da
-        np.maximum(umax, np.abs(u), out=umax)
+        np.multiply(2.0, a, out=two_a)
+        np.take(dp[i - 1], trace, out=du, mode="clip")
+        np.multiply(cv, v, out=dv)
+        du += dv
+        du += two_a
+        du /= keff  # du = (dp + cv * v + 2a) / keff
+        np.multiply(by_du, du, out=du_terms)
+        np.multiply(by_v, v, out=v_terms)
+        np.subtract(du_terms[0], v_terms[0], out=dv)
+        np.subtract(du_terms[1], v_terms[1], out=da)
+        da -= two_a
+        state += step
+        np.abs(u, out=du_terms[0])
+        np.maximum(umax, du_terms[0], out=umax)
     return k * umax
 
 

@@ -71,16 +71,27 @@ def _exact_interval(t: np.ndarray, dt: float) -> float:
     return float(fit) if np.array_equal(t[0] + i * fit, t) else dt
 
 
-def read_record(path) -> Record3C:
-    """Read a trace CSV (and its sidecar if present) back into a Record3C."""
-    path = Path(path)
+def _read_rows(path: Path) -> np.ndarray:
+    # The (n, 4) rows of a trace CSV: every field of the non-blank lines
+    # after the header, as float() reads it, converted in one numpy pass
+    # over one flat list of fields. So each line's width is checked by its
+    # comma count first. Any malformed input is a ValueError naming path.
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise ValueError(f"{path}: first line must be exactly {HEADER!r}")
-    rows = np.array([[float(v) for v in line.split(",")]
-                     for line in lines[1:] if line.strip()], dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 4 or rows.shape[0] < 2:
+    lines = [line for line in lines[1:] if line.strip()]
+    if len(lines) < 2 or any(line.count(",") != 3 for line in lines):
         raise ValueError(f"{path}: expected at least 2 rows of t,ew,ns,ud")
+    try:
+        return np.array(",".join(lines).split(","), dtype=float).reshape(-1, 4)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_record(path) -> Record3C:
+    """Read a trace CSV (and its sidecar if present) back into a Record3C."""
+    path = Path(path)
+    rows = _read_rows(path)
     t = rows[:, 0]
     n = t.size
     dt = (t[-1] - t[0]) / (n - 1)

@@ -19,7 +19,7 @@ from seisgof.config import (ConfigError, PipelineConfig, config_echo,
                              load_config)
 from seisgof.gof_tf import record_tf_gof, write_plane_csv
 from seisgof.source import scenario_from_dict, scenario_to_dict
-from seisgof.traceio import read_record, write_record
+from seisgof.traceio import read_record, write_json, write_record
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,13 +165,14 @@ class TestPlaneArchive:
         return (tmp_path, config_path, tmp_path / "recorded.csv",
                 tmp_path / "synth" / "synthetic.csv")
 
-    def test_archive_holds_the_plane_csv_values_bit_for_bit(
-            self, pair, monkeypatch):
-        tmp_path, config_path, ref, sim = pair
+    @pytest.fixture
+    def special_gofs(self, monkeypatch):
+        # Patches cli.record_tf_gof so that every marginal and plane holds
+        # SPECIAL_VALUES; returns the GOFs that cmd_gof was given.
         k = len(SPECIAL_VALUES)
         saved = {}
 
-        def planes_with_special_values(rec, sim, config):
+        def gofs_with_special_values(rec, sim, config):
             # TfGof maps its planes anew on every read, so each one is
             # replaced by a snapshot of the fields that cmd_gof reads.
             gofs = {comp: SimpleNamespace(**{
@@ -180,21 +181,29 @@ class TestPlaneArchive:
                     "tfeg", "tfpg")})
                 for comp, gof in record_tf_gof(rec, sim, config).items()}
             for gof in gofs.values():
+                for marginal in (gof.teg, gof.tpg, gof.feg, gof.fpg):
+                    marginal[:k] = SPECIAL_VALUES
                 for plane in (gof.tfeg, gof.tfpg):
                     plane[0, :k] = SPECIAL_VALUES
                     plane[-1, -k:] = SPECIAL_VALUES[::-1]
             saved.update(gofs)
             return gofs
 
-        monkeypatch.setattr(cli, "record_tf_gof", planes_with_special_values)
+        monkeypatch.setattr(cli, "record_tf_gof", gofs_with_special_values)
+        return saved
+
+    def test_archive_holds_the_plane_csv_values_bit_for_bit(
+            self, pair, special_gofs):
+        tmp_path, config_path, ref, sim = pair
         out = tmp_path / "gof_out"
         assert main(["gof", str(ref), str(sim), "--config", str(config_path),
                      "--out", str(out)]) == 0
-        assert set(saved) == {"ew", "ns", "ud"}
-        for comp, gof in saved.items():
+        assert set(special_gofs) == {"ew", "ns", "ud"}
+        for comp, gof in special_gofs.items():
             n_times, n_freqs = gof.tfeg.shape
             with np.load(out / f"tf_{comp}.npz", allow_pickle=False) as npz:
-                assert npz.files == ["times", "freqs", "tfeg", "tfpg"]
+                assert npz.files == ["times", "freqs", "teg", "tpg", "feg",
+                                     "fpg", "tfeg", "tfpg"]
                 arrays = {name: npz[name] for name in npz.files}
             for name in ("tfeg", "tfpg"):
                 csv_path = tmp_path / f"{name}_{comp}.csv"
@@ -207,6 +216,31 @@ class TestPlaneArchive:
                 assert _same_bits(arrays[name], values)
                 assert np.isnan(values[0, 0])
                 assert np.signbit(values[0, 2])
+
+    def test_marginals_equal_the_json_values_they_replace(
+            self, pair, special_gofs):
+        # The marginals left gof_summary.json for the archive. Each must
+        # hold the bits that the JSON encoding of gof_summary.json gave
+        # back: the list written by traceio.write_json and parsed again.
+        tmp_path, config_path, ref, sim = pair
+        out = tmp_path / "gof_out"
+        assert main(["gof", str(ref), str(sim), "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "gof_summary.json").read_text())
+        assert set(summary) == {"record", "synthetic", "anderson", "tf"}
+        for comp, gof in special_gofs.items():
+            assert summary["tf"][comp] == {"EG": gof.eg, "PG": gof.pg}
+            encoded = write_json(tmp_path / f"json_{comp}.json", {
+                name.upper(): getattr(gof, name).tolist()
+                for name in ("teg", "tpg", "feg", "fpg")})
+            parsed = json.loads(encoded.read_text())
+            with np.load(out / f"tf_{comp}.npz", allow_pickle=False) as npz:
+                for name in ("teg", "tpg", "feg", "fpg"):
+                    json_values = np.array(parsed[name.upper()], dtype=float)
+                    assert np.isnan(json_values[0])
+                    assert np.signbit(json_values[2])
+                    assert _same_bits(npz[name], json_values)
+                    assert _same_bits(npz[name], getattr(gof, name))
 
     def test_two_writes_give_identical_bytes(self, pair):
         tmp_path, config_path, ref, sim = pair
@@ -772,7 +806,7 @@ class TestErrorHandling:
 
 class TestPipelineConfig:
     # PipelineConfig checks its own fields, so a value set in code, by
-    # load_config or by a flag through dataclasses.replace meets one check.
+    # load_config (flags included) or by dataclasses.replace meets one check.
     @pytest.mark.parametrize("fields, message", [
         ({"workers": 0}, "workers must be >= 1, got 0"),
         ({"workers": -2}, "workers must be >= 1, got -2"),
@@ -813,6 +847,44 @@ class TestEnvironmentOverrides:
         with pytest.raises(ConfigError) as raised:
             load_config()
         assert str(raised.value) == "workers must be >= 1, got 0"
+
+    @pytest.fixture
+    def three_run_config(self, workspace):
+        tmp_path, _ = workspace
+        return tmp_path, make_config_file(
+            tmp_path, tmp_path / "scenario.json", tmp_path / "recorded.csv",
+            grid={"strike_delta": 5.0, "dip_delta": 0.0, "rake_delta": 0.0})
+
+    def test_workers_flag_replaces_an_out_of_range_env_value(
+            self, three_run_config, monkeypatch):
+        tmp_path, config_path = three_run_config
+        pools = []
+
+        class CountingPool(ensemble.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setenv("SEISGOF_WORKERS", "0")
+        assert main(["sweep", "--config", str(config_path), "--out",
+                     str(tmp_path / "flagged"), "--workers", "2"]) == 0
+        assert pools == [2]
+        assert load_config(config_path, workers=2).workers == 2
+        # A flag's value is taken without reading the environment's.
+        monkeypatch.setenv("SEISGOF_WORKERS", "two")
+        assert load_config(config_path, workers=1).workers == 1
+
+    def test_out_of_range_env_value_without_a_flag_fails(
+            self, three_run_config, monkeypatch, capsys):
+        tmp_path, config_path = three_run_config
+        monkeypatch.setenv("SEISGOF_WORKERS", "0")
+        out = tmp_path / "unflagged"
+        assert main(["sweep", "--config", str(config_path), "--out",
+                     str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": {
+            "type": "ConfigError", "message": "workers must be >= 1, got 0"}}
+        assert not out.exists()
 
     def test_gof_without_a_config_writes_into_the_env_output_dir(
             self, workspace, monkeypatch):
@@ -973,3 +1045,37 @@ print(loaded())
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.split("\n")[:4] == ["[]", "[]", "[]", "[]"]
     assert (tmp_path / "s_report" / "correlation_ud.svg").is_file()
+
+
+def test_only_a_pooled_sweep_loads_the_process_pool(workspace):
+    # multiprocessing costs every command 12-20 ms of start-up, and only a
+    # sweep with --workers above 1 starts a pool: importing the CLI, a gof
+    # and a serial sweep load neither multiprocessing nor the pool module.
+    tmp_path, config_path = workspace
+    src = str(Path(seisgof.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("SEISGOF_WORKERS", None)
+    code = """
+import sys, seisgof.cli
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split('.')[0] == 'multiprocessing'
+                  or m == 'concurrent.futures.process')
+print(loaded())
+config, record, out = sys.argv[1:]
+assert seisgof.cli.main(["gof", record, record, "--config", config,
+                         "--out", out + "_gof", "--component", "ud"]) == 0
+print(loaded())
+assert seisgof.cli.main(["sweep", "--config", config, "--out", out,
+                         "--workers", "1"]) == 0
+print(loaded())
+from seisgof import ensemble
+print(ensemble.ProcessPoolExecutor.__module__)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(config_path),
+         str(tmp_path / "recorded.csv"), str(tmp_path / "s")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split("\n")[:4] == [
+        "[]", "[]", "[]", "concurrent.futures.process"]

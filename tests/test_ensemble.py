@@ -347,6 +347,14 @@ class TestChunks:
 
 
 class TestRunSweep:
+    def test_the_pool_type_is_the_one_attribute_loaded_on_use(self):
+        # ensemble.__getattr__ resolves ProcessPoolExecutor and nothing
+        # else, so a misspelt name is still an AttributeError.
+        from concurrent.futures.process import ProcessPoolExecutor
+        assert ensemble.ProcessPoolExecutor is ProcessPoolExecutor
+        with pytest.raises(AttributeError, match="ThreadPoolExecutor"):
+            ensemble.ThreadPoolExecutor
+
     @pytest.mark.parametrize("workers,started", [(2, 2), (64, 27)])
     def test_pool_starts_no_more_workers_than_chunks(
             self, small_sweep_inputs, monkeypatch, tmp_path, workers,

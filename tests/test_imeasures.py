@@ -205,6 +205,23 @@ class TestResponseSpectra:
             assert np.array_equal(row[valid], expected)
         assert np.all(sa[2, valid] == 0.0)
 
+    def test_rows_equal_the_one_trace_loop_at_extreme_values(self):
+        # The in-place step must round, overflow and propagate NaN as the
+        # one-trace loop does: the same bits, as int64, on rows scaled to
+        # the subnormal and the overflow ends and on a row with a NaN.
+        rng = np.random.default_rng(45)
+        rows = rng.standard_normal((4, 301))
+        rows *= np.array([[1e-310], [1e307], [1.0], [1.0]])
+        rows[3, 150] = np.nan
+        periods = np.array([0.1, 0.5, 2.0])
+        with np.errstate(all="ignore"):
+            sa = response_spectra(rows, 0.02, 0.05, periods)
+            expected = [newmark_one_trace(ag, 0.02, periods, 0.05)
+                        for ag in rows]
+        assert np.array_equal(sa.view(np.int64),
+                              np.array(expected).view(np.int64))
+        assert np.isnan(sa[3]).all() and not np.isfinite(sa[1]).all()
+
     def test_kernel_holds_each_trace_once(self, monkeypatch):
         # Every (trace, period) pair is an oscillator, but the samples
         # reach the kernel once per trace, not once per pair.

@@ -5,7 +5,8 @@ import pytest
 
 from seisgof import TimeSeries, Unit
 from seisgof.signal import Record3C, UnitError
-from seisgof.traceio import meta_path_for, read_record, write_record
+from seisgof.traceio import (_read_rows, meta_path_for, read_record,
+                              write_record)
 
 from conftest import record_from_arrays
 
@@ -121,3 +122,80 @@ class TestValidation:
         path.write_text("t,ew,ns,ud\n0.0,1,2,3\n")
         with pytest.raises(ValueError):
             read_record(path)
+
+
+def _rows_as_parsed_before(path):
+    # The row parser that read_record used before it converted every field
+    # in one numpy pass: a Python float() per field and a list per row.
+    lines = path.read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:] if line.strip()], dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4 or rows.shape[0] < 2:
+        raise ValueError("expected at least 2 rows of t,ew,ns,ud")
+    return rows
+
+
+ROWS = "0.0,1.5,-2.0,3e-3\n0.01,0.25,5e-324,-0.0\n0.02,1,2,3\n"
+
+
+class TestParserParity:
+    # read_record parses as the per-row float() parser did: the same
+    # accepted files give the same bits, and the same files are rejected,
+    # now always with one ValueError that names the file.
+    @pytest.mark.parametrize("body", [
+        pytest.param("t,ew,ns,ud\r\n" + ROWS.replace("\n", "\r\n"),
+                     id="crlf"),
+        pytest.param("t,ew,ns,ud\n\n" + ROWS.replace("\n", "\n\n"),
+                     id="blank-lines"),
+        pytest.param("t,ew,ns,ud\n \t\n" + ROWS + "   \n\t\n",
+                     id="whitespace-only-lines"),
+        pytest.param("t,ew,ns,ud\n" + ROWS.rstrip("\n"),
+                     id="no-trailing-newline"),
+        pytest.param("t,ew,ns,ud\n 0.0 , 1.5,2 ,3\t\n0.01,4,5,6\n",
+                     id="padded-fields"),
+        pytest.param("t,ew,ns,ud\n0.0,1_000,2,3\n0.01,4,1_0.5_0,6\n",
+                     id="underscores"),
+        pytest.param("t,ew,ns,ud\n0.0,nan,-inf,inf\n0.01,NaN,Infinity,"
+                     "-nan\n0.02,1e400,-1e-400,1\n", id="nan-inf"),
+        pytest.param("t,ew,ns,ud\n0.0,1,2\n0.01,4,5,6,7\n",
+                     id="ragged-3-next-to-5"),
+        pytest.param("t,ew,ns,ud\n0.0,1,2\n0.01,4,5\n0.02,7,8\n"
+                     "0.03,1,2\n", id="three-fields"),
+        pytest.param("t,ew,ns,ud\n0.0,1,2,3,4\n0.01,4,5,6,7\n",
+                     id="five-fields"),
+        pytest.param("t,ew,ns,ud\n0.0,1,2,3,\n0.01,4,5,6,\n",
+                     id="trailing-comma"),
+        pytest.param("t,ew,ns,ud\n" + ROWS + "# end of record\n",
+                     id="comment-row"),
+        pytest.param("t,ew,ns,ud\n0.0,1,#,3\n0.01,4,5,6\n",
+                     id="hash-field"),
+        pytest.param("t,ew,ns,ud\n0.0,1,,3\n0.01,4,5,6\n",
+                     id="empty-field"),
+        pytest.param("t,ew,ns,ud\n0.0,1,2,3\n", id="one-row"),
+        pytest.param("t,ew,ns,ud\n\n  \n", id="no-rows"),
+        pytest.param("", id="empty-file"),
+    ])
+    def test_same_values_and_outcome_as_the_float_parser(self, tmp_path,
+                                                         body):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(body.encode())
+        try:
+            before = _rows_as_parsed_before(path)
+        except ValueError:
+            with pytest.raises(ValueError, match="trace.csv: "):
+                _read_rows(path)
+            with pytest.raises(ValueError, match="trace.csv: "):
+                read_record(path)
+            return
+        rows = _read_rows(path)
+        assert rows.dtype == np.float64 and rows.shape == before.shape
+        assert np.array_equal(rows.view(np.int64), before.view(np.int64))
+        if not np.isfinite(rows).all():
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                read_record(path)
+            return
+        record = read_record(path)
+        assert record.ew.t0 == rows[0, 0]
+        for col, (_, ts) in enumerate(record.components(), start=1):
+            assert np.array_equal(ts.samples.view(np.int64),
+                                  rows[:, col].view(np.int64))
