@@ -18,9 +18,9 @@ from . import report, traceio
 from .config import (ENV_OUTPUT_DIR, ENV_WORKERS, ConfigError, PipelineConfig,
                      config_echo, load_config, significance_level)
 from .ensemble import (QUALITATIVE_TRENDS_NOTE, build_grid, correlation_tables,
-                       group_report, run_sweep, synthesize)
-from .gof_anderson import score_pair
-from .gof_tf import record_tf_gof
+                       group_report, run_sweep, score_body, synthesize)
+from .gof_anderson import anderson_features, compare_anderson
+from .gof_tf import tf_gof
 from .signal import COMPONENTS, align_records
 from .source import scenario_from_dict, synth_fullspace
 
@@ -63,7 +63,8 @@ def cmd_synth(cfg: PipelineConfig, out_dir: Path) -> int:
 
 def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
             out_dir: Path, component: str = "all") -> int:
-    """Both GOF frameworks on one recorded/synthetic pair.
+    """Both GOF frameworks on one recorded/synthetic pair, scoring only the
+    chosen component (``"all"``: every component).
 
     Writes ``anderson_scores.csv``, ``gof_summary.json`` (the two input
     paths, the Anderson block and EG and PG per scored component) and, per
@@ -80,29 +81,29 @@ def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
     rec, sim = align_records(traceio.read_record(record_path),
                              traceio.read_record(synthetic_path))
     wanted = COMPONENTS if component == "all" else (component,)
-
-    anderson = score_pair(rec, sim, cfg.anderson)
-    tf = record_tf_gof(rec, sim, cfg.tf)
-    anderson = {comp: anderson[comp] for comp in wanted}
-    tf = {comp: tf[comp] for comp in wanted}
+    features = anderson_features(
+        [getattr(r, c) for r in (rec, sim) for c in wanted], cfg.anderson)
+    anderson = {c: compare_anderson(r, s, cfg.anderson) for c, r, s
+                in zip(wanted, features, features[len(wanted):])}
+    del features  # freed before the TF planes are computed
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [report.write_anderson_csv(out_dir / "anderson_scores.csv",
                                        anderson).name]
-    summary = {
-        "record": str(record_path),
-        "synthetic": str(synthetic_path),
-        "anderson": report.anderson_summary(anderson),
-        "tf": {comp: {"EG": gof.eg, "PG": gof.pg} for comp, gof in tf.items()},
-    }
-    files.append(traceio.write_json(out_dir / "gof_summary.json",
-                                    summary).name)
-    for comp, gof in tf.items():
+    tf = {}
+    for comp in wanted:
+        gof = tf_gof(getattr(rec, comp), getattr(sim, comp), cfg.tf)
         plane_path = out_dir / f"tf_{comp}.npz"
         np.savez(plane_path, times=gof.times, freqs=gof.freqs, teg=gof.teg,
                  tpg=gof.tpg, feg=gof.feg, fpg=gof.fpg, tfeg=gof.tfeg,
                  tfpg=gof.tfpg)
         files.append(plane_path.name)
+        tf[comp] = gof.eg, gof.pg
+        del gof  # its planes are freed before the next component's
+    summary = {"record": str(record_path),
+               "synthetic": str(synthetic_path), **score_body(anderson, tf)}
+    files.append(traceio.write_json(out_dir / "gof_summary.json",
+                                    summary).name)
     report.write_manifest(out_dir / "manifest.json", {
         "command": "gof", "config": config_echo(cfg), "files": sorted(files),
     })
@@ -217,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gof.add_argument("--config", default=None)
     p_gof.add_argument("--out", default=None)
     p_gof.add_argument("--component", choices=[*COMPONENTS, "all"],
-                       default="all")
+                       default="all", help="score only this component; the "
+                       "others are not computed (default: all)")
 
     p_sweep = sub.add_parser("sweep", help="run the mechanism grid pipeline")
     p_sweep.add_argument("--config", required=True)

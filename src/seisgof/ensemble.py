@@ -19,7 +19,7 @@ import numpy as np
 from . import traceio
 from .gof_anderson import (IMS, AndersonConfig, anderson_features,
                            anderson_summary, compare_anderson)
-from .gof_tf import TfConfig, compare_tf, tf_features
+from .gof_tf import TfConfig, tf_reference
 from .signal import COMPONENTS, Record3C, align_records
 from .source import FocalMechanism, PointSourceScenario, synth_fullspace
 
@@ -83,10 +83,9 @@ def build_grid(center: FocalMechanism,
 @dataclass
 class RunResult:
     """One sweep run: the swept angles, and either the error or the
-    ``gof.json`` body (``summary``: EG and PG per component and
-    :func:`anderson_summary`). The run's files were written under
-    ``<out>/runs/`` by the process that scored it, so a result holds no
-    samples and is small to send between processes."""
+    ``gof.json`` body (``summary``: :func:`score_body`). The run's files
+    were written under ``<out>/runs/`` by the process that scored it, so
+    a result holds no samples and is small to send between processes."""
 
     angles: tuple[float, float, float]
     summary: dict | None = None
@@ -95,6 +94,14 @@ class RunResult:
 
 def run_dir_name(angles: tuple[float, float, float]) -> str:
     return "{:g}_{:g}_{:g}".format(*angles)
+
+
+def score_body(anderson: dict, tf: dict) -> dict:
+    """The scores of a ``gof.json`` and a ``gof_summary.json``: the
+    :func:`anderson_summary` of ``anderson`` (component: AndersonScores),
+    and EG and PG per component from ``tf`` (component: (eg, pg))."""
+    return {"anderson": anderson_summary(anderson),
+            "tf": {c: {"EG": eg, "PG": pg} for c, (eg, pg) in tf.items()}}
 
 
 def write_run_gof_json(path, result: RunResult) -> Path:
@@ -129,25 +136,28 @@ class ReferenceScorer:
 
     def _summaries(self, pairs) -> list[dict]:
         # The gof.json bodies of aligned (reference, synthetic) pairs on
-        # one grid; one features batch covers every synthetic.
+        # one grid; one features batch covers every synthetic's traces.
         rec = pairs[0][0]
-        grid = _grid(rec)
-        if grid != self._grid:
-            self._grid, self._anderson, self._tf = grid, None, None
-        a_cfg, t_cfg = self.anderson_config, self.tf_config
-        records = [sim for _, sim in pairs]
-        if self._anderson is None:
-            self._anderson, *features = anderson_features([rec, *records],
-                                                          a_cfg)
+        a_cfg, n = self.anderson_config, len(COMPONENTS)
+        refs = [ts for _, ts in rec.components()]
+        traces = [ts for _, sim in pairs for _, ts in sim.components()]
+        if _grid(rec) != self._grid:
+            features = anderson_features(refs + traces, a_cfg)
+            self._anderson, self._tf = features[:n], [
+                tf_reference(ts, self.tf_config) for ts in refs]
+            self._grid, features = _grid(rec), features[n:]
         else:
-            features = anderson_features(records, a_cfg)
-        if self._tf is None:
-            self._tf = tf_features(rec, t_cfg)
-        return [{"anderson": anderson_summary(
-                    compare_anderson(self._anderson, sim_f, a_cfg)),
-                 "tf": {comp: {"EG": gof.eg, "PG": gof.pg} for comp, gof
-                        in compare_tf(self._tf, sim).items()}}
-                for sim_f, sim in zip(features, records)]
+            features = anderson_features(traces, a_cfg)
+        bodies = []
+        for i in range(0, len(traces), n):
+            anderson, tf = {}, {}
+            for c, comp in enumerate(COMPONENTS):
+                anderson[comp] = compare_anderson(
+                    self._anderson[c], features[i + c], a_cfg)
+                gof = self._tf[c].gof(traces[i + c])
+                tf[comp] = gof.eg, gof.pg
+            bodies.append(score_body(anderson, tf))
+        return bodies
 
     def run_many(self, angles, make_synthetic, out_dir) -> list[RunResult]:
         """Score the record ``make_synthetic(a)`` returns for each ``a`` in
@@ -391,10 +401,9 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 def metric_values(result: RunResult, component: str) -> dict[str, float]:
     """EG, PG and the ten mean-over-bands measure scores for one run; NaN
     for a measure with no scored band."""
-    tf = result.summary["tf"][component]
     aggregates = result.summary["anderson"][component]["aggregates"]
     means = {im: aggregates[im]["mean"] for im in IMS}
-    return {"EG": tf["EG"], "PG": tf["PG"],
+    return {**result.summary["tf"][component],  # EG and PG (score_body)
             **{im: math.nan if mean is None else mean
                for im, mean in means.items()}}
 

@@ -174,28 +174,27 @@ def anderson_summary(scores_by_component: dict[str, AndersonScores]) -> dict:
 
 def score_pair(rec: Record3C, sim: Record3C,
                config: AndersonConfig | None = None) -> dict[str, AndersonScores]:
-    """Score a recorded/simulated pair per component.
-
-    Both records must be aligned (same grid and unit); use
-    :func:`seisgof.signal.align_records` first when they are not. This is
-    :func:`anderson_features` of both records followed by
-    :func:`compare_anderson`.
-    """
+    """Score a recorded/simulated pair per component: the
+    :func:`compare_anderson` of one :func:`anderson_features` batch. Both
+    records must be aligned (same grid and unit); use
+    :func:`seisgof.signal.align_records` first when they are not."""
     config = config if config is not None else AndersonConfig()
-    return compare_anderson(*anderson_features([rec, sim], config), config)
+    features = anderson_features(
+        [ts for r in (rec, sim) for _, ts in r.components()], config)
+    return {c: compare_anderson(r, s, config) for c, r, s
+            in zip(COMPONENTS, features, features[len(COMPONENTS):])}
 
 
 @dataclass(frozen=True)
 class AndersonFeatures:
-    """The per-record half of a score: the record's band-filtered rows on
+    """The per-trace half of a score: the trace's band-filtered rows on
     its grid (``t0``, ``dt``) and their intensity measures.
 
     ``bands`` holds the indices, in the config's ``bands``, of the bands
-    below the Nyquist frequency; the others are not filtered. Row
-    ``c * len(bands) + k`` of ``filtered`` and of ``measures`` is component
-    ``COMPONENTS[c]`` in band ``bands[k]``. Each row's Sa holds values only
-    at the periods inside its band, the only ones a score reads, and NaN
-    elsewhere.
+    below the Nyquist frequency; the others are not filtered. Row ``k`` of
+    ``filtered`` and of ``measures`` is band ``bands[k]``. Each row's Sa
+    holds values only at the periods inside its band, the only ones a
+    score reads, and NaN elsewhere.
     """
 
     t0: float
@@ -205,61 +204,55 @@ class AndersonFeatures:
     measures: IntensityMeasures
 
 
-def anderson_features(records,
+def anderson_features(traces,
                       config: AndersonConfig) -> list[AndersonFeatures]:
-    """Filter every component x band of a batch of records and measure it.
+    """Filter every trace of a batch in every band and measure it.
 
-    The records must be acceleration records on one grid. One
-    :func:`~seisgof.signal.bandpass_bank` call filters every component of
-    every record, and one :func:`~seisgof.imeasures.intensity_measures`
-    call measures all the filtered rows, with Sa at the in-band periods
-    only. Both give each row the bits it gets on its own, so a record's
-    features do not depend on its batch. Returns one
-    :class:`AndersonFeatures` per record.
+    The traces must be acceleration on one grid. One
+    :func:`~seisgof.signal.bandpass_bank` call filters them all, and one
+    :func:`~seisgof.imeasures.intensity_measures` call measures all the
+    filtered rows, with Sa at the in-band periods only. Both give each row
+    the bits it gets on its own, so a trace's features do not depend on
+    its batch. Returns one :class:`AndersonFeatures` per trace.
     """
-    records = list(records)
-    first = records[0].ew
+    traces = list(traces)
+    first = traces[0]
     require_unit(first, Unit.ACCELERATION)
-    for rec in records:
-        require_same_grid(first, rec.ew)  # a Record3C is on its ew grid
+    for ts in traces:
+        require_same_grid(first, ts)
     bands = tuple(bi for bi, (_, f_hi) in enumerate(config.bands.edges)
                   if f_hi < 0.5 / first.dt)
     edges = [config.bands.edges[bi] for bi in bands]
-    x = np.stack([ts.samples for rec in records for _, ts in rec.components()])
-    filtered = bandpass_bank(x, first.dt, edges)
+    filtered = bandpass_bank(np.stack([ts.samples for ts in traces]),
+                             first.dt, edges)
     freqs = 1.0 / np.asarray(config.periods, dtype=float)
     in_band = np.array([_in_band(freqs, *edge) for edge in edges],
                        dtype=bool).reshape(len(edges), freqs.size)
     measures = intensity_measures(
         filtered, first.t0, first.dt, config.damping, config.periods,
         duration_lo=config.duration_lo, duration_hi=config.duration_hi,
-        where=np.tile(in_band, (len(x), 1)))
-    size = len(COMPONENTS) * len(bands)
+        where=np.tile(in_band, (len(traces), 1)))
+    size = len(bands)
     return [AndersonFeatures(first.t0, first.dt, bands,
                              filtered[i * size:(i + 1) * size].copy(),
                              measures.rows(i * size, (i + 1) * size))
-            for i in range(len(records))]
+            for i in range(len(traces))]
 
 
 def compare_anderson(rec: AndersonFeatures, sim: AndersonFeatures,
-                     config: AndersonConfig) -> dict[str, AndersonScores]:
-    """Per-component scores from the features of two aligned records."""
-    return {name: _score_component(rec, sim, c, config.bands, config.max_lag)
-            for c, name in enumerate(COMPONENTS)}
-
-
-def _score_component(rec: AndersonFeatures, sim: AndersonFeatures, c: int,
-                     bands: BandSpec, max_lag: float) -> AndersonScores:
-    scores = np.full((len(IMS), len(bands)), np.nan)
+                     config: AndersonConfig) -> AndersonScores:
+    """The scores of a simulated trace from the features of it and of the
+    recorded trace, both on one grid."""
+    scores = np.full((len(IMS), len(config.bands)), np.nan)
     skipped: list[tuple[str, int, str]] = []
     m_r, m_s = rec.measures, sim.measures
-    for bi, (f_lo, f_hi) in enumerate(bands.edges):
+    for bi, (f_lo, f_hi) in enumerate(config.bands.edges):
         if bi not in rec.bands:
             skipped.append(("*", bi, f"band ({f_lo}, {f_hi}) Hz outside "
                                      f"(0, {0.5 / rec.dt:g}) Hz"))
             continue
-        # Both records are on one grid, so they share their bands' rows.
-        r = c * len(rec.bands) + rec.bands.index(bi)
+        # Both traces are on one grid, so they share their bands' rows.
+        r = rec.bands.index(bi)
 
         # Python floats, as the score's float power needs (score_scalar).
         for im in SCALAR_IMS:
@@ -282,12 +275,12 @@ def _score_component(rec: AndersonFeatures, sim: AndersonFeatures, c: int,
         try:
             rho = cross_correlation(
                 *(TimeSeries(f.dt, f.t0, f.filtered[r], Unit.ACCELERATION)
-                  for f in (rec, sim)), max_lag)
+                  for f in (rec, sim)), config.max_lag)
         except ValueError:
             skipped.append(("cstar", bi, "zero variance in band"))
         else:
             scores[IMS.index("cstar"), bi] = 10.0 * max(0.0, rho)
-    return AndersonScores(IMS, bands, scores, tuple(skipped))
+    return AndersonScores(IMS, config.bands, scores, tuple(skipped))
 
 
 def _vector_score(freqs, values_r, values_s, f_lo, f_hi):

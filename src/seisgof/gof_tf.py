@@ -260,19 +260,6 @@ def record_tf_gof(rec: Record3C, sim: Record3C,
             for name, ts in rec.components()}
 
 
-def tf_features(rec: Record3C, config: TfConfig) -> dict[str, TfReference]:
-    """:func:`tf_reference` of every component of a reference record."""
-    return {name: tf_reference(ts, config) for name, ts in rec.components()}
-
-
-def compare_tf(features: dict[str, TfReference],
-               sim: Record3C) -> dict[str, TfGof]:
-    """Per-component TF goodness-of-fit of ``sim`` against prepared
-    reference components."""
-    return {name: ref.gof(getattr(sim, name))
-            for name, ref in features.items()}
-
-
 # Time samples per %-format in write_plane_csv; bounds the text in memory.
 PLANE_CSV_BLOCK_ROWS = 128
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signal import (BANK_MAX_VALUES, TimeSeries, Unit, cumulative_trapezoid,
-                     detrend_rows, require_same_grid, require_unit)
+from .signal import (BANK_MAX_VALUES, TimeSeries, Unit, _trapezoid_steps,
+                     cumulative_trapezoid, detrend_rows, require_same_grid,
+                     require_unit)
 
 G = 9.81  # m/s^2
 
@@ -283,17 +284,11 @@ def intensity_measures(acc: np.ndarray, t0: float, dt: float,
 
 def _energy(x, scale, dt, t, lo, hi):
     # Per row: scale times the trapezoid integral of x^2, and where that is
-    # positive the lo-hi window of its buildup, 0.0 elsewhere. The
-    # trapezoid steps dt * (y[1:] + y[:-1]) / 2.0 are summed as
-    # np.trapezoid sums them, then accumulated in place into the
-    # buildup (cumulative_trapezoid), so no temporary array is made;
-    # np.interp takes one row at a time.
-    sq = x ** 2
-    cum = np.zeros(sq.shape)
+    # positive the lo-hi window of its buildup, 0.0 elsewhere. The steps
+    # are summed as np.trapezoid sums them, then accumulated in place into
+    # the buildup; np.interp takes one row at a time.
+    cum = _trapezoid_steps(x ** 2, dt)
     steps = cum[:, 1:]
-    np.add(sq[:, 1:], sq[:, :-1], out=steps)
-    steps *= dt
-    steps /= 2.0
     energy = scale * steps.sum(axis=1)
     np.cumsum(steps, axis=1, out=steps)
     window = np.zeros(len(x))

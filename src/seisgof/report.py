@@ -18,7 +18,7 @@ import numpy as np
 
 # anderson_summary, run_dir_name and write_run_gof_json are kept in this
 # module's namespace: the benchmark's spans look them up as report.<name>,
-# and the CLI calls the first two from here.
+# and the CLI calls run_dir_name from here.
 from .ensemble import (PARAMETERS, QUALITATIVE_TRENDS_NOTE,
                        CorrelationTable, GroupedScores, run_dir_name,
                        significant, write_run_gof_json)

@@ -370,18 +370,23 @@ def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
 _SOSFILT_BLOCK = 256
 
 
-def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
-    """Running trapezoidal integral of ``y`` from 0 along its last axis, one
-    value per sample;
-    ``scipy.integrate.cumulative_trapezoid(y, dx=dx, initial=0)``."""
+def _trapezoid_steps(y: np.ndarray, dx: float) -> np.ndarray:
+    # 0.0, then the steps dx * (y[1:] + y[:-1]) / 2.0 along the last axis,
+    # formed in place, so a stack of rows makes no temporary of its size.
     out = np.zeros(y.shape)
-    # The steps dx * (y[1:] + y[:-1]) / 2.0 are summed up in place, so a
-    # stack of rows makes no temporary array of its size.
     steps = out[..., 1:]
     np.add(y[..., 1:], y[..., :-1], out=steps)
     steps *= dx
     steps /= 2.0
-    np.cumsum(steps, axis=-1, out=steps)
+    return out
+
+
+def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoidal integral of ``y`` from 0 along its last axis, one
+    value per sample;
+    ``scipy.integrate.cumulative_trapezoid(y, dx=dx, initial=0)``."""
+    out = _trapezoid_steps(y, dx)
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
     return out
 
 

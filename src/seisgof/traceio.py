@@ -75,17 +75,23 @@ def _read_rows(path: Path) -> np.ndarray:
     # The (n, 4) rows of a trace CSV: every field of the non-blank lines
     # after the header, as float() reads it, converted in one numpy pass
     # over one flat list of fields. So each line's width is checked by its
-    # comma count first. Any malformed input is a ValueError naming path.
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != HEADER:
+    # comma count first. Malformed or NaN/Inf input: a ValueError naming path.
+    text = path.read_text().splitlines()
+    if not text or text[0].strip() != HEADER:
         raise ValueError(f"{path}: first line must be exactly {HEADER!r}")
-    lines = [line for line in lines[1:] if line.strip()]
+    lines = [line for line in text[1:] if line.strip()]
     if len(lines) < 2 or any(line.count(",") != 3 for line in lines):
         raise ValueError(f"{path}: expected at least 2 rows of t,ew,ns,ud")
     try:
-        return np.array(",".join(lines).split(","), dtype=float).reshape(-1, 4)
+        rows = np.array(",".join(lines).split(","), dtype=float).reshape(-1, 4)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():  # numbers[0] is the header's
+        numbers = [i for i, line in enumerate(text, 1) if line.strip()]
+        raise ValueError(f"{path}: line {numbers[bad.argmax() + 1]} holds "
+                         f"NaN or Inf")
+    return rows
 
 
 def read_record(path) -> Record3C:

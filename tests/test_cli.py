@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,11 +14,12 @@ import pytest
 
 import seisgof
 from seisgof import (FocalMechanism, build_grid, cli, default_scenario,
-                     ensemble, synth_fullspace)
+                     ensemble, gof_anderson, gof_tf, synth_fullspace)
 from seisgof.cli import main
 from seisgof.config import (ConfigError, PipelineConfig, config_echo,
                              load_config)
-from seisgof.gof_tf import record_tf_gof, write_plane_csv
+from seisgof.gof_tf import tf_gof, write_plane_csv
+from seisgof.signal import COMPONENTS
 from seisgof.source import scenario_from_dict, scenario_to_dict
 from seisgof.traceio import read_record, write_json, write_record
 
@@ -119,6 +121,67 @@ class TestGofCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == written
 
+    @pytest.mark.parametrize("component, rows, cwts", [
+        ("ud", 2 * 7, 2), ("all", 2 * 3 * 7, 6)])
+    def test_only_the_chosen_component_is_scored(self, workspace, monkeypatch,
+                                                 component, rows, cwts):
+        # One features batch of the chosen components' recorded and
+        # synthetic traces in the 7 default bands, and one reference and
+        # one synthetic CWT per chosen component.
+        tmp_path, config_path = workspace
+        config = json.loads(config_path.read_text())
+        del config["bands"]
+        config_path.write_text(json.dumps(config))
+        calls = {"bank": [], "measures": [], "cwt": 0}
+        bank, measures, cwt = (gof_anderson.bandpass_bank,
+                               gof_anderson.intensity_measures, gof_tf.cwt)
+
+        def counting_bank(*args, **kwargs):
+            out = bank(*args, **kwargs)
+            calls["bank"].append(len(out))
+            return out
+
+        def counting_measures(acc, *args, **kwargs):
+            calls["measures"].append(len(acc))
+            return measures(acc, *args, **kwargs)
+
+        def counting_cwt(*args, **kwargs):
+            calls["cwt"] += 1
+            return cwt(*args, **kwargs)
+
+        monkeypatch.setattr(gof_anderson, "bandpass_bank", counting_bank)
+        monkeypatch.setattr(gof_anderson, "intensity_measures",
+                            counting_measures)
+        monkeypatch.setattr(gof_tf, "cwt", counting_cwt)
+        ref = tmp_path / "recorded.csv"
+        assert main(["gof", str(ref), str(ref), "--config", str(config_path),
+                     "--out", str(tmp_path / "out"),
+                     "--component", component]) == 0
+        assert calls == {"bank": [rows], "measures": [rows], "cwt": cwts}
+
+    def test_each_components_planes_are_freed_before_the_next(
+            self, workspace, monkeypatch):
+        # Each call of TfReference.gof notes how many of the references
+        # and GOFs of the components before it are still alive: none, as
+        # cmd_gof writes a component's archive and drops its planes before
+        # it computes the next component's.
+        tmp_path, config_path = workspace
+        gof = gof_tf.TfReference.gof
+        earlier, alive = [], []
+
+        def noting_gof(self, sim):
+            alive.append(sum(weak() is not None for weak in earlier))
+            out = gof(self, sim)
+            earlier.extend((weakref.ref(self), weakref.ref(out)))
+            return out
+
+        monkeypatch.setattr(gof_tf.TfReference, "gof", noting_gof)
+        ref = tmp_path / "recorded.csv"
+        assert main(["gof", str(ref), str(ref), "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert alive == [0, 0, 0]
+        assert all(weak() is None for weak in earlier)
+
     def test_long_pair_warns_of_nothing(self, tmp_path):
         # 180 s at 25 Hz, the default bands and periods: 11 periods fall
         # at or below 2*dt, but no band asks for them.
@@ -167,29 +230,28 @@ class TestPlaneArchive:
 
     @pytest.fixture
     def special_gofs(self, monkeypatch):
-        # Patches cli.record_tf_gof so that every marginal and plane holds
-        # SPECIAL_VALUES; returns the GOFs that cmd_gof was given.
+        # Patches cli.tf_gof so that every marginal and plane holds
+        # SPECIAL_VALUES; returns the GOFs that cmd_gof was given, by
+        # component (cmd_gof scores them in COMPONENTS order).
         k = len(SPECIAL_VALUES)
         saved = {}
 
-        def gofs_with_special_values(rec, sim, config):
-            # TfGof maps its planes anew on every read, so each one is
-            # replaced by a snapshot of the fields that cmd_gof reads.
-            gofs = {comp: SimpleNamespace(**{
-                name: getattr(gof, name) for name in (
-                    "times", "freqs", "eg", "pg", "teg", "tpg", "feg", "fpg",
-                    "tfeg", "tfpg")})
-                for comp, gof in record_tf_gof(rec, sim, config).items()}
-            for gof in gofs.values():
-                for marginal in (gof.teg, gof.tpg, gof.feg, gof.fpg):
-                    marginal[:k] = SPECIAL_VALUES
-                for plane in (gof.tfeg, gof.tfpg):
-                    plane[0, :k] = SPECIAL_VALUES
-                    plane[-1, -k:] = SPECIAL_VALUES[::-1]
-            saved.update(gofs)
-            return gofs
+        def gof_with_special_values(ref, sim, config):
+            # TfGof maps its planes anew on every read, so it is replaced
+            # by a snapshot of the fields that cmd_gof reads.
+            gof = tf_gof(ref, sim, config)
+            gof = SimpleNamespace(**{name: getattr(gof, name) for name in (
+                "times", "freqs", "eg", "pg", "teg", "tpg", "feg", "fpg",
+                "tfeg", "tfpg")})
+            for marginal in (gof.teg, gof.tpg, gof.feg, gof.fpg):
+                marginal[:k] = SPECIAL_VALUES
+            for plane in (gof.tfeg, gof.tfpg):
+                plane[0, :k] = SPECIAL_VALUES
+                plane[-1, -k:] = SPECIAL_VALUES[::-1]
+            saved[COMPONENTS[len(saved)]] = gof
+            return gof
 
-        monkeypatch.setattr(cli, "record_tf_gof", gofs_with_special_values)
+        monkeypatch.setattr(cli, "tf_gof", gof_with_special_values)
         return saved
 
     def test_archive_holds_the_plane_csv_values_bit_for_bit(

@@ -474,18 +474,18 @@ class TestReferenceScorer:
             default_scenario(duration=10.0, dt=0.02),
             FocalMechanism(*angles[2]))
         prepared = []
-        features = ensemble.tf_features
+        prepare = ensemble.tf_reference
 
-        def counting_features(rec, config):
-            prepared.append(rec.ew.n)
-            return features(rec, config)
+        def counting_reference(ts, config):
+            prepared.append(ts.n)
+            return prepare(ts, config)
 
-        monkeypatch.setattr(ensemble, "tf_features", counting_features)
+        monkeypatch.setattr(ensemble, "tf_reference", counting_reference)
         scorer = ReferenceScorer(reference, a_cfg, t_cfg)
         out = tmp_path / "sweep"
         results = [res for run in angles for res in scorer.run_many(
             [run], synthetics.__getitem__, out)]
-        assert prepared == [1201, 1001, 1201]
+        assert prepared == [1201] * 3 + [1001] * 3 + [1201] * 3
         assert [res.angles for res in results] == angles
         for res in results:
             rec, sim = align_records(reference, synthetics[res.angles])

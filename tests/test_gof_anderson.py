@@ -231,8 +231,8 @@ class TestScorePair:
             score_pair(burst_record, other, config=_quick_config())
 
     # anderson_features checks once that a batch is on one grid, before it
-    # stacks the records into one sample array; tests/test_properties.py
-    # draws such batches, and batches with a record that is not
+    # stacks the traces into one sample array; tests/test_properties.py
+    # draws such batches, and batches with a trace that is not
     # acceleration.
     @pytest.mark.parametrize("grid", [(0.02, 0.0, 4097), (0.01, 0.5, 4097),
                                       (0.01, 0.0, 4096)])

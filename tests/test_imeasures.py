@@ -264,7 +264,7 @@ class TestResponseSpectra:
 
     def test_requires_acceleration_traces(self):
         # The one-trace functions check the unit; a sample array has none
-        # (anderson_features checks its records').
+        # (anderson_features checks its traces').
         velocity = sine_series(unit=Unit.VELOCITY)
         with pytest.raises(UnitError):
             response_spectrum(velocity)

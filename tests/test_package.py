@@ -82,6 +82,29 @@ def test_every_indented_json_is_written_by_write_json():
     assert calls == []
 
 
+def test_the_score_body_is_built_only_by_score_body():
+    # One owner: outside ensemble.score_body no dict display and no call
+    # has an "EG" or "PG" key, so gof.json and gof_summary.json hold one
+    # layout of the scores.
+    builds = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if (path.stem, getattr(stmt, "name", None)) == ("ensemble",
+                                                             "score_body"):
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Dict):
+                    keys = [k.value for k in node.keys
+                            if isinstance(k, ast.Constant)]
+                elif isinstance(node, ast.Call):
+                    keys = [k.arg for k in node.keywords]
+                else:
+                    continue
+                if {"EG", "PG"} & set(keys):
+                    builds.append(f"{path.name}:{node.lineno}")
+    assert builds == []
+
+
 def test_no_module_imports_scipy():
     # scipy is a test oracle, not a dependency: no import of it, at module
     # level or inside a function.

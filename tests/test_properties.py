@@ -199,21 +199,21 @@ def test_mixed_units_are_not_one_grid(batch, unit_a, unit_b):
             require_same_grid(a, b)
 
 
-def records_of(rows, dt=0.02):
-    return [record_from_arrays(x, x[::-1], -x, dt=dt) for x in rows]
+def traces_of(rows, dt=0.02):
+    return [TimeSeries(dt, 0.0, x, Unit.ACCELERATION) for x in rows]
 
 
 # The batched measures take one sample array; anderson_features checks
-# that the records it stacks into one are acceleration on one grid.
+# that the traces it stacks into one are acceleration on one grid.
 @FEW
 @given(batches(), st.sampled_from([Unit.VELOCITY, Unit.DISPLACEMENT]))
 def test_measures_reject_a_row_that_is_not_acceleration(batch, unit):
     rows, pos = batch
-    records = records_of(rows)
-    records[pos] = record_from_arrays(*([rows[pos]] * 3), dt=0.02, unit=unit)
+    traces = traces_of(rows)
+    traces[pos] = TimeSeries(0.02, 0.0, rows[pos], unit)
     with pytest.raises(UnitError):
-        anderson_features(records, AndersonConfig(BandSpec(EDGES),
-                                                  periods=PERIODS))
+        anderson_features(traces, AndersonConfig(BandSpec(EDGES),
+                                                 periods=PERIODS))
 
 
 @FEW
@@ -224,8 +224,8 @@ def test_measures_reject_rows_on_different_grids(batch, what):
     other = {"dt": TimeSeries(0.01, 0.0, x, Unit.ACCELERATION),
              "t0": TimeSeries(0.02, 0.02, x, Unit.ACCELERATION),
              "n": TimeSeries(0.02, 0.0, x[:-1], Unit.ACCELERATION)}[what]
-    records = records_of(rows)
-    records.insert(pos, Record3C(ew=other, ns=other, ud=other))
+    traces = traces_of(rows)
+    traces.insert(pos, other)
     with pytest.raises(ValueError, match="common grid"):
-        anderson_features(records, AndersonConfig(BandSpec(EDGES),
-                                                  periods=PERIODS))
+        anderson_features(traces, AndersonConfig(BandSpec(EDGES),
+                                                 periods=PERIODS))

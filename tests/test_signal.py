@@ -205,7 +205,7 @@ class TestScipyReference:
 
     def test_bank_checks_grid_and_every_band(self):
         # Every band must lie below the Nyquist frequency of the grid's dt;
-        # records on different grids are rejected by anderson_features
+        # traces on different grids are rejected by anderson_features
         # (tests/test_gof_anderson.py).
         x = np.stack([sine_series(dt=0.01, duration=5.0).samples] * 2)
         assert bandpass_bank(x, 0.01, [(1.0, 30.0)]).shape == (2, x.shape[1])

@@ -117,6 +117,21 @@ class TestValidation:
         with pytest.raises(UnitError):
             write_record(vel, tmp_path / "trace.csv")
 
+    @pytest.mark.parametrize("body, line", [
+        ("t,ew,ns,ud\n0.0,1,2,3\nnan,4,5,6\n0.02,1,2,3\n", 3),
+        ("t,ew,ns,ud\n0.0,1,2,3\n0.01,4,5,6\ninf,1,2,3\n", 4),
+        ("t,ew,ns,ud\n\n0.0,1,2,3\n  \n0.01,4,-inf,6\n0.02,nan,2,3\n", 5),
+        ("t,ew,ns,ud\n0.0,1,2,3\n0.01,4,1e400,6\n", 3)])
+    def test_non_finite_field_names_the_file_and_line(self, tmp_path, body,
+                                                      line):
+        # A NaN time once read as a uniform grid (its jitter compares
+        # false) and an Inf time as dt=inf.
+        path = tmp_path / "trace.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=rf"trace\.csv: line {line} "
+                                             rf"holds NaN or Inf"):
+            read_record(path)
+
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,ew,ns,ud\n0.0,1,2,3\n")
@@ -141,7 +156,8 @@ ROWS = "0.0,1.5,-2.0,3e-3\n0.01,0.25,5e-324,-0.0\n0.02,1,2,3\n"
 class TestParserParity:
     # read_record parses as the per-row float() parser did: the same
     # accepted files give the same bits, and the same files are rejected,
-    # now always with one ValueError that names the file.
+    # now always with one ValueError that names the file. A NaN or Inf
+    # field, which float() reads, is rejected too.
     @pytest.mark.parametrize("body", [
         pytest.param("t,ew,ns,ud\r\n" + ROWS.replace("\n", "\r\n"),
                      id="crlf"),
@@ -157,6 +173,10 @@ class TestParserParity:
                      id="underscores"),
         pytest.param("t,ew,ns,ud\n0.0,nan,-inf,inf\n0.01,NaN,Infinity,"
                      "-nan\n0.02,1e400,-1e-400,1\n", id="nan-inf"),
+        pytest.param("t,ew,ns,ud\n0.0,1,2,3\nnan,4,5,6\n0.02,1,2,3\n",
+                     id="nan-time"),
+        pytest.param("t,ew,ns,ud\n0.0,1,2,3\n0.01,4,5,6\ninf,1,2,3\n",
+                     id="inf-last-time"),
         pytest.param("t,ew,ns,ud\n0.0,1,2\n0.01,4,5,6,7\n",
                      id="ragged-3-next-to-5"),
         pytest.param("t,ew,ns,ud\n0.0,1,2\n0.01,4,5\n0.02,7,8\n"
@@ -187,13 +207,15 @@ class TestParserParity:
             with pytest.raises(ValueError, match="trace.csv: "):
                 read_record(path)
             return
+        if not np.isfinite(before).all():
+            with pytest.raises(ValueError, match="trace.csv: "):
+                _read_rows(path)
+            with pytest.raises(ValueError, match="trace.csv: "):
+                read_record(path)
+            return
         rows = _read_rows(path)
         assert rows.dtype == np.float64 and rows.shape == before.shape
         assert np.array_equal(rows.view(np.int64), before.view(np.int64))
-        if not np.isfinite(rows).all():
-            with pytest.raises(ValueError, match="NaN or Inf"):
-                read_record(path)
-            return
         record = read_record(path)
         assert record.ew.t0 == rows[0, 0]
         for col, (_, ts) in enumerate(record.components(), start=1):
