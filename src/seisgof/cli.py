@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from functools import partial
 from pathlib import Path
 
@@ -77,36 +78,48 @@ def cmd_gof(record_path: Path, synthetic_path: Path, cfg: PipelineConfig,
     - the GOF planes ``tfeg`` and ``tfpg`` (n_times, n_freqs)
 
     Every value is stored exactly, and equal values give equal file bytes.
+    The files reach ``out_dir`` only once all of them are written, so a
+    failing component leaves ``out_dir`` as it was.
     """
     rec, sim = align_records(traceio.read_record(record_path),
                              traceio.read_record(synthetic_path))
     wanted = COMPONENTS if component == "all" else (component,)
     features = anderson_features(
         [getattr(r, c) for r in (rec, sim) for c in wanted], cfg.anderson)
-    anderson = {c: compare_anderson(r, s, cfg.anderson) for c, r, s
-                in zip(wanted, features, features[len(wanted):])}
+    anderson = dict(zip(wanted, compare_anderson(
+        zip(features, features[len(wanted):]), cfg.anderson)))
     del features  # freed before the TF planes are computed
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = [report.write_anderson_csv(out_dir / "anderson_scores.csv",
-                                       anderson).name]
-    tf = {}
-    for comp in wanted:
-        gof = tf_gof(getattr(rec, comp), getattr(sim, comp), cfg.tf)
-        plane_path = out_dir / f"tf_{comp}.npz"
-        np.savez(plane_path, times=gof.times, freqs=gof.freqs, teg=gof.teg,
-                 tpg=gof.tpg, feg=gof.feg, fpg=gof.fpg, tfeg=gof.tfeg,
-                 tfpg=gof.tfpg)
-        files.append(plane_path.name)
-        tf[comp] = gof.eg, gof.pg
-        del gof  # its planes are freed before the next component's
-    summary = {"record": str(record_path),
-               "synthetic": str(synthetic_path), **score_body(anderson, tf)}
-    files.append(traceio.write_json(out_dir / "gof_summary.json",
-                                    summary).name)
-    report.write_manifest(out_dir / "manifest.json", {
-        "command": "gof", "config": config_echo(cfg), "files": sorted(files),
-    })
+    # Written into a staging directory beside out_dir and moved in once
+    # every file is written, so a failure leaves no partial tree.
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}-",
+                                     dir=out_dir.parent) as staging:
+        staging = Path(staging)
+        files = [report.write_anderson_csv(staging / "anderson_scores.csv",
+                                           anderson).name]
+        tf = {}
+        for comp in wanted:
+            gof = tf_gof(getattr(rec, comp), getattr(sim, comp), cfg.tf)
+            plane_path = staging / f"tf_{comp}.npz"
+            np.savez(plane_path, times=gof.times, freqs=gof.freqs,
+                     teg=gof.teg, tpg=gof.tpg, feg=gof.feg, fpg=gof.fpg,
+                     tfeg=gof.tfeg, tfpg=gof.tfpg)
+            files.append(plane_path.name)
+            tf[comp] = gof.eg, gof.pg
+            del gof  # its planes are freed before the next component's
+        summary = {"record": str(record_path),
+                   "synthetic": str(synthetic_path),
+                   **score_body(anderson, tf)}
+        files.append(traceio.write_json(staging / "gof_summary.json",
+                                        summary).name)
+        report.write_manifest(staging / "manifest.json", {
+            "command": "gof", "config": config_echo(cfg),
+            "files": sorted(files),
+        })
+        out_dir.mkdir(exist_ok=True)
+        for name in [*files, "manifest.json"]:  # the manifest last
+            (staging / name).replace(out_dir / name)
     return 0
 
 

@@ -141,19 +141,25 @@ class ReferenceScorer:
         a_cfg, n = self.anderson_config, len(COMPONENTS)
         refs = [ts for _, ts in rec.components()]
         traces = [ts for _, sim in pairs for _, ts in sim.components()]
-        if _grid(rec) != self._grid:
+        new_grid = _grid(rec) != self._grid
+        if new_grid:
             features = anderson_features(refs + traces, a_cfg)
-            self._anderson, self._tf = features[:n], [
-                tf_reference(ts, self.tf_config) for ts in refs]
-            self._grid, features = _grid(rec), features[n:]
+            prepared, features = features[:n], features[n:]
         else:
+            prepared = self._anderson
             features = anderson_features(traces, a_cfg)
+        scores = compare_anderson(
+            [(prepared[j % n], f) for j, f in enumerate(features)], a_cfg)
+        del features  # freed before the synthetics' wavelet planes
+        if new_grid:
+            self._anderson, self._tf = prepared, [
+                tf_reference(ts, self.tf_config) for ts in refs]
+            self._grid = _grid(rec)
         bodies = []
         for i in range(0, len(traces), n):
             anderson, tf = {}, {}
             for c, comp in enumerate(COMPONENTS):
-                anderson[comp] = compare_anderson(
-                    self._anderson[c], features[i + c], a_cfg)
+                anderson[comp] = scores[i + c]
                 gof = self._tf[c].gof(traces[i + c])
                 tf[comp] = gof.eg, gof.pg
             bodies.append(score_body(anderson, tf))

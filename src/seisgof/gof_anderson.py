@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imeasures import (IntensityMeasures, _check_thresholds,
-                        cross_correlation, default_periods,
-                        intensity_measures)
-from .signal import (COMPONENTS, Record3C, TimeSeries, Unit, bandpass_bank,
+from .imeasures import (CentredRows, IntensityMeasures, _check_thresholds,
+                        centred_rows, cross_correlations, default_periods,
+                        intensity_measures, lag_samples)
+from .signal import (COMPONENTS, Record3C, Unit, bandpass_bank,
                      require_same_grid, require_unit)
 
 IMS = ("pga", "pgv", "pgd", "ia", "da", "de", "iv", "sa", "fs", "cstar")
@@ -78,17 +78,37 @@ def score_scalar(p1: float, p2: float) -> float:
     Unequal inputs score below 10 unless they differ by less than about
     1e-8 relative, where exp(-x^2) rounds to 1. Degenerate conventions:
     both zero -> 10 (identical), exactly one zero -> 0. The denominator is
-    min(|p1|, |p2|), which also covers opposite-sign inputs.
+    min(|p1|, |p2|), which also covers opposite-sign inputs. The one-pair
+    case of :func:`score_values`.
     """
-    if p1 == p2:
-        return 10.0
-    denom = min(abs(p1), abs(p2))
-    if denom == 0.0:
-        return 0.0
-    try:
-        return float(10.0 * np.exp(-(((p1 - p2) / denom) ** 2)))
-    except OverflowError:  # a finite ratio whose square exceeds the floats
-        return 0.0
+    return float(score_values(np.array([p1], dtype=float),
+                              np.array([p2], dtype=float))[0])
+
+
+def score_values(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """The scores of the pairs of entries of two float arrays of one shape,
+    each with the bits it gets on its own.
+
+    The ratio (p1 - p2) / min(|p1|, |p2|) is array arithmetic, with
+    Python's ``min`` for a NaN. Each ratio is squared by Python's float
+    power, libm's ``pow``, because numpy's square differs from it in the
+    last bit for some values; the exponential is one ``np.exp`` over the
+    whole array, which gives every value the bits of ``np.exp`` on that
+    value alone (``tests/test_gof_anderson.py`` pins both).
+    """
+    a, b = np.abs(p1), np.abs(p2)
+    denom = np.where(b < a, b, a)
+    with np.errstate(all="ignore"):
+        ratio = (p1 - p2) / denom
+    # Beyond 2**500 a square is at least 2**1000, or overflows: either way
+    # its score is 0, as it is for an infinite ratio.
+    ratio[np.abs(ratio) > 2.0 ** 500] = np.inf
+    squares = np.array([x ** 2 for x in ratio.ravel().tolist()],
+                       dtype=float).reshape(ratio.shape)
+    scores = 10.0 * np.exp(-squares)
+    scores[denom == 0.0] = 0.0
+    scores[p1 == p2] = 10.0
+    return scores
 
 
 @dataclass(frozen=True)
@@ -181,8 +201,8 @@ def score_pair(rec: Record3C, sim: Record3C,
     config = config if config is not None else AndersonConfig()
     features = anderson_features(
         [ts for r in (rec, sim) for _, ts in r.components()], config)
-    return {c: compare_anderson(r, s, config) for c, r, s
-            in zip(COMPONENTS, features, features[len(COMPONENTS):])}
+    return dict(zip(COMPONENTS, compare_anderson(
+        zip(features, features[len(COMPONENTS):]), config)))
 
 
 @dataclass(frozen=True)
@@ -202,6 +222,16 @@ class AndersonFeatures:
     bands: tuple[int, ...]
     filtered: np.ndarray
     measures: IntensityMeasures
+    _centred: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+
+    def centred(self, max_shift: int) -> CentredRows:
+        """The filtered rows prepared for cross-correlation at lags of at
+        most ``max_shift`` samples, kept for the next call: a reference is
+        prepared once however many synthetics it is compared with."""
+        if max_shift not in self._centred:
+            self._centred[max_shift] = centred_rows(self.filtered, max_shift)
+        return self._centred[max_shift]
 
 
 def anderson_features(traces,
@@ -239,59 +269,79 @@ def anderson_features(traces,
             for i in range(len(traces))]
 
 
-def compare_anderson(rec: AndersonFeatures, sim: AndersonFeatures,
-                     config: AndersonConfig) -> AndersonScores:
-    """The scores of a simulated trace from the features of it and of the
-    recorded trace, both on one grid."""
-    scores = np.full((len(IMS), len(config.bands)), np.nan)
-    skipped: list[tuple[str, int, str]] = []
-    m_r, m_s = rec.measures, sim.measures
-    for bi, (f_lo, f_hi) in enumerate(config.bands.edges):
-        if bi not in rec.bands:
-            skipped.append(("*", bi, f"band ({f_lo}, {f_hi}) Hz outside "
-                                     f"(0, {0.5 / rec.dt:g}) Hz"))
+def compare_anderson(pairs, config: AndersonConfig) -> list[AndersonScores]:
+    """The scores of simulated traces from (recorded, simulated) pairs of
+    features, all on one grid: one :class:`AndersonScores` per pair.
+
+    One :func:`score_values` call maps every measure of every pair and one
+    :func:`~seisgof.imeasures.cross_correlations` call correlates every
+    band, so each pair gets the scores it gets alone.
+    """
+    pairs = list(pairs)
+    sides = list(zip(*pairs))
+    first, edges = pairs[0][0], config.bands.edges
+    # The (recorded, simulated) values to map: the scalar measures as
+    # (pairs, measures, rows), then per row Sa and fs at the in-band
+    # samples as (pairs, samples).
+    blocks = [[np.array([[getattr(f.measures, im) for im in SCALAR_IMS]
+                         for f in side]) for side in sides]]
+    vectors = (("sa", 1.0 / first.measures.periods,
+                "no response-spectrum periods in band"),
+               ("fs", first.measures.freqs, "no Fourier samples in band"))
+    for k, bi in enumerate(first.bands):
+        for im, freqs, _ in vectors:
+            cols = np.flatnonzero(_in_band(freqs, *edges[bi]))
+            blocks.append([np.array([getattr(f.measures, im)[k]
+                                     for f in side])[:, cols]
+                           for side in sides])
+    mapped = score_values(*(np.concatenate([b[i].ravel() for b in blocks])
+                            for i in range(2)))
+    mapped = np.split(mapped, np.cumsum([b[0].size for b in blocks])[:-1])
+    rho = cross_correlations(
+        (rec.centred(lag_samples(config.max_lag, rec.dt)), sim.filtered)
+        for rec, sim in pairs).reshape(len(pairs), len(first.bands))
+
+    scores = np.full((len(pairs), len(IMS), len(edges)), np.nan)
+    scores[:, :len(SCALAR_IMS)][..., list(first.bands)] = (
+        mapped[0].reshape(blocks[0][0].shape))
+    skipped: list[list[tuple[str, int, str]]] = [[] for _ in pairs]
+    for bi, (f_lo, f_hi) in enumerate(edges):
+        if bi not in first.bands:
+            for skips in skipped:
+                skips.append(("*", bi, f"band ({f_lo}, {f_hi}) Hz outside "
+                                       f"(0, {0.5 / first.dt:g}) Hz"))
             continue
         # Both traces are on one grid, so they share their bands' rows.
-        r = rec.bands.index(bi)
-
-        # Python floats, as the score's float power needs (score_scalar).
-        for im in SCALAR_IMS:
-            scores[IMS.index(im), bi] = score_scalar(
-                float(getattr(m_r, im)[r]), float(getattr(m_s, im)[r]))
-
-        sa_score = _vector_score(1.0 / m_r.periods, m_r.sa[r], m_s.sa[r],
-                                 f_lo, f_hi)
-        if sa_score is None:
-            skipped.append(("sa", bi, "no response-spectrum periods in band"))
-        else:
-            scores[IMS.index("sa"), bi] = sa_score
-
-        fs_score = _vector_score(m_r.freqs, m_r.fs[r], m_s.fs[r], f_lo, f_hi)
-        if fs_score is None:
-            skipped.append(("fs", bi, "no Fourier samples in band"))
-        else:
-            scores[IMS.index("fs"), bi] = fs_score
-
-        try:
-            rho = cross_correlation(
-                *(TimeSeries(f.dt, f.t0, f.filtered[r], Unit.ACCELERATION)
-                  for f in (rec, sim)), config.max_lag)
-        except ValueError:
-            skipped.append(("cstar", bi, "zero variance in band"))
-        else:
-            scores[IMS.index("cstar"), bi] = 10.0 * max(0.0, rho)
-    return AndersonScores(IMS, config.bands, scores, tuple(skipped))
+        k = first.bands.index(bi)
+        for v, (im, _, reason) in enumerate(vectors):
+            b = 1 + 2 * k + v
+            means = _in_band_means(mapped[b].reshape(blocks[b][0].shape),
+                                   *blocks[b])
+            scores[:, IMS.index(im), bi] = means
+            for j in np.flatnonzero(np.isnan(means)):
+                skipped[j].append((im, bi, reason))
+        # 10 * max(0.0, rho), and NaN for a band without variance
+        scores[:, IMS.index("cstar"), bi] = 10.0 * np.where(
+            rho[:, k] <= 0.0, 0.0, rho[:, k])
+        for j in np.flatnonzero(np.isnan(rho[:, k])):
+            skipped[j].append(("cstar", bi, "zero variance in band"))
+    return [AndersonScores(IMS, config.bands, s, tuple(skips))
+            for s, skips in zip(scores, skipped)]
 
 
-def _vector_score(freqs, values_r, values_s, f_lo, f_hi):
+def _in_band_means(scores, values_r, values_s):
     # Pointwise scoring over in-band samples, averaged; penalizes shape
-    # mismatch inside the band rather than comparing band means.
-    mask = (_in_band(freqs, f_lo, f_hi)
-            & np.isfinite(values_r) & np.isfinite(values_s))
-    if not mask.any():
-        return None
-    pairs = zip(np.asarray(values_r)[mask], np.asarray(values_s)[mask])
-    return float(np.mean([score_scalar(r, s) for r, s in pairs]))
+    # mismatch inside the band rather than comparing band means. Row j is
+    # pair j; a pair with a non-finite value averages its finite ones, and
+    # one with none is NaN.
+    finite = np.isfinite(values_r) & np.isfinite(values_s)
+    means = np.full(len(scores), np.nan)
+    whole = finite.all(axis=1) & finite.any(axis=1)
+    if whole.any():
+        means[whole] = scores[whole].mean(axis=1)
+    for j in np.flatnonzero(~whole & finite.any(axis=1)):
+        means[j] = scores[j][finite[j]].mean()
+    return means
 
 
 def _in_band(freqs, f_lo, f_hi):

@@ -32,6 +32,20 @@ def record_from_arrays(ew, ns, ud, dt=0.005, unit=Unit.ACCELERATION):
     return Record3C(ew=mk(ew), ns=mk(ns), ud=mk(ud), station_id="TST")
 
 
+def score_one_value(p1, p2):
+    """The score of two scalar parameters, one Python float at a time: the
+    oracle of gof_anderson.score_values."""
+    if p1 == p2:
+        return 10.0
+    denom = min(abs(p1), abs(p2))
+    if denom == 0.0:
+        return 0.0
+    try:
+        return float(10.0 * np.exp(-(((p1 - p2) / denom) ** 2)))
+    except OverflowError:  # a finite ratio whose square exceeds the floats
+        return 0.0
+
+
 def full_mode_lags(xa, xb, max_shift):
     """The lags -max_shift..max_shift of the all-lags np.correlate, which
     cross_correlation computed before it kept only those."""

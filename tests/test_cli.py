@@ -121,6 +121,33 @@ class TestGofCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["files"] == written
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failing_component_leaves_no_file(self, workspace, capsys,
+                                                 existing):
+        # An all-zero UD reference fails its TF GOF after the Anderson
+        # scores and the EW and NS archives are computed: nothing of the
+        # run reaches --out, nor a staging directory beside it, and an
+        # --out that already exists keeps what it held.
+        tmp_path, _ = workspace
+        rec = read_record(tmp_path / "recorded.csv")
+        silent = dataclasses.replace(
+            rec, ud=rec.ud.with_samples(np.zeros(rec.ud.n)))
+        silent_path = write_record(silent, tmp_path / "silent.csv")
+        parent = tmp_path / "outputs"
+        out = parent / "gof"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "kept.txt").write_text("kept\n")
+        assert main(["gof", str(silent_path), str(tmp_path / "recorded.csv"),
+                     "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "identically zero" in error["message"]
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["kept.txt"]
+            assert [p.name for p in parent.iterdir()] == ["gof"]
+        else:
+            assert list(parent.iterdir()) == []
+
     @pytest.mark.parametrize("component, rows, cwts", [
         ("ud", 2 * 7, 2), ("all", 2 * 3 * 7, 6)])
     def test_only_the_chosen_component_is_scored(self, workspace, monkeypatch,

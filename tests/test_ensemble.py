@@ -531,6 +531,36 @@ class TestReferenceScorer:
         assert bank_rows == [21 * (1 + sizes[0])] + [21 * n for n in sizes[1:]]
         assert calls == {"cwt": 3 + 27 * 3}
 
+    @pytest.mark.filterwarnings("ignore:.*periods at or below 2\\*dt")
+    def test_a_chunk_is_compared_in_one_batch(self, monkeypatch, tmp_path):
+        # A 14-run chunk on the 50-Hz grid of the benchmark's sweep: one
+        # compare_anderson call for its 42 (reference, synthetic) pairs,
+        # and the FFT screen leaves at most two np.correlate calls per
+        # band, where every kept lag (51 of them) used to be computed.
+        scenario = default_scenario(duration=12.0, dt=0.02)
+        reference = synth_fullspace(scenario, FocalMechanism(47.0, 57.0, 95.0))
+        angles = build_grid(FocalMechanism(45.0, 55.0, 90.0)).angles()[:14]
+        batches, calls = [], []
+        compare, correlate = ensemble.compare_anderson, np.correlate
+
+        def recording(pairs, config):
+            pairs = list(pairs)
+            batches.append(len(pairs))
+            return compare(pairs, config)
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return correlate(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "compare_anderson", recording)
+        monkeypatch.setattr(np, "correlate", counting)
+        scorer = ReferenceScorer(reference, AndersonConfig(), TfConfig())
+        results = scorer.run_many(angles, partial(synthesize, scenario, None),
+                                  tmp_path)
+        assert all(res.error is None for res in results)
+        assert batches == [14 * 3]
+        assert len(calls) <= 2 * 14 * 3 * len(default_bands())
+
     def test_silent_reference_component_fails_every_run(
             self, small_sweep_inputs, monkeypatch, tmp_path):
         scenario, reference, a_cfg, t_cfg = small_sweep_inputs

@@ -6,11 +6,12 @@ import pytest
 from seisgof import (QualityLevel, TimeSeries, Unit, aggregate, gof_anderson,
                      imeasures, quality, score_pair, score_scalar)
 from seisgof.gof_anderson import (IMS, SCALAR_IMS, AndersonConfig, BandSpec,
-                                  default_bands)
+                                  anderson_features, compare_anderson,
+                                  default_bands, score_values)
 from seisgof.imeasures import compute_intensity_vector, cross_correlation
 from seisgof.signal import Record3C, bandpass
 
-from conftest import burst_series, record_from_arrays
+from conftest import burst_series, record_from_arrays, score_one_value
 
 TEN_OVER_E = 10.0 * np.exp(-1.0)
 
@@ -48,6 +49,76 @@ class TestScoreScalar:
         for _ in range(500):
             p1, p2 = rng.uniform(-5, 5, size=2)
             assert 0.0 <= score_scalar(p1, p2) <= 10.0
+
+
+def _adversarial_pairs():
+    # Every ordered pair of the special values, ratios across the edge
+    # where a square overflows (sqrt of the largest float, 1.34e154),
+    # near-equal pairs, random pairs over 600 decades with both signs, and
+    # 200,000 pairs whose ratios lie where libm's pow and a multiply give
+    # a few squares, and so scores, that differ in the last bit.
+    rng = np.random.default_rng(23)
+    moderate = 10.0 ** rng.uniform(-5, 5, 200_000)
+    p1 = list(moderate * (1.0 + rng.uniform(-4.0, 4.0, moderate.size)))
+    p2 = list(moderate)
+    edge = np.sqrt(np.finfo(float).max)
+    special = [0.0, -0.0, 1.0, -1.0, 2.5, -3.75, 5e-324, -5e-324,
+               np.finfo(float).tiny, 1e-300, -1e-300, 1e300, -1e300,
+               np.finfo(float).max, edge, np.inf, -np.inf, np.nan]
+    p1 += [a for a in special for _ in special]
+    p2 += special * len(special)
+    ratios = edge * (1.0 + np.arange(-8, 9) * np.finfo(float).eps)
+    for scale in (1.0, 1e-100, 1e-154):
+        p1 += list(scale + scale * ratios) + list(scale - scale * ratios)
+        p2 += [scale] * (2 * ratios.size)
+    base = 10.0 ** rng.uniform(-300, 300, 2000) * rng.choice([-1, 1], 2000)
+    p1 += list(base) * 2
+    p2 += list(base * (1.0 + 1e-9 * rng.standard_normal(2000)))
+    p2 += list(10.0 ** rng.uniform(-300, 300, 2000)
+               * rng.choice([-1, 1], 2000))
+    return np.array(p1), np.array(p2)
+
+
+class TestScoreValues:
+    def test_every_pair_gets_the_bits_of_the_one_value_oracle(self):
+        p1, p2 = _adversarial_pairs()
+        want = np.array([score_one_value(a, b)
+                         for a, b in zip(p1.tolist(), p2.tolist())])
+        got = score_values(p1, p2)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert np.isnan(got).any() and (got == 0.0).any()
+        # The inputs tell the float power from numpy's square.
+        with np.errstate(all="ignore"):
+            ratio = (p1 - p2) / np.minimum(np.abs(p1), np.abs(p2))
+            squared = 10.0 * np.exp(-(ratio * ratio))
+        assert (squared[:200_000] != want[:200_000]).sum() > 10
+
+    def test_python_min_semantics_for_nan(self):
+        # min(0.0, nan) is 0.0 and min(nan, 0.0) is nan, so a zero against
+        # a NaN scores 0 one way round and NaN the other, as one at a time.
+        got = score_values(np.array([0.0, np.nan]), np.array([np.nan, 0.0]))
+        assert got[0] == 0.0 and np.isnan(got[1])
+        assert score_scalar(0.0, np.nan) == 0.0
+        assert np.isnan(score_scalar(np.nan, 0.0))
+
+    def test_shape_is_kept(self):
+        p1 = np.arange(1.0, 13.0).reshape(2, 3, 2)
+        assert score_values(p1, 2.0 * p1).shape == (2, 3, 2)
+        assert score_values(np.empty((4, 0)), np.empty((4, 0))).shape == (
+            4, 0)
+
+    def test_array_exp_has_the_bits_of_scalar_exp(self):
+        # score_values takes one np.exp over an array where the one-value
+        # score took np.exp of each float. If a numpy build or CPU gives
+        # them different bits (a vector loop that differs from the scalar
+        # one), this fails before any score moves.
+        rng = np.random.default_rng(29)
+        x = np.concatenate([-rng.uniform(0.0, 750.0, 100_000),
+                            -rng.uniform(0.0, 1e-6, 1_000),
+                            [-0.0, -745.1332191019412, -708.4, -np.inf]])
+        one_by_one = np.array([np.exp(v) for v in x.tolist()])
+        assert np.exp(x).view(np.int64).tolist() == (
+            one_by_one.view(np.int64).tolist())
 
 
 class TestQuality:
@@ -318,3 +389,31 @@ def test_score_pair_runs_one_batched_kernel_per_record(monkeypatch):
         assert np.array_equal(scores[name].scores, expected, equal_nan=True)
         assert scores[name].skipped == skipped
     assert len(scores["ud"].skipped) == len(default_bands())
+
+
+@pytest.mark.filterwarnings("ignore:.*periods at or below 2\\*dt")
+def test_a_batch_of_pairs_scores_each_pair_as_the_per_band_oracle():
+    # One compare_anderson call over pairs that share references, pair a
+    # trace with itself, and hold a silent trace (every cstar skipped):
+    # each pair's scores and skips are the per-band oracle's, and the
+    # ones the pair gets in a batch of its own.
+    rng = np.random.default_rng(47)
+    dt = 0.02
+    base = burst_series(freq=1.0, dt=dt, duration=12.0, width=2.0)
+    noise = 0.2 * rng.standard_normal(base.n)
+    traces = [TimeSeries(dt, 0.0, x, Unit.ACCELERATION) for x in (
+        base.samples + noise, base.samples[::-1], 0.5 * base.samples,
+        1.5 * base.samples, base.samples[::-1] + noise, np.zeros(base.n))]
+    cfg = AndersonConfig()
+    features = anderson_features(traces, cfg)
+    pairs = [(0, 3), (1, 4), (2, 5), (0, 4), (1, 3), (0, 0), (2, 3)]
+    batch = compare_anderson(
+        [(features[r], features[s]) for r, s in pairs], cfg)
+    assert len(batch) == len(pairs)
+    for (r, s), scores in zip(pairs, batch):
+        expected, skipped = _per_band_scores(traces[r], traces[s], cfg)
+        assert scores.scores.tobytes() == expected.tobytes()
+        assert scores.skipped == skipped
+        alone, = compare_anderson([(features[r], features[s])], cfg)
+        assert alone.scores.tobytes() == scores.scores.tobytes()
+    assert len(batch[2].skipped) == len(default_bands())

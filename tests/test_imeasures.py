@@ -222,6 +222,42 @@ class TestResponseSpectra:
                               np.array(expected).view(np.int64))
         assert np.isnan(sa[3]).all() and not np.isfinite(sa[1]).all()
 
+    @pytest.mark.parametrize("block_values", [1, 7, 64])
+    def test_blocks_of_samples_change_no_bit(self, monkeypatch,
+                                             block_values):
+        # The kernel transposes and gathers the samples one block at a
+        # time: blocks of one step, of a few steps with a ragged last
+        # block, and one block for the whole record give the bits of the
+        # one-trace loop, overflow, subnormals and NaN included.
+        rng = np.random.default_rng(46)
+        rows = rng.standard_normal((5, 257))
+        rows *= np.array([[1e-310], [1e300], [1e-300], [1.0], [1.0]])
+        rows[4, 100] = np.nan
+        periods = np.array([0.1, 0.5, 2.0])
+        monkeypatch.setattr(imeasures, "SA_BLOCK_VALUES", block_values)
+        with np.errstate(all="ignore"):
+            sa = response_spectra(rows, 0.02, 0.05, periods)
+            expected = [newmark_one_trace(ag, 0.02, periods, 0.05)
+                        for ag in rows]
+        assert np.array_equal(sa.view(np.int64),
+                              np.array(expected).view(np.int64))
+
+    def test_working_set_does_not_grow_with_the_record(self):
+        # A whole-record transposed copy of these rows and its load steps
+        # would take 2 x 4 x 40,001 x 8 B = 2.6 MB; the blocks take a few
+        # SA_BLOCK_VALUES-sized arrays.
+        import tracemalloc
+
+        rows = np.random.default_rng(47).standard_normal((4, 40_001))
+        periods = np.array([0.1, 0.5, 2.0])
+        tracemalloc.start()
+        try:
+            response_spectra(rows, 0.02, 0.05, periods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * imeasures.SA_BLOCK_VALUES * 8 + 100_000
+
     def test_kernel_holds_each_trace_once(self, monkeypatch):
         # Every (trace, period) pair is an oscillator, but the samples
         # reach the kernel once per trace, not once per pair.
@@ -307,17 +343,12 @@ class TestCrossCorrelation:
 
 
 class TestKeptLags:
-    @pytest.mark.parametrize("lag_call_samples", [
-        0, imeasures.XCORR_LAG_CALL_SAMPLES])
-    def test_every_lag_of_every_short_length_is_full_mode(
-            self, monkeypatch, lag_call_samples):
+    def test_every_lag_of_every_short_length_is_full_mode(self):
         # np.correlate rounds overlaps of 11 samples or fewer differently
-        # from full mode. With no cost on a lag call, lags are kept down to
-        # the overlap threshold, so every lag of every length up to 200
-        # pins XCORR_FULL_MODE_MAX_OVERLAP; the maximum over the lags is
+        # from full mode. Lags are computed one by one down to the overlap
+        # threshold, so every lag of every length up to 200 pins
+        # XCORR_FULL_MODE_MAX_OVERLAP; the maximum over the lags is
         # cross_correlation bit for bit.
-        monkeypatch.setattr(imeasures, "XCORR_LAG_CALL_SAMPLES",
-                            lag_call_samples)
         rng = np.random.default_rng(211)
         for n in range(2, 201):
             scale = 10.0 ** rng.uniform(-6, 6)
@@ -350,6 +381,148 @@ class TestKeptLags:
             return best
 
         assert seconds(30_001) < 30.0 * seconds(3_001)
+
+
+def _counting_correlate(monkeypatch):
+    # Records the overlap of every np.correlate call ("full" for the full
+    # mode); install it after the oracle has run.
+    calls = []
+    correlate = np.correlate
+
+    def counting(a, v, mode="valid"):
+        calls.append("full" if mode == "full" else min(a.size, v.size))
+        return correlate(a, v, mode)
+
+    monkeypatch.setattr(np, "correlate", counting)
+    return calls
+
+
+def _series(x, dt=0.01):
+    return TimeSeries(dt, 0.0, np.asarray(x, dtype=float), Unit.ACCELERATION)
+
+
+def _difference_pair(c_late, c_early, n=64):
+    # xb is +1, -1 at samples 30 and 31, so the lag-k product is
+    # xa[30 + k] - xa[31 + k]: c_late at lag 4 and c_early at lag -6. Each
+    # value is cancelled 24 and 16 samples away, out of reach of lags up
+    # to +-10 and in the same accumulator of numpy's pairwise sum, so both
+    # means are exactly 0 and centring leaves the rows as they are.
+    xa, xb = np.zeros(n), np.zeros(n)
+    xb[30], xb[31] = 1.0, -1.0
+    xa[34], xa[58] = c_late, -c_late
+    xa[24], xa[8] = c_early, -c_early
+    return _series(xa), _series(xb)
+
+
+class TestScreenedCrossCorrelation:
+    """The FFT screen picks the lags to evaluate; the maximum is still
+    today's per-lag np.correlate value, so it equals the full mode."""
+
+    def test_periodic_pair_with_two_equal_peaks(self, monkeypatch):
+        # A +-1 square wave of period 8 against itself half a period on:
+        # lags -4 and +4 both sum 60 products of 1, exactly.
+        wave = np.tile([1.0] * 4 + [-1.0] * 4, 9)
+        a, b = _series(wave[4:68]), _series(wave[:64])
+        lags = full_mode_lags(a.samples, b.samples, 6)
+        assert sorted(lags)[-2:] == [60.0, 60.0]
+        want = full_mode_cross_correlation(a, b, 0.06)
+        calls = _counting_correlate(monkeypatch)
+        assert cross_correlation(a, b, 0.06) == want == 60.0 / 64.0
+        assert calls == [64 - 4] * 2  # both peaks, and only they
+
+    def test_top_lags_one_ulp_apart(self, monkeypatch):
+        a, b = _difference_pair(2.0 ** 52 + 1.0, 2.0 ** 52)
+        lags = full_mode_lags(a.samples, b.samples, 10)
+        top, second = sorted(lags)[-1], sorted(lags)[-2]
+        assert top - second == np.spacing(second) == 1.0
+        want = full_mode_cross_correlation(a, b, 0.1)
+        calls = _counting_correlate(monkeypatch)
+        assert cross_correlation(a, b, 0.1) == want
+        assert sorted(calls) == [64 - 6, 64 - 4]
+        # and the other way round, the larger value at the earlier lag
+        a, b = _difference_pair(2.0 ** 52, 2.0 ** 52 + 1.0)
+        monkeypatch.undo()
+        want = full_mode_cross_correlation(a, b, 0.1)
+        calls = _counting_correlate(monkeypatch)
+        assert cross_correlation(a, b, 0.1) == want
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("scale_a,scale_b,screened", [
+        (1e-150, 1e-150, True),
+        (1e-150, 1e150, True),
+        (1e150, 1e150, True),
+        (1e-160, 1e-160, False),  # subnormal energies: every lag
+        (1e-160, 1e160, False),
+        (1.0, 1e200, False),  # the energy overflows: every lag
+    ])
+    def test_extreme_amplitudes(self, monkeypatch, scale_a, scale_b,
+                                screened):
+        rng = np.random.default_rng(227)
+        a = _series(scale_a * rng.standard_normal(601), dt=0.02)
+        b = _series(scale_b * np.roll(a.samples / scale_a, 3)
+                    + scale_b * 0.1 * rng.standard_normal(601), dt=0.02)
+        with np.errstate(all="ignore"):
+            want = full_mode_cross_correlation(a, b, 0.5)
+        calls = _counting_correlate(monkeypatch)
+        with np.errstate(all="ignore"):
+            got = cross_correlation(a, b, 0.5)
+        assert got == want or (np.isnan(want) and got == -1.0)
+        assert (len(calls) < 5) == screened
+        if not screened:
+            assert len(calls) == 51
+
+    def test_amplitudes_whose_energy_underflows_have_zero_variance(self):
+        rng = np.random.default_rng(229)
+        a = _series(1e-300 * rng.standard_normal(601), dt=0.02)
+        b = _series(rng.standard_normal(601), dt=0.02)
+        with pytest.raises(ValueError, match="zero-variance"):
+            cross_correlation(a, b, 0.5)
+
+    @pytest.mark.parametrize("max_lag,want_calls", [
+        (0.08, ["full"]),  # overlap 40 - 8 = 32: the full mode
+        (0.07, [33]),  # overlap 33: screened, one lag
+    ])
+    def test_short_overlap_takes_the_full_mode(self, monkeypatch, max_lag,
+                                               want_calls):
+        rng = np.random.default_rng(233)
+        x = rng.standard_normal(46)
+        a, b = _series(x[:40]), _series(x[6:])
+        want = full_mode_cross_correlation(a, b, max_lag)
+        calls = _counting_correlate(monkeypatch)
+        assert cross_correlation(a, b, max_lag) == want
+        if want_calls == ["full"]:
+            assert calls == want_calls
+        else:
+            assert len(calls) <= 2 and set(calls) <= {33, 34, 35, 36, 37,
+                                                      38, 39, 40}
+
+    def test_rows_of_a_batch_get_the_one_row_bits(self, monkeypatch):
+        # A batch with zero-variance rows on either side, a NaN row and
+        # rows of every scale: each row's value is the one-row value, NaN
+        # where either row has zero variance, in one block or one per row.
+        rng = np.random.default_rng(239)
+        ref = rng.standard_normal((8, 301)) * 10.0 ** rng.uniform(
+            -100, 100, (8, 1))
+        sim = np.roll(ref, 5, axis=1) + rng.standard_normal((8, 301)) * ref
+        ref[2] = 4.0
+        sim[5] = 0.0
+        sim[6, 17] = np.nan
+        want = []
+        for x, y in zip(ref, sim):
+            try:
+                want.append(cross_correlation(_series(x), _series(y), 0.25))
+            except ValueError:  # zero variance, or a NaN sample
+                want.append(np.nan)
+        want[6] = -1.0  # min(1.0, max(-1.0, nan)), as the one-row maximum
+        for block_values in (imeasures.XCORR_BLOCK_VALUES, 1):
+            monkeypatch.setattr(imeasures, "XCORR_BLOCK_VALUES",
+                                block_values)
+            pairs = [(imeasures.centred_rows(ref[i:i + 3], 25), sim[i:i + 3])
+                     for i in (0, 3, 6)][:2] + [
+                (imeasures.centred_rows(ref[6:], 25), sim[6:])]
+            got = imeasures.cross_correlations(pairs)
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[[2, 5]]).all() and got[6] == -1.0
 
 
 class TestInvariances:

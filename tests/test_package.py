@@ -105,18 +105,50 @@ def test_the_score_body_is_built_only_by_score_body():
     assert builds == []
 
 
-def test_no_module_imports_scipy():
-    # scipy is a test oracle, not a dependency: no import of it, at module
-    # level or inside a function.
+def _imports():
+    """(where, dotted name) of every import in ``src/``, at module level or
+    inside a function; ``from a.b import c`` gives ``a.b.c``."""
     imports = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            imports += [f"{path.name}:{node.lineno}: {name}" for name in names
-                        if name.split(".")[0] == "scipy"]
-    assert imports == []
+            imports += [(f"{path.name}:{node.lineno}", name) for name in names]
+    return imports
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test oracle, not a dependency: no import of it, at module
+    # level or inside a function.
+    assert [(where, name) for where, name in _imports()
+            if name.split(".")[0] == "scipy"] == []
+
+
+def test_no_module_uses_a_private_numpy_module():
+    # A private module such as numpy.linalg._umath_linalg has no stable
+    # layout: importing one, or reaching one as an attribute of np, ties
+    # the output bits to one numpy release.
+    def private(dotted):
+        parts = dotted.split(".")
+        return parts[0] in ("np", "numpy") and any(
+            part.startswith("_") and not part.startswith("__")
+            for part in parts[1:])
+
+    uses = [(where, name) for where, name in _imports() if private(name)]
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                chain = [node.attr]
+                value = node.value
+                while isinstance(value, ast.Attribute):
+                    chain.append(value.attr)
+                    value = value.value
+                if isinstance(value, ast.Name):
+                    dotted = ".".join([value.id, *reversed(chain)])
+                    if private(dotted):
+                        uses.append((f"{path.name}:{node.lineno}", dotted))
+    assert uses == []
