@@ -343,16 +343,18 @@ class TestCrossCorrelation:
 
 
 class TestKeptLags:
-    def test_every_lag_of_every_short_length_is_full_mode(self):
+    @pytest.mark.parametrize("offset", [0, 10_000])
+    def test_every_lag_of_every_short_length_is_full_mode(self, offset):
         # np.correlate rounds overlaps of 11 samples or fewer differently
         # from full mode. Lags are computed one by one down to the overlap
         # threshold, so every lag of every length up to 200 pins
         # XCORR_FULL_MODE_MAX_OVERLAP; the maximum over the lags is
-        # cross_correlation bit for bit.
+        # cross_correlation bit for bit, also where a large mean leaves
+        # the centred samples coarsely rounded.
         rng = np.random.default_rng(211)
         for n in range(2, 201):
             scale = 10.0 ** rng.uniform(-6, 6)
-            xa = scale * rng.standard_normal(n)
+            xa = scale * rng.standard_normal(n) + offset
             xb = rng.standard_normal(n)
             a = TimeSeries(0.01, 0.0, xa, Unit.ACCELERATION)
             b = TimeSeries(0.01, 0.0, xb, Unit.ACCELERATION)
