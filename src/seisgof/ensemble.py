@@ -219,14 +219,15 @@ def _error(exc: Exception) -> str:
 
 
 # Most runs scored in one batch and sent to a pool worker as one task.
-# The filter and response-spectrum kernels step through the samples in
-# Python for all rows at once, so a chunk pays that loop once however
-# many runs it holds; but a worker holds a whole chunk's filtered traces,
-# so peak memory grows with the chunk. On the 200-Hz criterion-8 sweep,
-# 14-run chunks against 4-run ones took a serial sweep from 3.9 to 3.3 s
-# and its peak RSS from 68 to 82 MB (the curve is in BENCH_11.json).
-# Fourteen is the smallest cap that splits the 27-run grid in two,
-# 14 + 13, at one or two workers.
+# The response-spectrum kernel steps through the samples in Python for all
+# rows at once, and the filter bank makes one pass of block products per
+# band, so a chunk pays those fixed costs once however many runs it holds;
+# but a worker holds a whole chunk's filtered traces, so peak memory grows
+# with the chunk. On the 200-Hz criterion-8 sweep, when the filter too
+# stepped through the samples, 14-run chunks against 4-run ones took a
+# serial sweep from 3.9 to 3.3 s and its peak RSS from 68 to 82 MB (the
+# curve is in BENCH_11.json). Fourteen is the smallest cap that splits the
+# 27-run grid in two, 14 + 13, at one or two workers.
 SWEEP_CHUNK_MAX_RUNS = 14
 
 

@@ -55,8 +55,8 @@ class TfConfig:
         return log_freqs(self.f_min, self.f_max, self.n_freqs)
 
 
-# Complex values per inverse-FFT block of cwt (1 MB): 32 frequency rows of a
-# 2,048-point FFT, 4 rows of a 16,384-point one.
+# Complex values per inverse-FFT block of cwt (1 MB): all 40 frequency rows
+# of a 1,215-point FFT (601 samples), 7 rows of a 9,216-point one (4,501).
 CWT_BLOCK_VALUES = 2 ** 16
 
 
@@ -67,7 +67,10 @@ def cwt(ts: TimeSeries, freqs: np.ndarray, wavelet_omega0: float = 6.0,
     Returns the complex coefficients as a C-contiguous (n_times, n_freqs)
     array, one column per frequency of ``freqs``, which must be strictly
     increasing. Scales are L2-normalized (1/sqrt(a)); the signal is
-    cosine-tapered and zero-padded before the FFT-based convolution.
+    cosine-tapered, and the convolution with each kernel is the linear one,
+    taken by FFTs of the smallest 2·3·5-smooth length of at least
+    ``2 * n - 1`` samples. Row ``i`` of the plane is the kernel centred on
+    sample ``i``.
     """
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size == 0:
@@ -85,8 +88,7 @@ def cwt(ts: TimeSeries, freqs: np.ndarray, wavelet_omega0: float = 6.0,
     dt = ts.dt
     spectra = _morlet_spectra(n, dt, freqs.tobytes(), wavelet_omega0)
     xf = np.fft.fft(x, n=spectra.shape[1])
-    t_mid = (n - 1) * dt / 2.0
-    i0 = int(t_mid / dt)
+    i0 = (n - 1) // 2  # the kernels' centre sample
 
     # One inverse FFT per block of frequency rows, written into a
     # C-contiguous plane. The values match one ifft per frequency bit for
@@ -105,6 +107,18 @@ def cwt(ts: TimeSeries, freqs: np.ndarray, wavelet_omega0: float = 6.0,
     return coeff
 
 
+def _fft_length(m: int) -> int:
+    # The smallest 2·3·5-smooth length, 2**a * 3**b * 5**c, of at least m.
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 @lru_cache(maxsize=1)
 def _morlet_spectra(n: int, dt: float, freqs: bytes,
                     wavelet_omega0: float) -> np.ndarray:
@@ -113,7 +127,7 @@ def _morlet_spectra(n: int, dt: float, freqs: bytes,
     # sweep's records, shares the grid, so they are kept for the last one.
     t = np.arange(n) * dt
     t_mid = t[-1] / 2.0
-    nfft = 2 ** int(np.ceil(np.log2(n))) * 2
+    nfft = _fft_length(2 * n - 1)
     freqs = np.frombuffer(freqs)
     spectra = np.empty((freqs.size, nfft), dtype=complex)
     for j, f in enumerate(freqs):
@@ -211,15 +225,25 @@ class TfReference:
         require_same_grid(self.trace, sim)
         cfg, w_ref, env_ref = self.config, self.coefficients, self.envelope
         w_sim = cwt(sim, self.freqs, cfg.wavelet_omega0)
-        env_diff = np.abs(w_sim) - env_ref
         # Arg(W_sim * conj(W_ref)) in [-pi, pi], weighted by the reference
         # envelope. The cross product is assembled from separate array ops
         # so a real rescaling of the signal cancels exactly (no fused
-        # contraction).
-        re = w_sim.real * w_ref.real + w_sim.imag * w_ref.imag
-        im = w_sim.imag * w_ref.real - w_sim.real * w_ref.imag
-        phase_w = env_ref * np.arctan2(im, re) / np.pi
-        del w_sim, re, im  # freed before EG and PG are summed
+        # contraction). Its products go into three planes, and the phase
+        # into the real part's, so at most five planes are held at once.
+        re = np.multiply(w_sim.real, w_ref.real)
+        im = np.multiply(w_sim.imag, w_ref.real)
+        part = np.multiply(w_sim.imag, w_ref.imag)
+        re += part
+        np.multiply(w_sim.real, w_ref.imag, out=part)
+        im -= part
+        del part
+        env_diff = np.abs(w_sim)
+        env_diff -= env_ref
+        del w_sim  # freed before the phase plane is formed
+        phase_w = np.arctan2(im, re, out=re)
+        del im
+        phase_w *= env_ref
+        phase_w /= np.pi
         return TfGof(
             times=self.trace.times, freqs=self.freqs,
             eg=float(_mapped(cfg, np.sqrt((env_diff ** 2).sum()

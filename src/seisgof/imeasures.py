@@ -383,13 +383,15 @@ def intensity_measures(acc: np.ndarray, t0: float, dt: float,
     """:func:`compute_intensity_vector` of every row of ``acc``,
     acceleration samples on the grid ``t0 + i * dt``, in 2-D passes.
 
-    PGV and PGD are the peaks of the detrended running integrals. Each
-    row's measures equal, bit for bit, what the test oracle
+    PGV and PGD are the peaks of the running integrals less their
+    least-squares lines (:func:`~seisgof.signal.detrend_rows`). Each row's
+    measures equal, bit for bit, what the test oracle
     ``tests/conftest.py::one_trace_measures`` computes for its trace alone
-    with numpy's own routines, and Sa is one :func:`response_spectra`
-    call with ``where``. Zero-energy rows get zero durations. One pass
-    takes at most :data:`~seisgof.signal.BANK_MAX_VALUES` samples; a
-    bigger array runs in slices of rows.
+    with numpy's own routines and the same closed-form line fit, and Sa is
+    one :func:`response_spectra` call with ``where``. Zero-energy rows get
+    zero durations. One pass takes at most
+    :data:`~seisgof.signal.BANK_MAX_VALUES` samples; a bigger array runs
+    in slices of rows.
     """
     _check_thresholds(duration_lo, duration_hi)
     periods = np.asarray(default_periods() if periods is None else periods,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,28 +119,28 @@ def require_same_grid(a: TimeSeries, b: TimeSeries) -> None:
 
 
 def detrend_rows(x: np.ndarray) -> np.ndarray:
-    """Every row of a 2-D array less its least-squares line, bit for bit as
-    ``np.polyfit(t, x, 1)`` over the sample indices ``t`` fits it: the same
-    scaled Vandermonde matrix, ``rcond`` and ``lstsq`` call. Each row has
-    its own ``lstsq`` call, since a batched fit does not give the same
-    bits; the lines are removed in one pass.
+    """Every row of a 2-D array less its least-squares line over the sample
+    indices, in closed form about the centre index ``c = (n - 1) / 2``:
+    the line passes through the row mean at ``c`` with slope
+    ``sum((t - c) * (x - mean)) / sum((t - c)**2)``. Both are row-wise
+    reductions, so a row's result does not depend on its batch-mates.
+    The slopes and lines are formed in blocks of rows, so that the only
+    array of the batch's size is the result.
     """
-    t, lhs, scale, rcond = _line_fit(x.shape[1])
-    co = np.array([np.linalg.lstsq(lhs, row + 0.0, rcond)[0]
-                   for row in x]) / scale
-    line = co[:, :1] * t
-    line += co[:, 1:]
-    return np.subtract(x, line, out=line)
+    n = x.shape[1]
+    tc = np.arange(n) - (n - 1) / 2.0
+    out = x - x.mean(axis=1, keepdims=True)
+    step = max(1, _DETREND_BLOCK_VALUES // n)
+    for r in range(0, len(out), step):
+        part = out[r:r + step]
+        slope = (part * tc).sum(axis=1, keepdims=True)
+        slope /= (n - 1.0) * n * (n + 1.0) / 12.0  # sum((t - c)**2)
+        part -= slope * tc
+    return out
 
 
-def _line_fit(n: int):
-    # np.polyfit's set-up for degree 1 on t = 0, 1, ..., n - 1: the
-    # Vandermonde matrix with its columns scaled to unit norm.
-    t = np.arange(n, dtype=float)
-    lhs = np.vander(t, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    return t, lhs, scale, n * np.finfo(float).eps
+# Samples (rows x samples) per block of detrend_rows' products (512 kB).
+_DETREND_BLOCK_VALUES = 2 ** 16
 
 
 def tukey_window(n: int, fraction: float) -> np.ndarray:
@@ -176,10 +177,15 @@ def bandpass_bank(x: np.ndarray, dt: float, edges, order: int = 4,
     interval ``dt``, in every band, in batched passes.
 
     A batch may hold the rows of many records. Row ``i * len(edges) + j``
-    of the result is row ``i`` filtered in band ``edges[j]``, equal bit for
-    bit to ``scipy.signal.sosfiltfilt`` (or ``sosfilt`` when ``zero_phase``
-    is false) with ``scipy.signal.butter``'s second-order sections. Every
-    row takes the same arithmetic whatever its batch-mates, so a row's
+    of the result is row ``i`` filtered in band ``edges[j]`` as
+    ``scipy.signal.sosfiltfilt`` (or ``sosfilt`` when ``zero_phase`` is
+    false) filters it with ``scipy.signal.butter``'s second-order
+    sections: the same odd extension and steady-state starts, with each
+    pass run as the block products of :func:`_block_filter`. These round
+    differently from scipy's recurrence, and stay as close to exact
+    arithmetic as it does (the per-band bounds against a long-double
+    recurrence are in ``tests/test_long_double_oracles.py``). Each band's
+    rows share its maps, and every row takes its own products, so a row's
     output does not depend on the batch it is filtered in. One pass takes
     at most :data:`BANK_MAX_VALUES` samples; a bigger bank runs in slices
     of rows.
@@ -191,26 +197,36 @@ def bandpass_bank(x: np.ndarray, dt: float, edges, order: int = 4,
             raise ValueError(f"band [{f_lo}, {f_hi}] Hz outside (0, "
                              f"{nyquist:g}) Hz for dt={dt}")
     rows, n = x.shape
-    out = np.empty((rows * len(edges), n))
-    if not edges:
-        return out
-    designs = np.stack([_butter_sos(f_lo, f_hi, dt, order)
-                        for f_lo, f_hi in edges])
-    zi = (np.stack([_sosfilt_zi(d) for d in designs]) if zero_phase
-          else np.zeros(designs.shape[:2] + (2,)))
-    filt = _sosfiltfilt if zero_phase else _sosfilt
-    pairs = np.arange(out.shape[0])
+    out = np.empty((rows, len(edges), n))
+    filters = [_band_filter(f_lo, f_hi, dt, order) for f_lo, f_hi in edges]
     step = max(1, BANK_MAX_VALUES // n)
-    for r in range(0, pairs.size, step):
-        row, band = np.divmod(pairs[r:r + step], len(edges))
-        out[r:r + step] = filt(designs[band], x[row], zi[band])
-    return out
+    for band, (maps, zi) in enumerate(filters):
+        for r in range(0, rows, step):
+            part = x[r:r + step]
+            out[r:r + step, band] = (
+                _filtfilt(maps, zi, part) if zero_phase
+                else _block_filter(maps, part, np.zeros((len(part), zi.size))))
+    return out.reshape(rows * len(edges), n)
 
 
 # Most samples (rows x samples) one filter pass takes. A pass holds about
 # four arrays of that size, so 2**21 samples keep it near 64 MB; rows are
 # independent, so slicing a bank changes no bit.
 BANK_MAX_VALUES = 2 ** 21
+
+# Samples per block of the block state-space filter.
+_FILTER_BLOCK = 64
+
+
+@lru_cache(maxsize=64)
+def _band_filter(f_lo: float, f_hi: float, dt: float, order: int):
+    # One band's block maps and steady state, built once per process and
+    # shared by every caller, so read-only.
+    sos = _butter_sos(f_lo, f_hi, dt, order)
+    maps, zi = _block_maps(sos, _FILTER_BLOCK), _sosfilt_zi(sos).ravel()
+    for m in (*maps, zi):
+        m.flags.writeable = False
+    return maps, zi
 
 
 def _butter_sos(f_lo: float, f_hi: float, dt: float, order: int) -> np.ndarray:
@@ -299,75 +315,87 @@ def _sosfilt_zi(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def _sosfiltfilt(sos: np.ndarray, x: np.ndarray,
-                 zi: np.ndarray) -> np.ndarray:
+def _block_maps(sos: np.ndarray, block: int):
+    """Burrus's block realization of a cascade of second-order sections.
+
+    The state ``s`` holds (z0, z1) of every section of scipy's ``sosfilt``
+    transposed direct form II step. Over a block of ``block`` samples,
+    with ``X`` the block's inputs as a row, the outputs are
+    ``X @ t + s @ o`` and the next state is ``s @ a + X @ c``. The maps
+    are formed in long double from one step of the recurrence and its
+    powers, then rounded once to float64.
+    """
+    sos = sos.astype(np.longdouble)
+    states = 2 * len(sos)
+    # One step from each unit state with no input (the first rows) and
+    # from the zero state with a unit input (the last row) gives the
+    # output y = s @ seen + x * direct and the next state
+    # s @ step + x * fed.
+    z = np.eye(states + 1, states, dtype=np.longdouble)
+    y = np.zeros(states + 1, dtype=np.longdouble)
+    y[-1] = 1.0
+    for s, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        z0, z1 = z[:, 2 * s].copy(), z[:, 2 * s + 1].copy()
+        x, y = y, b0 * y + z0
+        z[:, 2 * s] = b1 * x - a1 * y + z1
+        z[:, 2 * s + 1] = b2 * x - a2 * y
+    step, fed, seen, direct = z[:-1], z[-1], y[:-1], y[-1]
+    # powers[k] = step ** k, for k = 0, ..., block.
+    powers = [np.eye(states, dtype=np.longdouble)]
+    for _ in range(block):
+        powers.append(powers[-1] @ step)
+    o = np.stack([p @ seen for p in powers[:block]], axis=1)
+    impulse = np.concatenate(([direct], fed @ o[:, :block - 1]))
+    lag = np.arange(block) - np.arange(block)[:, None]  # [j, k] = k - j
+    t = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+    c = np.stack([fed @ p for p in powers[block - 1::-1]])
+    return tuple(m.astype(float) for m in (t, o, c, powers[block]))
+
+
+def _block_filter(maps, x: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """One cascade pass along every row of ``x`` (rows, n) from the states
+    ``s0`` (rows, 2 * sections), by the block maps of :func:`_block_maps`.
+
+    The rows are cut into (rows, blocks, B) with a zero tail; a filter is
+    causal, so the tail changes no kept output. Every row is multiplied by
+    the shared maps on its own, block states included, so its output does
+    not depend on its batch-mates.
+    """
+    t, o, c, a = maps
+    rows, n = x.shape
+    block = t.shape[0]
+    blocks = -(-n // block)
+    xb = np.zeros((rows, blocks * block))
+    xb[:, :n] = x
+    xb = xb.reshape(rows, blocks, block)
+    fed = xb @ c
+    y = xb @ t
+    del xb
+    # states[:, k] is the state at the start of block k.
+    states = np.empty(fed.shape)
+    states[:, 0] = s0
+    for k in range(1, blocks):
+        now = states[:, k:k + 1]
+        np.matmul(states[:, k - 1:k], a, out=now)
+        now += fed[:, k - 1:k]
+    y += states @ o
+    return y.reshape(rows, -1)[:, :n]
+
+
+def _filtfilt(maps, zi: np.ndarray, x: np.ndarray) -> np.ndarray:
     # scipy.signal.sosfiltfilt per row: odd extension of 3 * ntaps
     # samples, a forward pass started at the steady state of the first
     # sample, and a backward pass started at that of the last output.
-    edge = 3 * (2 * sos.shape[1] + 1)
+    edge = 3 * (zi.size + 1)
     if x.shape[1] <= edge:
         raise ValueError("The length of the input vector x must be greater "
                          f"than padlen, which is {edge}.")
     ext = np.concatenate((2 * x[:, :1] - x[:, edge:0:-1], x,
                           2 * x[:, -1:] - x[:, -2:-(edge + 2):-1]), axis=1)
-    y = _sosfilt(sos, ext, zi * ext[:, :1, None])
-    y = _sosfilt(sos, y[:, ::-1], zi * y[:, -1:, None])
+    y = _block_filter(maps, ext, zi * ext[:, :1])
+    del ext
+    y = _block_filter(maps, y[:, ::-1], zi * y[:, -1:])
     return y[:, ::-1][:, edge:-edge]
-
-
-def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Cascaded second-order sections run along every row of ``x``.
-
-    ``sos`` is (rows, sections, 6) with a0 = 1 and ``zi`` (rows, sections,
-    2) the initial state. Every row takes scipy's ``sosfilt`` transposed
-    direct form II step with the same association:
-    ``y = b0*x + z0; z0 = b1*x - a1*y + z1; z1 = b2*x - a2*y``.
-    """
-    rows, n = x.shape
-    ns = sos.shape[1]
-    steps = n + ns - 1
-    # w[j, s] holds the input of section s at sample k0 + j - s in the
-    # block of steps from k0: at step k0 + j every section reads row j
-    # and writes its output to row j + 1, so one step advances all
-    # sections of all rows. Column ns is the filter's output. Only one
-    # block of this wavefront is held; its last row starts the next.
-    block = min(steps, _SOSFILT_BLOCK)
-    w = np.zeros((block + 1, ns + 1, rows))
-    xin, yout = w[:, :ns], w[1:, 1:]
-    out = np.empty((rows, n))
-    b = np.ascontiguousarray(sos[..., :3].transpose(2, 1, 0))
-    a = np.ascontiguousarray(sos[..., 4:].transpose(2, 1, 0))
-    zi = zi.transpose(2, 1, 0)
-    bx, ay = np.empty_like(b), np.empty_like(a)
-    bx0, bx12 = bx[0], bx[1:]
-    # The state alternates between two buffers, (buffer, z0, z1) each.
-    z, z_next = ((buf, buf[0], buf[1]) for buf in (zi.copy(), zi.copy()))
-    for k0 in range(0, steps, block):
-        m = min(block, steps - k0)
-        fed = min(m, max(0, n - k0))
-        w[:fed, 0] = x[:, k0:k0 + fed].T
-        w[fed:m, 0] = 0.0
-        for j in range(m):
-            y = yout[j]
-            np.multiply(b, xin[j], out=bx)
-            np.add(bx0, z[1], out=y)
-            np.multiply(a, y, out=ay)
-            np.subtract(bx12, ay, out=z_next[0])
-            np.add(z_next[1], z[2], out=z_next[1])
-            z, z_next = z_next, z
-            if k0 + j < ns - 1:
-                # Sections above this step have not reached their first
-                # sample, so they keep their initial state.
-                z[0][:, k0 + j + 1:] = zi[:, k0 + j + 1:]
-        # Row j of the block, j >= 1, ends output sample k0 + j - ns.
-        lo = max(1, ns - k0)
-        out[:, k0 + lo - ns:k0 + m + 1 - ns] = w[lo:m + 1, ns].T
-        w[0, 1:] = w[m, 1:]
-    return out
-
-
-# Steps of the filter wavefront held at once.
-_SOSFILT_BLOCK = 256
 
 
 def _trapezoid_steps(y: np.ndarray, dx: float) -> np.ndarray:

@@ -74,7 +74,7 @@ def cwt_per_frequency(ts, freqs, wavelet_omega0=6.0, taper_fraction=0.05):
     n, dt = x.size, ts.dt
     spectra = _morlet_spectra(n, dt, freqs.tobytes(), wavelet_omega0)
     xf = np.fft.fft(x, n=spectra.shape[1])
-    i0 = int((n - 1) * dt / 2.0 / dt)
+    i0 = (n - 1) // 2
     coeff = np.empty((n, freqs.size), dtype=complex)
     for j, kernel_f in enumerate(spectra):
         coeff[:, j] = np.fft.ifft(kernel_f * xf)[i0:i0 + n] * dt
@@ -110,11 +110,14 @@ def running_integral(y, dt):
     return np.concatenate(([0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)))
 
 
-def polyfit_detrend(y):
-    """``y`` less the line ``np.polyfit`` fits it over the sample indices."""
-    t = np.arange(y.size, dtype=float)
-    slope, intercept = np.polyfit(t, y, 1)
-    return y - (slope * t + intercept)
+def line_detrend(y):
+    """``y`` less its least-squares line over the sample indices, fitted in
+    closed form about the centre index, one trace at a time."""
+    n = y.size
+    tc = np.arange(n) - (n - 1) / 2.0
+    out = y - y.mean()
+    slope = (out * tc).sum() / ((n - 1.0) * n * (n + 1.0) / 12.0)
+    return out - slope * tc
 
 
 def energy_window(y, dt, t, lo=0.05, hi=0.75):
@@ -126,11 +129,13 @@ def energy_window(y, dt, t, lo=0.05, hi=0.75):
 
 def one_trace_measures(acc, periods):
     """Bytes of every measure of one acceleration trace, computed alone
-    with numpy's own routines: the oracle of the batched measures
-    (:func:`batch_row`), sharing no helper with them."""
+    with numpy's own routines and the closed-form line fit of
+    :func:`line_detrend`: the oracle of the batched measures
+    (:func:`batch_row`), sharing no helper with them. The line fit's
+    bound against long double is in test_long_double_oracles.py."""
     x, dt, t = acc.samples, acc.dt, acc.times
-    vel = polyfit_detrend(running_integral(x, dt))
-    disp = polyfit_detrend(running_integral(vel, dt))
+    vel = line_detrend(running_integral(x, dt))
+    disp = line_detrend(running_integral(vel, dt))
     ia = np.pi / (2.0 * G) * np.trapezoid(x ** 2, dx=dt)
     iv = np.trapezoid(vel ** 2, dx=dt)
     scalars = [np.abs(x).max(), np.abs(vel).max(), np.abs(disp).max(), ia,

@@ -41,6 +41,17 @@ class TestCwt:
         mask = np.abs(w1) > 1e-9 * np.abs(w1).max()
         assert np.allclose(np.angle(w2[mask]), np.angle(w1[mask]), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [59, 61, 601])
+    def test_impulse_peaks_at_its_sample_in_every_row(self, n):
+        # At n = 59 and dt = 0.02, (n - 1) / 2 * dt / dt rounds to just
+        # below 29, so a centre taken from the time would land one sample
+        # early and every row would peak at sample 21.
+        x = np.zeros(n)
+        x[20] = 1.0
+        coeff = cwt(TimeSeries(0.02, 0.0, x, Unit.ACCELERATION),
+                    log_freqs(0.05, 10.0, 40))
+        assert np.all(np.argmax(np.abs(coeff), axis=0) == 20)
+
     def test_frequency_grid_validation(self):
         ts = burst_series(dt=0.01)
         with pytest.raises(ValueError):
@@ -61,11 +72,11 @@ def _same_bits(a, b):
 # and the 2,401-sample criterion-8 grid, an even length, frequency counts
 # that are not a multiple of a block's rows, and a one-frequency grid.
 ORACLE_GRIDS = [
-    (601, 0.02, log_freqs(0.05, 10.0, 40)),    # 2,048-point FFT: 32 + 8 rows
+    (601, 0.02, log_freqs(0.05, 10.0, 40)),    # 1,215-point FFT: one block
     (601, 0.02, np.array([1.0])),
-    (2401, 0.005, log_freqs(0.05, 10.0, 37)),  # 8,192 points: 4 x 8 + 5
+    (2401, 0.005, log_freqs(0.05, 10.0, 37)),  # 4,860 points: 2 x 13 + 11
     (2400, 0.005, log_freqs(0.2, 20.0, 12)),
-    (4501, 0.04, log_freqs(0.05, 10.0, 39)),   # 16,384 points: 9 x 4 + 3
+    (4501, 0.04, log_freqs(0.05, 10.0, 39)),   # 9,216 points: 5 x 7 + 4
 ]
 
 
@@ -101,7 +112,7 @@ class TestCwtBlocks:
     def test_memory_is_the_plane_and_one_block(self):
         ts = random_series(np.random.default_rng(6), n=4501, dt=0.04)
         freqs = log_freqs(0.05, 10.0, 40)
-        cwt(ts, freqs)  # fills the kernel spectra cache (10.5 MB)
+        cwt(ts, freqs)  # fills the kernel spectra cache (5.9 MB)
         tracemalloc.start()
         try:
             coeff = cwt(ts, freqs)
@@ -109,8 +120,8 @@ class TestCwtBlocks:
         finally:
             tracemalloc.stop()
         block = 2 ** 20  # 1 MB: 2**16 complex values
-        # The slack holds the tapered trace and its 16,384-point FFT. One
-        # batch of all 40 rows (10.5 MB) does not fit.
+        # The slack holds the tapered trace and its 9,216-point FFT. One
+        # batch of all 40 rows (5.9 MB) does not fit.
         assert peak < coeff.nbytes + 2 * block + 2 ** 19
 
 

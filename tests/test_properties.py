@@ -159,14 +159,21 @@ def test_trace_csv_round_trip_is_byte_identical(tmp_path_factory, n, dt, t0,
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 5000), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
        st.floats(0.0, 1e6), st.integers(0, 2 ** 32 - 1))
-def test_detrend_is_polyfit_bit_for_bit(n, offset, slope, magnitude, seed):
-    # The line fit kept per length runs np.polyfit's arithmetic.
+def test_detrend_is_polyfit_within_bound(n, offset, slope, magnitude, seed):
+    # The closed-form line fit and np.polyfit's scaled lstsq round
+    # differently: 1.3e-15 of the row's max apart at most in 3,000 draws
+    # like these. Among subnormal values rounding is absolute instead, and
+    # a slope's spacing times the distance from the centre stays below one
+    # spacing per sample. The closed form's own bound, against a
+    # long-double fit, is in tests/test_long_double_oracles.py.
     t = np.arange(n, dtype=float)
     x = (offset + slope * t
          + magnitude * np.random.default_rng(seed).standard_normal(n))
     fit_slope, intercept = np.polyfit(t, x, 1)
     want = x - (fit_slope * t + intercept)
-    assert detrend_rows(x[None])[0].tobytes() == want.tobytes()
+    err = np.abs(detrend_rows(x[None])[0] - want).max()
+    floor = n * np.finfo(float).smallest_subnormal
+    assert err <= 1e-14 * np.abs(x).max() + floor
 
 
 @settings(max_examples=100, deadline=None)
